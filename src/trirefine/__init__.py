@@ -27,11 +27,9 @@ from .engine import (
     RefinementRun,
     RetainPolicy,
     RunMode,
-    generation_stats,
     refine,
     rho_sequence,
     similarity_classes,
-    similarity_key,
     track_carrier,
 )
 from .geometry import (
@@ -79,7 +77,6 @@ __all__ = [
     "check_major_angles_distinct",
     "evaluate_angle_form",
     "first_major_angle_collision",
-    "generation_stats",
     "jacobsthal",
     "largest_angle_vertex",
     "major_angle_values",
@@ -91,7 +88,6 @@ __all__ = [
     "run_suite",
     "side_lengths",
     "similarity_classes",
-    "similarity_key",
     "track_carrier",
     "triangle_from_angles",
     "triangle_from_angles_deg",

@@ -9,15 +9,19 @@ Subcommands:
   smallest starting angle through every generation.
 * ``classes`` -- print cumulative similarity-class counts per generation.
 
-Exit codes: 0 success, 2 invalid input, 3 degenerate geometry; ``verify``
-exits 1 when a check fails (the report is still written).
+Exit codes: 0 success, 2 invalid input (including non-finite numbers and
+unwritable output paths), 3 degenerate geometry (including finite input
+whose coordinates overflow); ``verify`` exits 1 when a check fails (the
+report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,8 +78,8 @@ def _parse_sides(text: str) -> tuple[float, float, float]:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"cannot parse sides {text!r}: {exc}") from None
-    if any(v <= 0 for v in values):
-        raise InputError("sides must be positive")
+    if not all(v > 0 and math.isfinite(v) for v in values):
+        raise InputError("sides must be positive finite numbers")
     a, b, c = sorted(values, reverse=True)
     if b + c <= a:
         raise InputError(f"sides {text!r} do not form a triangle")
@@ -95,6 +99,21 @@ def _build_run(args, retain: str) -> RefinementRun:
                              sides=sides, retain=retain, scale=args.scale)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write an output file as invalid input."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with _writing(path), open(path, "w", encoding="ascii") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def _stats_row(stats, exact: bool) -> dict:
@@ -135,7 +154,7 @@ def _result_json(result: RefinementResult) -> dict:
 
 
 def _write_csv(result: RefinementResult, path: str) -> None:
-    with open(path, "w", newline="", encoding="ascii") as handle:
+    with _writing(path), open(path, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle)
         writer.writerow(STATS_FIELDS)
         for s in result.stats:
@@ -173,14 +192,13 @@ def _cmd_refine(args) -> int:
     result = refine(run)
     _print_stats_table(result)
     if args.json:
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(_result_json(result), handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, _result_json(result))
     if args.csv:
         _write_csv(result, args.csv)
     if args.svg:
-        render_svg(result.generations[-1], args.svg,
-                   stroke_reference=result.stats[0].mesh)
+        with _writing(args.svg):
+            render_svg(result.generations[-1], args.svg,
+                       stroke_reference=result.stats[0].mesh)
     return EXIT_OK
 
 
@@ -191,9 +209,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     payload = report_as_dict(reports, args.depth, args.sweep, args.seed)
-    with open(args.report, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.report, payload)
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag} {r.name} (population {r.population}, "
@@ -226,9 +242,7 @@ def _cmd_upsilon(args) -> int:
         payload = {"input": {"angles": [str(x) for x in base.as_tuple()],
                              "iterations": args.iterations},
                    "generations": rows}
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, payload)
     return EXIT_OK
 
 
@@ -253,9 +267,7 @@ def _cmd_classes(args) -> int:
                 for s in result.stats
             ],
         }
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_json(args.json, payload)
     return EXIT_OK
 
 

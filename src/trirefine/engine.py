@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import BaseAngles, FORM_GAMMA
 from .geometry import (
@@ -108,8 +108,11 @@ class RefinementRun:
         if self.depth > limit:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be a positive finite number")
+        if self.sides is not None and not all(
+                s > 0 and math.isfinite(s) for s in self.sides):
+            raise ValueError("sides must be positive finite numbers")
 
 
 @dataclass
@@ -132,21 +135,6 @@ class RefinementResult:
     stats: list[GenerationStats]
     generations: list[list[TriangleNode]] | None
     class_keys: list[frozenset]
-
-
-def similarity_key(node: TriangleNode, exact: bool) -> tuple:
-    """Canonical similarity-class key: the sorted angle triple.
-
-    Exact mode keys are (numerator, denominator) pairs of the exact degree
-    values; numeric mode rounds each angle to 1e-9 degrees.  Keys are
-    invariant under vertex permutation and scaling.
-    """
-    if exact:
-        vals = node.angles_exact
-        return tuple(sorted((v.numerator, v.denominator) for v in vals))
-    a0, a1, a2 = node.angles_deg()
-    return tuple(sorted((round(a0 * _KEY_SCALE), round(a1 * _KEY_SCALE),
-                         round(a2 * _KEY_SCALE))))
 
 
 def _root_node(run: RefinementRun) -> TriangleNode:
@@ -392,45 +380,6 @@ def rho_sequence(stats: Sequence[GenerationStats]) -> list[float]:
 def similarity_classes(result: RefinementResult) -> list[int]:
     """Cumulative similarity-class count per generation."""
     return [s.cumulative_similarity_classes for s in result.stats]
-
-
-def generation_stats(triangles: Iterable[TriangleNode]) -> GenerationStats:
-    """Aggregate one generation of triangles (no rho: that needs the next one).
-
-    ``cumulative_similarity_classes`` counts the classes within the given
-    triangles.  Exact aggregation when the nodes carry exact values.
-    """
-    nodes = list(triangles)
-    if not nodes:
-        raise ValueError("generation must be non-empty")
-    exact = nodes[0].angles_exact is not None
-    mesh = 0.0
-    max_aspect = 0.0
-    min_angle = None
-    min_largest = None
-    keys = set()
-    for node in nodes:
-        s = node.sides()
-        longest = max(s)
-        mesh = max(mesh, longest)
-        max_aspect = max(max_aspect, longest / (sum(s) - longest))
-        vals = node.angles_exact if exact else node.angles_deg()
-        small, big = min(vals), max(vals)
-        if min_angle is None or small < min_angle:
-            min_angle = small
-        if min_largest is None or big < min_largest:
-            min_largest = big
-        keys.add(similarity_key(node, exact))
-    return GenerationStats(
-        n=nodes[0].generation,
-        triangle_count=len(nodes),
-        mesh=mesh,
-        min_angle_deg=min_angle,
-        min_largest_angle_deg=min_largest,
-        max_aspect_ratio=max_aspect,
-        rho=None,
-        cumulative_similarity_classes=len(keys),
-    )
 
 
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:

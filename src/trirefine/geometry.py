@@ -272,6 +272,21 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     return left, right
 
 
+def _check_root_scale(longest: float) -> None:
+    """Reject a root whose longest side is not a positive finite number, or
+    so long that squared lengths overflow.
+
+    Every coordinate and side length in the tree is at most the root's
+    longest side, so this one check at the root covers every product that
+    ``TriangleNode`` and ``bisect`` form at any depth.
+    """
+    if not (longest > 0 and math.isfinite(longest)):
+        raise ValueError("scale must be a positive finite number")
+    if not math.isfinite(2.0 * longest * longest):
+        raise DegenerateTriangleError(
+            f"longest side {longest!r} is too large: squared lengths overflow")
+
+
 def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
                          exact: bool = True) -> TriangleNode:
     """Root triangle with the given angles, longest side on the x-axis.
@@ -281,8 +296,7 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
     gamma vertex), so the apex carries the largest angle and sits above
     the base.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    _check_root_scale(scale)
     al = math.radians(float(base.alpha))
     be = math.radians(float(base.beta))
     ga = math.radians(float(base.gamma))
@@ -301,6 +315,7 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")
+    _check_root_scale(scale)
     al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
     c_len = scale * math.sin(ga) / math.sin(al)
     apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
@@ -310,10 +325,11 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
 def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
     """Numeric-only root triangle from side lengths, longest side on the x-axis."""
     a, b, c = sorted((float(s1), float(s2), float(s3)), reverse=True)
-    if c <= 0:
-        raise ValueError("sides must be positive")
+    if not all(x > 0 and math.isfinite(x) for x in (a, b, c)):
+        raise ValueError("sides must be positive finite numbers")
     if b + c <= a:
         raise ValueError(f"sides ({s1}, {s2}, {s3}) do not form a triangle")
+    _check_root_scale(a)
     x = (a * a + c * c - b * b) / (2.0 * a)
     y_sq = c * c - x * x
     if y_sq <= 0:

@@ -6,11 +6,18 @@ signed margin to the bound (negative means violated), and a replayable
 witness for the extremal case.  A check passes when its worst margin stays
 above minus its tolerance.
 
+Each check is declared once, as one ``@_check`` table entry with four parts:
+its name, its tolerance, a population (suite context -> JSON-ready input
+specs) and a margin function ((spec, runs) -> (margin, witness)), where
+``runs`` memoizes run statistics on (kind, base, depth).  A witness is a
+spec the same margin function accepts, so ``replay_margin`` is that function
+applied to a stored witness with an empty memo: it reproduces the margin bit
+for bit by construction, with no second copy of the check to keep in step.
+
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
 are reported, never repaired: a violated bound would show up as a negative
-margin with the witness that produced it, and ``replay_margin`` recomputes
-that margin bit for bit from the witness alone.
+margin with the witness that produced it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
     BaseAngles,
@@ -77,7 +84,6 @@ ANGLE_FIXTURES = (EQUILATERAL, RIGHT_ISOSCELES, DOUBLE_PAIR, THIN)
 # (80, 40) is the (80, 40, 60) labeling, which is not sorted and therefore
 # enters through the pair-level helper rather than BaseAngles.
 COLLISION_PAIRS = ((Fraction(90), Fraction(45)), (Fraction(80), Fraction(40)))
-
 
 @dataclass
 class CheckReport:
@@ -141,19 +147,24 @@ def _base_parse(items) -> BaseAngles:
     return BaseAngles(Fraction(items[0]), Fraction(items[1]), Fraction(items[2]))
 
 
-def _exact_stats(base: BaseAngles, depth: int):
-    return refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
-                                depth=depth, base=base)).stats
+def _stats(runs: dict, kind: ProcedureKind, base: BaseAngles, depth: int):
+    """Statistics of a streaming run from ``base``, memoized in ``runs``."""
+    key = (kind, base, depth)
+    stats = runs.get(key)
+    if stats is None:
+        stats = refine(RefinementRun(kind=kind, depth=depth, base=base)).stats
+        runs[key] = stats
+    return stats
 
 
-def _run_from_spec(spec: dict, depth: int,
+def _run_from_spec(spec: dict,
                    retain: str = RetainPolicy.STREAMING) -> RefinementResult:
     kind = ProcedureKind(spec["kind"])
     if spec.get("base") is not None:
-        return refine(RefinementRun(kind=kind, depth=depth,
+        return refine(RefinementRun(kind=kind, depth=spec["depth"],
                                     base=_base_parse(spec["base"]),
                                     retain=retain))
-    return refine(RefinementRun(kind=kind, depth=depth,
+    return refine(RefinementRun(kind=kind, depth=spec["depth"],
                                 sides=tuple(spec["sides"]), retain=retain))
 
 
@@ -187,23 +198,7 @@ class _Context:
             (base, "".join(rng.choice("01") for _ in range(CARRIER_N_MAX)))
             for base in self.bases[:walk_count]
         ]
-        self._exact_cache: dict[BaseAngles, list] = {}
-        self._le_cache: dict[BaseAngles, list] = {}
-
-    def exact_stats(self, base: BaseAngles):
-        stats = self._exact_cache.get(base)
-        if stats is None:
-            stats = _exact_stats(base, self.depth)
-            self._exact_cache[base] = stats
-        return stats
-
-    def le_stats(self, base: BaseAngles):
-        stats = self._le_cache.get(base)
-        if stats is None:
-            stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                         depth=self.depth, base=base)).stats
-            self._le_cache[base] = stats
-        return stats
+        self.runs: dict = {}  # the suite's ``_stats`` memo
 
 
 def _finish(name: str, tolerance: float,
@@ -222,21 +217,93 @@ def _finish(name: str, tolerance: float,
                        worst >= -tolerance)
 
 
-_CHECKS: list[tuple[str, float, Callable[[_Context], Iterator[tuple[float, dict]]]]] = []
-_REPLAYERS: dict[str, Callable[[dict], float]] = {}
+def _worst(items: Iterable[tuple[float, int]]) -> tuple[float, int]:
+    """The first smallest (margin, n) pair; (inf, 0) when there is none."""
+    worst, worst_n = math.inf, 0
+    for m, n in items:
+        if m < worst:
+            worst, worst_n = m, n
+    return worst, worst_n
 
 
-def _check(name: str, tolerance: float):
-    def wrap(fn):
-        _CHECKS.append((name, tolerance, fn))
-        return fn
+class _Check(NamedTuple):
+    tolerance: float
+    population: Callable[[_Context], list[dict]]
+    margin: Callable[[dict, dict], tuple[float, dict]]
+
+
+_CHECKS: dict[str, _Check] = {}
+
+
+def _check(name: str, tolerance: float,
+           population: Callable[[_Context], list[dict]]):
+    """Declare a check: the decorated margin function maps (spec, runs) to
+    (margin, witness), and must accept its own witnesses as specs."""
+    def wrap(margin):
+        if name in _CHECKS:
+            raise ValueError(f"check {name!r} declared twice")
+        _CHECKS[name] = _Check(tolerance, population, margin)
+        return margin
     return wrap
 
 
-def _replayer(name: str):
-    def wrap(fn):
-        _REPLAYERS[name] = fn
-        return fn
+def _at_generation(spec: dict, n: int) -> dict:
+    """A per-generation witness: the spec with ``n`` recorded before its
+    depth, or last when it has none."""
+    witness = {}
+    for key, value in spec.items():
+        if key == "depth":
+            witness["n"] = n
+        witness[key] = value
+    witness.setdefault("n", n)
+    return witness
+
+
+def _bases(ctx: _Context) -> list[dict]:
+    return [{"base": _base_json(base), "depth": ctx.depth} for base in ctx.bases]
+
+
+def _triangles(ctx: _Context) -> list[dict]:
+    return [{"angles_deg": list(angles)} for angles in ctx.triangles]
+
+
+def _per_generation(name: str, tolerance: float,
+                    population: Callable[[_Context], list[dict]]):
+    """Declare a check whose decorated generator maps (spec, runs) to one
+    (margin, n) pair per generation: the margin is the worst pair's, and the
+    witness records its ``n``."""
+    def wrap(pairs: Callable[[dict, dict], Iterator[tuple[float, int]]]):
+        def margin(spec: dict, runs: dict) -> tuple[float, dict]:
+            worst, n = _worst(pairs(spec, runs))
+            return worst, _at_generation(spec, n)
+        _check(name, tolerance, population)(margin)
+        return pairs
+    return wrap
+
+
+def _per_stats(name: str, tolerance: float, kind: ProcedureKind | None,
+               population: Callable[[_Context], list[dict]] = _bases):
+    """``_per_generation`` over the statistics of a streaming run from each
+    spec's base; the decorated kernel maps (stats, base) to the pairs.
+    ``kind`` ``None`` reads the procedure from the spec."""
+    def wrap(kernel: Callable[..., Iterator[tuple[float, int]]]):
+        def pairs(spec: dict, runs: dict) -> Iterator[tuple[float, int]]:
+            base = _base_parse(spec["base"])
+            run_kind = kind or ProcedureKind(spec["kind"])
+            return kernel(_stats(runs, run_kind, base, spec["depth"]), base)
+        _per_generation(name, tolerance, population)(pairs)
+        return kernel
+    return wrap
+
+
+def _per_triangle(name: str, tolerance: float):
+    """Declare a check over the random float triangles: the decorated kernel
+    maps the root triangle of a spec to its margin."""
+    def wrap(kernel: Callable[[TriangleNode], float]):
+        def margin(spec: dict, runs: dict) -> tuple[float, dict]:
+            return kernel(triangle_from_angles_deg(*spec["angles_deg"])), spec
+        _check(name, tolerance, _triangles)(margin)
+        return kernel
     return wrap
 
 
@@ -244,114 +311,62 @@ def _replayer(name: str):
 # Exact sequence and form checks
 # ---------------------------------------------------------------------------
 
-def _m_jacobsthal_sum(n: int) -> float:
-    return 0.0 if jacobsthal(n) + jacobsthal(n + 1) == 2**n else -1.0
+@_check("jacobsthal-sum-identity", TOL_EXACT,
+        lambda ctx: [{"n": n} for n in range(65)])
+def _m_jacobsthal_sum(spec, runs):
+    n = spec["n"]
+    return (0.0 if jacobsthal(n) + jacobsthal(n + 1) == 2**n else -1.0), spec
 
 
-@_check("jacobsthal-sum-identity", TOL_EXACT)
-def _c_jacobsthal_sum(ctx):
-    for n in range(65):
-        yield _m_jacobsthal_sum(n), {"n": n}
-
-
-_replayer("jacobsthal-sum-identity")(lambda w: _m_jacobsthal_sum(w["n"]))
-
-
-def _m_jacobsthal_closed(n: int) -> float:
+@_check("jacobsthal-closed-form", TOL_EXACT,
+        lambda ctx: [{"n": n} for n in range(65)])
+def _m_jacobsthal_closed(spec, runs):
     a, b = 0, 1
-    for _ in range(n):
+    for _ in range(spec["n"]):
         a, b = b, b + 2 * a
-    return 0.0 if jacobsthal(n) == a else -1.0
+    return (0.0 if jacobsthal(spec["n"]) == a else -1.0), spec
 
 
-@_check("jacobsthal-closed-form", TOL_EXACT)
-def _c_jacobsthal_closed(ctx):
-    for n in range(65):
-        yield _m_jacobsthal_closed(n), {"n": n}
-
-
-_replayer("jacobsthal-closed-form")(lambda w: _m_jacobsthal_closed(w["n"]))
-
-
-def _m_carrier_sum(n: int) -> float:
-    major, minor = carrier_angle_forms(n)
+@_check("carrier-form-coefficient-sum", TOL_EXACT,
+        lambda ctx: [{"n": n} for n in range(1, 41)])
+def _m_carrier_sum(spec, runs):
+    major, minor = carrier_angle_forms(spec["n"])
     total = major + minor + FORM_GAMMA
     ok = all(c.as_fraction() == 1 for c in total.coefficients())
-    return 0.0 if ok else -1.0
+    return (0.0 if ok else -1.0), spec
 
 
-@_check("carrier-form-coefficient-sum", TOL_EXACT)
-def _c_carrier_sum(ctx):
-    for n in range(1, 41):
-        yield _m_carrier_sum(n), {"n": n}
+@_per_generation("carrier-major-dominates", TOL_EXACT,
+                 lambda ctx: [{"base": _base_json(base)} for base in ctx.bases])
+def _m_carrier_dominates(spec, runs):
+    base = _base_parse(spec["base"])
+    for n in range(1, CARRIER_N_MAX + 1):
+        major, minor = carrier_angle_forms(n)
+        big = evaluate_angle_form(major, base)
+        small = evaluate_angle_form(minor, base)
+        yield float(min(big - small, big - base.gamma)), n
 
 
-_replayer("carrier-form-coefficient-sum")(lambda w: _m_carrier_sum(w["n"]))
-
-
-def _m_carrier_dominates(base: BaseAngles, n: int) -> float:
-    major, minor = carrier_angle_forms(n)
-    big = evaluate_angle_form(major, base)
-    small = evaluate_angle_form(minor, base)
-    return float(min(big - small, big - base.gamma))
-
-
-@_check("carrier-major-dominates", TOL_EXACT)
-def _c_carrier_dominates(ctx):
-    for base in ctx.bases:
-        worst = math.inf
-        worst_n = 1
-        for n in range(1, CARRIER_N_MAX + 1):
-            m = _m_carrier_dominates(base, n)
-            if m < worst:
-                worst, worst_n = m, n
-        yield worst, {"base": _base_json(base), "n": worst_n}
-
-
-@_replayer("carrier-major-dominates")
-def _r_carrier_dominates(w):
-    return _m_carrier_dominates(_base_parse(w["base"]), w["n"])
-
-
-def _m_dyadic_roundtrip(numerator: int, log2_denominator: int) -> float:
-    x = DyadicRational(numerator, log2_denominator)
-    return 0.0 if (x + x).halve() == x else -1.0
-
-
-@_check("dyadic-halve-add-roundtrip", TOL_EXACT)
-def _c_dyadic_roundtrip(ctx):
-    for num, k in ctx.dyadics:
-        yield _m_dyadic_roundtrip(num, k), {
-            "numerator": num, "log2_denominator": k}
-
-
-@_replayer("dyadic-halve-add-roundtrip")
-def _r_dyadic_roundtrip(w):
-    return _m_dyadic_roundtrip(w["numerator"], w["log2_denominator"])
+@_check("dyadic-halve-add-roundtrip", TOL_EXACT,
+        lambda ctx: [{"numerator": num, "log2_denominator": k}
+                     for num, k in ctx.dyadics])
+def _m_dyadic_roundtrip(spec, runs):
+    x = DyadicRational(spec["numerator"], spec["log2_denominator"])
+    return (0.0 if (x + x).halve() == x else -1.0), spec
 
 
 # ---------------------------------------------------------------------------
 # Single-split geometry checks over random triangles
 # ---------------------------------------------------------------------------
 
-def _m_child_areas(angles: tuple[float, float, float]) -> float:
-    t = triangle_from_angles_deg(*angles)
+@_per_triangle("child-areas-sum-to-parent", TOL_MULTI_STEP)
+def _m_child_areas(t: TriangleNode) -> float:
     left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
     return -abs(left.area() + right.area() - t.area()) / t.area()
 
 
-@_check("child-areas-sum-to-parent", TOL_MULTI_STEP)
-def _c_child_areas(ctx):
-    for angles in ctx.triangles:
-        yield _m_child_areas(angles), {"angles_deg": list(angles)}
-
-
-_replayer("child-areas-sum-to-parent")(
-    lambda w: _m_child_areas(tuple(w["angles_deg"])))
-
-
-def _m_foot_inside(angles: tuple[float, float, float]) -> float:
-    t = triangle_from_angles_deg(*angles)
+@_per_triangle("bisector-foot-inside-segment", TOL_SINGLE_STEP)
+def _m_foot_inside(t: TriangleNode) -> float:
     left, _ = bisect(t, ProcedureKind.LARGEST_ANGLE)
     foot = left.vertices[2]
     ia = largest_angle_vertex(t)
@@ -362,20 +377,10 @@ def _m_foot_inside(angles: tuple[float, float, float]) -> float:
     return min(s, 1.0 - s)
 
 
-@_check("bisector-foot-inside-segment", TOL_SINGLE_STEP)
-def _c_foot_inside(ctx):
-    for angles in ctx.triangles:
-        yield _m_foot_inside(angles), {"angles_deg": list(angles)}
-
-
-_replayer("bisector-foot-inside-segment")(
-    lambda w: _m_foot_inside(tuple(w["angles_deg"])))
-
-
-def _m_keeper_aspect(angles: tuple[float, float, float]) -> float:
+@_per_triangle("min-angle-child-has-larger-aspect", TOL_SINGLE_STEP)
+def _m_keeper_aspect(t: TriangleNode) -> float:
     """Margin of: the child keeping the smallest-angle vertex has the larger
     aspect ratio."""
-    t = triangle_from_angles_deg(*angles)
     ia = largest_angle_vertex(t)
     ismall = smallest_angle_vertex(t)
     if ismall == ia:  # all angles equal: either base vertex qualifies
@@ -388,76 +393,24 @@ def _m_keeper_aspect(angles: tuple[float, float, float]) -> float:
     return aspect_ratio(keeper) - aspect_ratio(other)
 
 
-@_check("min-angle-child-has-larger-aspect", TOL_SINGLE_STEP)
-def _c_keeper_aspect(ctx):
-    for angles in ctx.triangles:
-        yield _m_keeper_aspect(angles), {"angles_deg": list(angles)}
-
-
-_replayer("min-angle-child-has-larger-aspect")(
-    lambda w: _m_keeper_aspect(tuple(w["angles_deg"])))
-
-
-def _m_aspect_trig(angles: tuple[float, float, float]) -> float:
-    t = triangle_from_angles_deg(*angles)
+@_per_triangle("aspect-trig-matches-side-form", TOL_SINGLE_STEP)
+def _m_aspect_trig(t: TriangleNode) -> float:
     r = aspect_ratio(t)
     return -abs(r - aspect_ratio_trig(t)) / r
 
 
-@_check("aspect-trig-matches-side-form", TOL_SINGLE_STEP)
-def _c_aspect_trig(ctx):
-    for angles in ctx.triangles:
-        yield _m_aspect_trig(angles), {"angles_deg": list(angles)}
-
-
-_replayer("aspect-trig-matches-side-form")(
-    lambda w: _m_aspect_trig(tuple(w["angles_deg"])))
-
-
-def _m_aspect_range(angles: tuple[float, float, float]) -> float:
-    r = aspect_ratio(triangle_from_angles_deg(*angles))
+@_per_triangle("aspect-ratio-in-range", TOL_SINGLE_STEP)
+def _m_aspect_range(t: TriangleNode) -> float:
+    r = aspect_ratio(t)
     return min(r - 0.5, 1.0 - r)
 
 
-@_check("aspect-ratio-in-range", TOL_SINGLE_STEP)
-def _c_aspect_range(ctx):
-    for angles in ctx.triangles:
-        yield _m_aspect_range(angles), {"angles_deg": list(angles)}
+@_per_triangle("bisector-length-bound", TOL_SINGLE_STEP)
+def _m_bisector_bound(t: TriangleNode) -> float:
+    return SQRT3_2 - bisector_to_longest_side_ratio(t)
 
 
-_replayer("aspect-ratio-in-range")(
-    lambda w: _m_aspect_range(tuple(w["angles_deg"])))
-
-
-def _m_bisector_bound(angles: tuple[float, float, float]) -> float:
-    return SQRT3_2 - bisector_to_longest_side_ratio(
-        triangle_from_angles_deg(*angles))
-
-
-@_check("bisector-length-bound", TOL_SINGLE_STEP)
-def _c_bisector_bound(ctx):
-    for angles in ctx.triangles:
-        yield _m_bisector_bound(angles), {"angles_deg": list(angles)}
-
-
-_replayer("bisector-length-bound")(
-    lambda w: _m_bisector_bound(tuple(w["angles_deg"])))
-
-
-def _m_altitude_similarity(w: dict) -> float:
-    node = _root_from_witness(w)
-    for index in w.get("path", ()):
-        node = bisect(node, ProcedureKind.SHORTEST_ALTITUDE)[index]
-    parent_angles = sorted(node.angles_deg())
-    worst = 0.0
-    for child in bisect(node, ProcedureKind.SHORTEST_ALTITUDE):
-        for got, want in zip(sorted(child.angles_deg()), parent_angles):
-            worst = max(worst, abs(got - want))
-    return -worst
-
-
-@_check("altitude-children-similar-to-right-parent", TOL_MULTI_STEP)
-def _c_altitude_similarity(ctx):
+def _altitude_similarity_specs(ctx: _Context) -> list[dict]:
     population: list[dict] = [
         {"sides": list(PYTHAGOREAN_SIDES), "path": []},
         {"angles_deg": [90.0, 45.0, 45.0], "path": []},
@@ -466,246 +419,150 @@ def _c_altitude_similarity(ctx):
         angles = [float(x) for x in base.as_tuple()]
         population.append({"angles_deg": angles, "path": [0]})
         population.append({"angles_deg": angles, "path": [1]})
-    for w in population:
-        yield _m_altitude_similarity(w), w
+    return population
 
 
-_replayer("altitude-children-similar-to-right-parent")(_m_altitude_similarity)
-
-
-def _m_symbolic_numeric(base: BaseAngles, lineage: str) -> float:
-    node = triangle_from_angles(base)
+@_check("altitude-children-similar-to-right-parent", TOL_MULTI_STEP,
+        _altitude_similarity_specs)
+def _m_altitude_similarity(spec, runs):
+    node = _root_from_witness(spec)
+    for index in spec.get("path", ()):
+        node = bisect(node, ProcedureKind.SHORTEST_ALTITUDE)[index]
+    parent_angles = sorted(node.angles_deg())
     worst = 0.0
-    for bit in lineage:
+    for child in bisect(node, ProcedureKind.SHORTEST_ALTITUDE):
+        for got, want in zip(sorted(child.angles_deg()), parent_angles):
+            worst = max(worst, abs(got - want))
+    return -worst, spec
+
+
+@_check("symbolic-numeric-angle-agreement", TOL_SYMBOLIC_NUMERIC,
+        lambda ctx: [{"base": _base_json(base), "lineage": lineage}
+                     for base, lineage in ctx.walks])
+def _m_symbolic_numeric(spec, runs):
+    node = triangle_from_angles(_base_parse(spec["base"]))
+    worst = 0.0
+    for bit in spec["lineage"]:
         left, right = bisect(node, ProcedureKind.LARGEST_ANGLE)
         node = right if bit == "1" else left
         for value, numeric in zip(node.angles_exact, node.angles_deg()):
             worst = max(worst, abs(float(value) - numeric))
-    return -worst
-
-
-@_check("symbolic-numeric-angle-agreement", TOL_SYMBOLIC_NUMERIC)
-def _c_symbolic_numeric(ctx):
-    for base, lineage in ctx.walks:
-        yield _m_symbolic_numeric(base, lineage), {
-            "base": _base_json(base), "lineage": lineage}
-
-
-@_replayer("symbolic-numeric-angle-agreement")
-def _r_symbolic_numeric(w):
-    return _m_symbolic_numeric(_base_parse(w["base"]), w["lineage"])
+    return -worst, spec
 
 
 # ---------------------------------------------------------------------------
 # Largest-angle run aggregates (exact mode)
 # ---------------------------------------------------------------------------
 
-def _m_min_angle_identity(stats, base: BaseAngles) -> tuple[float, int]:
+@_per_stats("min-angle-equals-min-gamma-half-alpha", TOL_EXACT,
+            ProcedureKind.LARGEST_ANGLE)
+def _m_min_angle_identity(stats, base):
     expected = min(base.gamma, base.alpha / 2)
-    worst, worst_n = 0.0, 0
+    yield 0.0, 0  # the margin and witness when every generation is exact
     for row in stats[1:]:
         diff = row.min_angle_deg - expected
-        if diff != 0 and -abs(float(diff)) < worst:
-            worst, worst_n = -abs(float(diff)), row.n
-    return worst, worst_n
+        if diff != 0:
+            yield -abs(float(diff)), row.n
 
 
-@_check("min-angle-equals-min-gamma-half-alpha", TOL_EXACT)
-def _c_min_angle_identity(ctx):
-    for base in ctx.bases:
-        margin, n = _m_min_angle_identity(ctx.exact_stats(base), base)
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("min-angle-equals-min-gamma-half-alpha")
-def _r_min_angle_identity(w):
-    base = _base_parse(w["base"])
-    return _m_min_angle_identity(_exact_stats(base, w["depth"]), base)[0]
-
-
-def _m_step_inequality(stats) -> tuple[float, int]:
+@_per_stats("next-largest-angle-inequality", TOL_EXACT,
+            ProcedureKind.LARGEST_ANGLE)
+def _m_step_inequality(stats, base):
     # For consecutive generations: half the next smallest-largest angle is
     # at least min(current smallest angle, half the current smallest-largest).
-    worst, worst_n = math.inf, 0
     for n in range(len(stats) - 1):
         diff = (stats[n + 1].min_largest_angle_deg / 2
                 - min(stats[n].min_angle_deg, stats[n].min_largest_angle_deg / 2))
-        m = float(diff)
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
+        yield float(diff), n
 
 
-@_check("next-largest-angle-inequality", TOL_EXACT)
-def _c_step_inequality(ctx):
-    for base in ctx.bases:
-        margin, n = _m_step_inequality(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("next-largest-angle-inequality")
-def _r_step_inequality(w):
-    return _m_step_inequality(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
-
-
-def _m_mesh_two_step(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("mesh-two-step-contraction", TOL_SINGLE_STEP,
+            ProcedureKind.LARGEST_ANGLE)
+def _m_mesh_two_step(stats, base):
     for n in range(len(stats) - 2):
         bound = stats[n].rho * stats[n].mesh
-        m = (bound - stats[n + 2].mesh) / bound
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
+        yield (bound - stats[n + 2].mesh) / bound, n
 
 
-@_check("mesh-two-step-contraction", TOL_SINGLE_STEP)
-def _c_mesh_two_step(ctx):
-    for base in ctx.bases:
-        margin, n = _m_mesh_two_step(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("mesh-two-step-contraction")
-def _r_mesh_two_step(w):
-    return _m_mesh_two_step(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
-
-
-def _m_mesh_decay(stats) -> tuple[float, int]:
+@_per_stats("mesh-geometric-decay", TOL_MULTI_STEP,
+            ProcedureKind.LARGEST_ANGLE)
+def _m_mesh_decay(stats, base):
     rho0 = stats[0].rho
     m0 = stats[0].mesh
-    worst, worst_n = math.inf, 0
     for row in stats:
         bound = m0 * rho0 ** (row.n // 2)
-        m = (bound - row.mesh) / bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
+        yield (bound - row.mesh) / bound, row.n
 
 
-@_check("mesh-geometric-decay", TOL_MULTI_STEP)
-def _c_mesh_decay(ctx):
-    for base in ctx.bases:
-        margin, n = _m_mesh_decay(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("mesh-geometric-decay")
-def _r_mesh_decay(w):
-    return _m_mesh_decay(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
-
-
-def _m_aspect_two_step(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("aspect-two-step-bound", TOL_SINGLE_STEP,
+            ProcedureKind.LARGEST_ANGLE)
+def _m_aspect_two_step(stats, base):
     for n in range(len(stats) - 2):
-        m = stats[n].rho - stats[n + 2].max_aspect_ratio
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
+        yield stats[n].rho - stats[n + 2].max_aspect_ratio, n
 
 
-@_check("aspect-two-step-bound", TOL_SINGLE_STEP)
-def _c_aspect_two_step(ctx):
-    for base in ctx.bases:
-        margin, n = _m_aspect_two_step(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("aspect-two-step-bound")
-def _r_aspect_two_step(w):
-    return _m_aspect_two_step(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
-
-
-def _m_rho_monotone(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("rho-nonincreasing", TOL_SINGLE_STEP, ProcedureKind.LARGEST_ANGLE)
+def _m_rho_monotone(stats, base):
     for n in range(len(stats) - 2):
-        m = stats[n].rho - stats[n + 1].rho
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
+        yield stats[n].rho - stats[n + 1].rho, n
 
 
-@_check("rho-nonincreasing", TOL_SINGLE_STEP)
-def _c_rho_monotone(ctx):
-    for base in ctx.bases:
-        margin, n = _m_rho_monotone(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
+@_check("second-generation-aspect-special-bound", TOL_SINGLE_STEP,
+        lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
+                     if base.alpha <= 2 * base.gamma])
+def _m_flat_start_bound(spec, runs):
+    stats = refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
+                                 base=_base_parse(spec["base"]))).stats
+    return FLAT_START_ASPECT_BOUND - stats[2].max_aspect_ratio, spec
 
 
-@_replayer("rho-nonincreasing")
-def _r_rho_monotone(w):
-    return _m_rho_monotone(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
+def _mesh_nonincreasing_specs(ctx: _Context) -> list[dict]:
+    largest_angle = ProcedureKind.LARGEST_ANGLE.value
+    longest_edge = ProcedureKind.LONGEST_EDGE.value
+    return ([dict(spec, kind=largest_angle) for spec in _bases(ctx)]
+            + [{"base": _base_json(base), "depth": ctx.depth,
+                "kind": longest_edge} for base in ANGLE_FIXTURES])
 
 
-def _m_flat_start_bound(base: BaseAngles) -> float:
-    stats = _exact_stats(base, 2)
-    return FLAT_START_ASPECT_BOUND - stats[2].max_aspect_ratio
-
-
-@_check("second-generation-aspect-special-bound", TOL_SINGLE_STEP)
-def _c_flat_start_bound(ctx):
-    for base in ctx.bases:
-        if base.alpha <= 2 * base.gamma:
-            yield _m_flat_start_bound(base), {"base": _base_json(base)}
-
-
-@_replayer("second-generation-aspect-special-bound")
-def _r_flat_start_bound(w):
-    return _m_flat_start_bound(_base_parse(w["base"]))
-
-
-def _m_mesh_nonincreasing(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("mesh-nonincreasing", TOL_SINGLE_STEP, None,
+            _mesh_nonincreasing_specs)
+def _m_mesh_nonincreasing(stats, base):
     for n in range(len(stats) - 1):
-        m = (stats[n].mesh - stats[n + 1].mesh) / stats[n].mesh
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
+        yield (stats[n].mesh - stats[n + 1].mesh) / stats[n].mesh, n
 
 
-@_check("mesh-nonincreasing", TOL_SINGLE_STEP)
-def _c_mesh_nonincreasing(ctx):
+def _aspect_rises(ctx: _Context) -> list[dict]:
+    population = []
     for base in ctx.bases:
-        margin, n = _m_mesh_nonincreasing(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth,
-                       "kind": ProcedureKind.LARGEST_ANGLE.value}
-    for base in ANGLE_FIXTURES:
-        margin, n = _m_mesh_nonincreasing(ctx.le_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth,
-                       "kind": ProcedureKind.LONGEST_EDGE.value}
-
-
-@_replayer("mesh-nonincreasing")
-def _r_mesh_nonincreasing(w):
-    result = _run_from_spec(w, w["depth"])
-    return _m_mesh_nonincreasing(result.stats)[0]
-
-
-@_check("max-aspect-sequence-observed", TOL_EXACT)
-def _c_r_sequence_observed(ctx):
-    # Informational only: the two-step bound is asserted elsewhere; whether
-    # the max-aspect sequence is eventually monotone is measured, not
-    # asserted, so the margin here is always 0 and the witness records the
-    # largest observed one-step increase.
-    for base in ctx.bases:
-        stats = ctx.exact_stats(base)
+        stats = _stats(ctx.runs, ProcedureKind.LARGEST_ANGLE, base, ctx.depth)
         rise = 0.0
         rise_n = 0
         for n in range(len(stats) - 1):
             d = stats[n + 1].max_aspect_ratio - stats[n].max_aspect_ratio
             if d > rise:
                 rise, rise_n = d, n
-        yield 0.0, {"base": _base_json(base), "largest_rise": rise,
-                    "after_generation": rise_n}
+        population.append({"base": _base_json(base), "largest_rise": rise,
+                           "after_generation": rise_n})
+    return population
 
 
-_replayer("max-aspect-sequence-observed")(lambda w: 0.0)
+@_check("max-aspect-sequence-observed", TOL_EXACT, _aspect_rises)
+def _m_max_aspect_observed(spec, runs):
+    # Informational only: the two-step bound is asserted elsewhere; whether
+    # the max-aspect sequence is eventually monotone is measured, not
+    # asserted, so each spec is the observed largest one-step increase and
+    # its margin is always 0.
+    return 0.0, spec
 
 
 # ---------------------------------------------------------------------------
 # Similarity classes and carrier lineage
 # ---------------------------------------------------------------------------
 
-def _m_carrier_closed_form(base: BaseAngles) -> tuple[float, int]:
+@_check("carrier-track-matches-closed-form", TOL_EXACT,
+        lambda ctx: [{"base": _base_json(base)} for base, _ in ctx.walks])
+def _m_carrier_closed_form(spec, runs):
+    base = _base_parse(spec["base"])
     track = track_carrier(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
                                         depth=CARRIER_N_MAX, base=base))
     for n, (major, minor, kept) in enumerate(track, start=1):
@@ -713,218 +570,97 @@ def _m_carrier_closed_form(base: BaseAngles) -> tuple[float, int]:
         if (major != evaluate_angle_form(form_major, base)
                 or minor != evaluate_angle_form(form_minor, base)
                 or kept != base.gamma):
-            return -1.0, n
-    return 0.0, 0
+            return -1.0, dict(spec, n=n)
+    return 0.0, dict(spec, n=0)
 
 
-@_check("carrier-track-matches-closed-form", TOL_EXACT)
-def _c_carrier_closed_form(ctx):
-    for base, _ in ctx.walks:
-        margin, n = _m_carrier_closed_form(base)
-        yield margin, {"base": _base_json(base), "n": n}
+@_check("major-angles-distinct", TOL_EXACT,
+        lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
+                     if base.alpha != 2 * base.beta])
+def _m_majors_distinct(spec, runs):
+    ok, _ = check_major_angles_distinct(_base_parse(spec["base"]), CARRIER_N_MAX)
+    return (0.0 if ok else -1.0), spec
 
 
-@_replayer("carrier-track-matches-closed-form")
-def _r_carrier_closed_form(w):
-    return _m_carrier_closed_form(_base_parse(w["base"]))[0]
-
-
-def _m_majors_distinct(base: BaseAngles) -> float:
-    ok, _ = check_major_angles_distinct(base, CARRIER_N_MAX)
-    return 0.0 if ok else -1.0
-
-
-@_check("major-angles-distinct", TOL_EXACT)
-def _c_majors_distinct(ctx):
-    for base in ctx.bases:
-        if base.alpha != 2 * base.beta:
-            yield _m_majors_distinct(base), {"base": _base_json(base)}
-
-
-@_replayer("major-angles-distinct")
-def _r_majors_distinct(w):
-    return _m_majors_distinct(_base_parse(w["base"]))
-
-
-def _m_major_collision(alpha: Fraction, beta: Fraction) -> float:
+@_check("major-angle-collision-when-alpha-twice-beta", TOL_EXACT,
+        lambda ctx: [{"pair": [str(alpha), str(beta)]}
+                     for alpha, beta in COLLISION_PAIRS])
+def _m_major_collision(spec, runs):
+    alpha, beta = (Fraction(x) for x in spec["pair"])
     collision = first_major_angle_collision(alpha, beta, CARRIER_N_MAX)
-    return 0.0 if collision is not None else -1.0
+    return (0.0 if collision is not None else -1.0), spec
 
 
-@_check("major-angle-collision-when-alpha-twice-beta", TOL_EXACT)
-def _c_major_collision(ctx):
-    for alpha, beta in COLLISION_PAIRS:
-        yield _m_major_collision(alpha, beta), {
-            "pair": [str(alpha), str(beta)]}
-
-
-@_replayer("major-angle-collision-when-alpha-twice-beta")
-def _r_major_collision(w):
-    return _m_major_collision(Fraction(w["pair"][0]), Fraction(w["pair"][1]))
-
-
-def _m_single_class(stats) -> float:
+@_check("right-isosceles-single-class", TOL_EXACT,
+        lambda ctx: [{"base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}])
+def _m_single_class(spec, runs):
+    stats = _stats(runs, ProcedureKind.LARGEST_ANGLE, _base_parse(spec["base"]),
+                   spec["depth"])
     extra = max(row.cumulative_similarity_classes for row in stats) - 1
-    return -float(extra)
+    return -float(extra), spec
 
 
-@_check("right-isosceles-single-class", TOL_EXACT)
-def _c_single_class(ctx):
-    yield _m_single_class(ctx.exact_stats(RIGHT_ISOSCELES)), {
-        "base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}
-
-
-@_replayer("right-isosceles-single-class")
-def _r_single_class(w):
-    return _m_single_class(_exact_stats(_base_parse(w["base"]), w["depth"]))
-
-
-def _m_class_growth(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("class-count-grows-with-depth", TOL_EXACT,
+            ProcedureKind.LARGEST_ANGLE,
+            lambda ctx: [spec for spec in _bases(ctx)
+                         if spec["base"] != _base_json(RIGHT_ISOSCELES)])
+def _m_class_growth(stats, base):
     for row in stats:
-        m = float(row.cumulative_similarity_classes - row.n)
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
+        yield float(row.cumulative_similarity_classes - row.n), row.n
 
 
-@_check("class-count-grows-with-depth", TOL_EXACT)
-def _c_class_growth(ctx):
-    exceptional = RIGHT_ISOSCELES
-    for base in ctx.bases:
-        if base == exceptional:
-            continue
-        margin, n = _m_class_growth(ctx.exact_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("class-count-grows-with-depth")
-def _r_class_growth(w):
-    return _m_class_growth(_exact_stats(_base_parse(w["base"]), w["depth"]))[0]
-
-
-def _altitude_depth(depth: int) -> int:
-    return min(depth, 8)
-
-
-def _m_altitude_classes(spec: dict, depth: int) -> tuple[float, int]:
-    result = _run_from_spec(spec, depth)
-    union: set = set()
-    worst, worst_n = math.inf, 0
-    for n, keys in enumerate(result.class_keys[1:], start=1):
-        union |= keys
-        m = float(2 - len(union))
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
-
-
-@_check("altitude-class-count-bound", TOL_EXACT)
-def _c_altitude_classes(ctx):
-    depth = _altitude_depth(ctx.depth)
+def _altitude_specs(ctx: _Context) -> list[dict]:
+    depth = min(ctx.depth, 8)
     specs = [{"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
               "base": _base_json(base)} for base in ANGLE_FIXTURES]
     specs.append({"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
                   "base": None, "sides": list(PYTHAGOREAN_SIDES)})
-    for spec in specs:
-        margin, n = _m_altitude_classes(spec, depth)
-        spec = dict(spec, n=n, depth=depth)
-        yield margin, spec
+    return [dict(spec, depth=depth) for spec in specs]
 
 
-@_replayer("altitude-class-count-bound")
-def _r_altitude_classes(w):
-    return _m_altitude_classes(w, w["depth"])[0]
+@_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
+def _m_altitude_classes(spec, runs):
+    result = _run_from_spec(spec)
+    union: set = set()
+    for n, keys in enumerate(result.class_keys[1:], start=1):
+        union |= keys
+        yield float(2 - len(union)), n
 
 
-def _m_altitude_mesh(spec: dict, depth: int) -> tuple[float, int]:
-    result = _run_from_spec(spec, depth, retain=RetainPolicy.FULL_TREE)
+@_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
+def _m_altitude_mesh(spec, runs):
+    result = _run_from_spec(spec, retain=RetainPolicy.FULL_TREE)
     root = result.generations[0][0]
     subtrees = []
     for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):
         sides = sorted(child.sides(), reverse=True)
         z = sides[0]
         subtrees.append((z, sides[1] / z))
-    worst, worst_n = math.inf, 0
     for row in result.stats[1:]:
         bound = max(z * q ** (row.n - 1) for z, q in subtrees)
-        m = (bound - row.mesh) / bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
-
-
-@_check("altitude-mesh-geometric-bound", TOL_MULTI_STEP)
-def _c_altitude_mesh(ctx):
-    depth = _altitude_depth(ctx.depth)
-    specs = [{"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
-              "base": _base_json(base)} for base in ANGLE_FIXTURES]
-    specs.append({"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
-                  "base": None, "sides": list(PYTHAGOREAN_SIDES)})
-    for spec in specs:
-        margin, n = _m_altitude_mesh(spec, depth)
-        yield margin, dict(spec, n=n, depth=depth)
-
-
-@_replayer("altitude-mesh-geometric-bound")
-def _r_altitude_mesh(w):
-    return _m_altitude_mesh(w, w["depth"])[0]
+        yield (bound - row.mesh) / bound, row.n
 
 
 # ---------------------------------------------------------------------------
 # Longest-edge reference bounds
 # ---------------------------------------------------------------------------
 
-def _m_le_min_angle(stats, base: BaseAngles) -> tuple[float, int]:
+@_per_stats("longest-edge-min-angle-bound", TOL_MULTI_STEP,
+            ProcedureKind.LONGEST_EDGE)
+def _m_le_min_angle(stats, base):
     g0 = math.radians(float(base.gamma))
     bound = math.degrees(math.atan(math.sin(g0) / (2.0 - math.cos(g0))))
-    worst, worst_n = math.inf, 0
     for row in stats:
-        m = row.min_angle_deg - bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
+        yield row.min_angle_deg - bound, row.n
 
 
-@_check("longest-edge-min-angle-bound", TOL_MULTI_STEP)
-def _c_le_min_angle(ctx):
-    for base in ctx.bases:
-        margin, n = _m_le_min_angle(ctx.le_stats(base), base)
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("longest-edge-min-angle-bound")
-def _r_le_min_angle(w):
-    base = _base_parse(w["base"])
-    stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                 depth=w["depth"], base=base)).stats
-    return _m_le_min_angle(stats, base)[0]
-
-
-def _m_le_halfstep(stats) -> tuple[float, int]:
+@_per_stats("longest-edge-mesh-sqrt3-half-bound", TOL_MULTI_STEP,
+                 ProcedureKind.LONGEST_EDGE)
+def _m_le_halfstep(stats, base):
     m0 = stats[0].mesh
-    worst, worst_n = math.inf, 0
     for row in stats:
         bound = m0 * SQRT3_2 ** (row.n // 2)
-        m = (bound - row.mesh) / bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
-
-
-@_check("longest-edge-mesh-sqrt3-half-bound", TOL_MULTI_STEP)
-def _c_le_halfstep(ctx):
-    for base in ctx.bases:
-        margin, n = _m_le_halfstep(ctx.le_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
-
-
-@_replayer("longest-edge-mesh-sqrt3-half-bound")
-def _r_le_halfstep(w):
-    stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                 depth=w["depth"],
-                                 base=_base_parse(w["base"]))).stats
-    return _m_le_halfstep(stats)[0]
+        yield (bound - row.mesh) / bound, row.n
 
 
 def _le_parity_bound(m0: float, n: int) -> float:
@@ -932,104 +668,40 @@ def _le_parity_bound(m0: float, n: int) -> float:
     return m0 * factor * 2.0 ** (-n / 2.0)
 
 
-def _m_le_parity(stats) -> tuple[float, int]:
+@_per_stats("longest-edge-mesh-parity-bound", TOL_MULTI_STEP,
+            ProcedureKind.LONGEST_EDGE)
+def _m_le_parity(stats, base):
     m0 = stats[0].mesh
-    worst, worst_n = math.inf, 0
     for row in stats:
         bound = _le_parity_bound(m0, row.n)
-        m = (bound - row.mesh) / bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
+        yield (bound - row.mesh) / bound, row.n
 
 
-@_check("longest-edge-mesh-parity-bound", TOL_MULTI_STEP)
-def _c_le_parity(ctx):
-    for base in ctx.bases:
-        margin, n = _m_le_parity(ctx.le_stats(base))
-        yield margin, {"base": _base_json(base), "n": n, "depth": ctx.depth}
+def _equilateral(ctx: _Context) -> list[dict]:
+    return [{"base": _base_json(EQUILATERAL), "depth": ctx.depth}]
 
 
-@_replayer("longest-edge-mesh-parity-bound")
-def _r_le_parity(w):
-    stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                 depth=w["depth"],
-                                 base=_base_parse(w["base"]))).stats
-    return _m_le_parity(stats)[0]
-
-
-def _m_le_equilateral_mesh(stats) -> tuple[float, int]:
+@_per_stats("longest-edge-equilateral-mesh-equality", TOL_MULTI_STEP,
+                 ProcedureKind.LONGEST_EDGE, _equilateral)
+def _m_le_equilateral_mesh(stats, base):
     m0 = stats[0].mesh
-    worst, worst_n = math.inf, 0
     for row in stats[1:]:
         bound = _le_parity_bound(m0, row.n)
-        m = -abs(row.mesh - bound) / bound
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
+        yield -abs(row.mesh - bound) / bound, row.n
 
 
-@_check("longest-edge-equilateral-mesh-equality", TOL_MULTI_STEP)
-def _c_le_equilateral_mesh(ctx):
-    margin, n = _m_le_equilateral_mesh(ctx.le_stats(EQUILATERAL))
-    yield margin, {"base": _base_json(EQUILATERAL), "n": n, "depth": ctx.depth}
-
-
-@_replayer("longest-edge-equilateral-mesh-equality")
-def _r_le_equilateral_mesh(w):
-    stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                 depth=w["depth"],
-                                 base=_base_parse(w["base"]))).stats
-    return _m_le_equilateral_mesh(stats)[0]
-
-
-def _m_le_equilateral_angle(stats) -> tuple[float, int]:
-    worst, worst_n = math.inf, 0
+@_per_stats("longest-edge-equilateral-min-angle", TOL_MULTI_STEP,
+                 ProcedureKind.LONGEST_EDGE, _equilateral)
+def _m_le_equilateral_angle(stats, base):
     for row in stats[1:]:
-        m = -abs(row.min_angle_deg - 30.0)
-        if m < worst:
-            worst, worst_n = m, row.n
-    return worst, worst_n
-
-
-@_check("longest-edge-equilateral-min-angle", TOL_MULTI_STEP)
-def _c_le_equilateral_angle(ctx):
-    margin, n = _m_le_equilateral_angle(ctx.le_stats(EQUILATERAL))
-    yield margin, {"base": _base_json(EQUILATERAL), "n": n, "depth": ctx.depth}
-
-
-@_replayer("longest-edge-equilateral-min-angle")
-def _r_le_equilateral_angle(w):
-    stats = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
-                                 depth=w["depth"],
-                                 base=_base_parse(w["base"]))).stats
-    return _m_le_equilateral_angle(stats)[0]
+        yield -abs(row.min_angle_deg - 30.0), row.n
 
 
 # ---------------------------------------------------------------------------
 # Streaming / full-tree agreement
 # ---------------------------------------------------------------------------
 
-def _m_mode_identity(spec: dict, depth: int) -> float:
-    streamed = _run_from_spec(spec, depth, RetainPolicy.STREAMING)
-    retained = _run_from_spec(spec, depth, RetainPolicy.FULL_TREE)
-    worst = 0.0
-    for a, b in zip(streamed.stats, retained.stats):
-        if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \
-                (b.n, b.triangle_count, b.cumulative_similarity_classes):
-            return -1.0
-        if a.min_angle_deg != b.min_angle_deg or \
-                a.min_largest_angle_deg != b.min_largest_angle_deg:
-            return -1.0
-        for x, y in ((a.mesh, b.mesh), (a.max_aspect_ratio, b.max_aspect_ratio),
-                     (a.rho or 0.0, b.rho or 0.0)):
-            if y != 0.0 or x != 0.0:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1e-300))
-    return -worst
-
-
-@_check("streaming-matches-full-tree", TOL_MODE_IDENTITY)
-def _c_mode_identity(ctx):
+def _mode_identity_specs(ctx: _Context) -> list[dict]:
     depth = min(ctx.depth, 10)
     specs = [
         {"kind": ProcedureKind.LARGEST_ANGLE.value, "base": _base_json(EQUILATERAL)},
@@ -1038,13 +710,26 @@ def _c_mode_identity(ctx):
         {"kind": ProcedureKind.SHORTEST_ALTITUDE.value, "base": None,
          "sides": list(PYTHAGOREAN_SIDES)},
     ]
-    for spec in specs:
-        yield _m_mode_identity(spec, depth), dict(spec, depth=depth)
+    return [dict(spec, depth=depth) for spec in specs]
 
 
-@_replayer("streaming-matches-full-tree")
-def _r_mode_identity(w):
-    return _m_mode_identity(w, w["depth"])
+@_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
+def _m_mode_identity(spec, runs):
+    streamed = _run_from_spec(spec, RetainPolicy.STREAMING)
+    retained = _run_from_spec(spec, RetainPolicy.FULL_TREE)
+    worst = 0.0
+    for a, b in zip(streamed.stats, retained.stats):
+        if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \
+                (b.n, b.triangle_count, b.cumulative_similarity_classes):
+            return -1.0, spec
+        if a.min_angle_deg != b.min_angle_deg or \
+                a.min_largest_angle_deg != b.min_largest_angle_deg:
+            return -1.0, spec
+        for x, y in ((a.mesh, b.mesh), (a.max_aspect_ratio, b.max_aspect_ratio),
+                     (a.rho or 0.0, b.rho or 0.0)):
+            if y != 0.0 or x != 0.0:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1e-300))
+    return -worst, spec
 
 
 # ---------------------------------------------------------------------------
@@ -1059,26 +744,31 @@ def run_suite(depth: int = 8, sweep_size: int = 1000,
     if sweep_size < 1:
         raise ValueError("sweep_size must be at least 1")
     ctx = _Context(depth, sweep_size, seed)
-    reports = [_finish(name, tol, fn(ctx)) for name, tol, fn in _CHECKS]
+    reports = [
+        _finish(name, check.tolerance,
+                (check.margin(spec, ctx.runs) for spec in check.population(ctx)))
+        for name, check in _CHECKS.items()
+    ]
     reports.sort(key=lambda r: r.name)
     return reports
 
 
 def check_names() -> list[str]:
-    return sorted(name for name, _, _ in _CHECKS)
+    return sorted(_CHECKS)
 
 
 def replay_margin(name: str, witness: dict) -> float:
     """Recompute the margin of a report's extremal case from its witness.
 
-    The same margin kernel that produced the report is invoked on the same
-    deterministic inputs, so the value matches bit for bit.
+    The witness goes through the very margin function that produced the
+    report, on the same deterministic inputs, so the value matches bit for
+    bit.
     """
     try:
-        fn = _REPLAYERS[name]
+        check = _CHECKS[name]
     except KeyError:
         raise KeyError(f"unknown check name {name!r}") from None
-    return fn(witness)
+    return check.margin(witness, {})[0]
 
 
 def report_as_dict(reports: list[CheckReport], depth: int, sweep_size: int,

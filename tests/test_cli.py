@@ -114,11 +114,36 @@ class TestInputErrors:
     def test_zero_angle(self, capsys):
         assert main(["refine", "--angles", "90,90,0", "--iterations", "2"]) == 2
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--scale", "nan"], 2, "error: scale must be"),
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--scale", "inf"], 2, "error: scale must be"),
+        (["refine", "--sides", "nan,1,1", "--iterations", "2"], 2,
+         "error: sides must be"),
+        (["refine", "--sides", "1e308,1e308,1e308", "--iterations", "2"], 3,
+         "geometry error"),
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--json", "{bad}"], 2, "error: cannot write {bad}"),
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--csv", "{bad}"], 2, "error: cannot write {bad}"),
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--svg", "{bad}"], 2, "error: cannot write {bad}"),
+        (["verify", "--depth", "4", "--sweep", "1", "--report", "{bad}"], 2,
+         "error: cannot write {bad}"),
+    ])
+    def test_bad_numbers_and_outputs(self, tmp_path, capsys, argv, code,
+                                     message):
+        bad = str(tmp_path / "no-such-directory" / "out")
+        assert main([a.format(bad=bad) for a in argv]) == code
+        assert message.format(bad=bad) in capsys.readouterr().err
+
     def test_geometry_error_exit_code(self, capsys, monkeypatch):
-        # No valid float input reaches a degenerate state under the three
-        # procedures (the minimum angle stays bounded and the degeneracy
-        # threshold is scale invariant), so fault-inject the refinement to
-        # pin the exit-code mapping.
+        # Apart from finite input whose coordinates overflow (covered by
+        # test_bad_numbers_and_outputs), no valid float input reaches a
+        # degenerate state under the three procedures (the minimum angle
+        # stays bounded and the degeneracy threshold is scale invariant), so
+        # fault-inject the refinement to pin the exit-code mapping.
         def boom(run):
             raise DegenerateTriangleError("injected failure at lineage '01'")
         monkeypatch.setattr("trirefine.cli.refine", boom)

@@ -12,13 +12,11 @@ from trirefine.engine import (
     RetainPolicy,
     RunMode,
     SQRT3_2,
-    generation_stats,
     refine,
     rho_sequence,
     similarity_classes,
     track_carrier,
 )
-from trirefine.geometry import bisect, triangle_from_angles
 
 EQUILATERAL = BaseAngles(60, 60, 60)
 RIGHT_ISOSCELES = BaseAngles(90, 45, 45)
@@ -240,25 +238,23 @@ class TestCarrierTrack:
 
 
 # ---------------------------------------------------------------------------
-# generation_stats
+# Generation statistics rows
 # ---------------------------------------------------------------------------
 
 class TestGenerationStats:
     def test_equilateral_first_generation(self):
-        root = triangle_from_angles(EQUILATERAL)
-        stats = generation_stats(bisect(root, ProcedureKind.LARGEST_ANGLE))
+        result = run_largest(EQUILATERAL, 1)
+        stats = result.stats[1]
         assert stats.n == 1
         assert stats.triangle_count == 2
         assert stats.mesh == pytest.approx(1.0, rel=1e-12)
         assert stats.min_angle_deg == 30
         assert stats.max_aspect_ratio == pytest.approx(R1_EQUILATERAL, abs=1e-12)
-        assert stats.cumulative_similarity_classes == 1
+        # Classes within generation 1 alone; the cumulative count also
+        # includes the root.
+        assert len(result.class_keys[1]) == 1
 
     def test_root_generation(self):
-        stats = generation_stats([triangle_from_angles(THIN, scale=2.0)])
+        stats = run_largest(THIN, 0, scale=2.0).stats[0]
         assert stats.mesh == pytest.approx(2.0)
         assert stats.min_angle_deg == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            generation_stats([])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from trirefine import verifier
 from trirefine.verifier import (
     check_names,
     random_valid_base,
@@ -120,6 +121,19 @@ class TestRunSuite:
         for r in reports:
             replayed = replay_margin(r.name, json.loads(json.dumps(r.witness)))
             assert replayed == r.worst_margin, r.name
+        # Every witness of every population, not only the worst, replays to
+        # its own margin through the check table.
+        ctx = verifier._Context(depth=4, sweep_size=3, seed=1)
+        replayed_checks = 0
+        for name, check in verifier._CHECKS.items():
+            specs = check.population(ctx)
+            assert specs, name
+            for spec in specs:
+                margin, witness = check.margin(spec, ctx.runs)
+                replayed = replay_margin(name, json.loads(json.dumps(witness)))
+                assert replayed == margin, (name, witness)
+            replayed_checks += 1
+        assert replayed_checks == len(EXPECTED_CHECKS)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
