@@ -13,6 +13,10 @@ Exit codes: 0 success, 2 invalid input (including non-finite numbers and
 unwritable output paths), 3 degenerate geometry (including finite input
 whose coordinates overflow); ``verify`` exits 1 when a check fails (the
 report is still written).
+
+Output files are checked before the run starts and written atomically:
+each goes to a temp file beside it that replaces it only once the whole
+command has succeeded, so a failed run leaves no output file behind.
 """
 
 from __future__ import annotations
@@ -20,10 +24,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .engine import (
     NUMERIC_KEY_QUANTUM_DEG,
@@ -110,8 +117,58 @@ def _writing(path: str):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with _writing(path), open(path, "w", encoding="ascii") as handle:
+class _Output(NamedTuple):
+    """An output file as named on the command line, and the file written in
+    its place until the command succeeds."""
+
+    path: str
+    temp: str
+
+
+def _stage(path: str) -> str:
+    """Create the file written in place of ``path``: a new temp file beside
+    it, or ``path`` itself when that is an existing device or pipe (such as
+    /dev/stdout), which cannot be replaced."""
+    with _writing(path):
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(path) and not os.path.isfile(path):
+            return path
+        head, name = os.path.split(os.path.realpath(path))
+        temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+        os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return temp
+
+
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """Stage a command's output files, one ``_Output`` per path (``None``
+    for an option not given), before the command does its work.
+
+    An unwritable path thus fails up front.  The temp files replace their
+    outputs only when the block completes; otherwise they are removed, so
+    a failed run leaves no output file behind.
+    """
+    outputs: list[_Output | None] = []
+    try:
+        for path in paths:
+            outputs.append(None if path is None else _Output(path, _stage(path)))
+        yield outputs
+        for out in outputs:
+            if out is not None and out.temp != out.path:
+                with _writing(out.path):
+                    os.replace(out.temp, os.path.realpath(out.path))
+    finally:
+        for out in outputs:
+            if out is not None and out.temp != out.path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(out.temp)
+
+
+def _write_json(out: _Output, payload: dict) -> None:
+    with _writing(out.path), open(out.temp, "w", encoding="ascii") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -153,8 +210,9 @@ def _result_json(result: RefinementResult) -> dict:
     }
 
 
-def _write_csv(result: RefinementResult, path: str) -> None:
-    with _writing(path), open(path, "w", newline="", encoding="ascii") as handle:
+def _write_csv(result: RefinementResult, out: _Output) -> None:
+    with _writing(out.path), \
+            open(out.temp, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle)
         writer.writerow(STATS_FIELDS)
         for s in result.stats:
@@ -189,27 +247,29 @@ def _cmd_refine(args) -> int:
             f"--svg supports at most {MAX_RENDER_GENERATION} iterations "
             f"(2**{MAX_RENDER_GENERATION} polygons); got {args.iterations}")
     run = _build_run(args, retain)
-    result = refine(run)
-    _print_stats_table(result)
-    if args.json:
-        _write_json(args.json, _result_json(result))
-    if args.csv:
-        _write_csv(result, args.csv)
-    if args.svg:
-        with _writing(args.svg):
-            render_svg(result.generations[-1], args.svg,
-                       stroke_reference=result.stats[0].mesh)
+    with _outputs(args.json, args.csv, args.svg) as (json_out, csv_out, svg_out):
+        result = refine(run)
+        _print_stats_table(result)
+        if json_out:
+            _write_json(json_out, _result_json(result))
+        if csv_out:
+            _write_csv(result, csv_out)
+        if svg_out:
+            with _writing(svg_out.path):
+                render_svg(result.generations[-1], svg_out.temp,
+                           stroke_reference=result.stats[0].mesh)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = run_suite(depth=args.depth, sweep_size=args.sweep,
-                            seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    payload = report_as_dict(reports, args.depth, args.sweep, args.seed)
-    _write_json(args.report, payload)
+    with _outputs(args.report) as (report_out,):
+        try:
+            reports = run_suite(depth=args.depth, sweep_size=args.sweep,
+                                seed=args.seed)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        payload = report_as_dict(reports, args.depth, args.sweep, args.seed)
+        _write_json(report_out, payload)
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag} {r.name} (population {r.population}, "
@@ -225,49 +285,51 @@ def _cmd_upsilon(args) -> int:
                             depth=args.iterations, base=base)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    track = track_carrier(run)
-    rows = []
-    print(f"{'n':>3} {'major':>14} {'deg':>9} {'minor':>14} {'deg':>9} "
-          f"{'kept':>10}")
-    for n, (major, minor, kept) in enumerate(track, start=1):
-        print(f"{n:>3} {str(major):>14} {float(major):9.4f} "
-              f"{str(minor):>14} {float(minor):9.4f} {str(kept):>10}")
-        rows.append({
-            "n": n,
-            "major_deg": float(major), "major_exact": str(major),
-            "minor_deg": float(minor), "minor_exact": str(minor),
-            "kept_deg": float(kept), "kept_exact": str(kept),
-        })
-    if args.json:
-        payload = {"input": {"angles": [str(x) for x in base.as_tuple()],
-                             "iterations": args.iterations},
-                   "generations": rows}
-        _write_json(args.json, payload)
+    with _outputs(args.json) as (json_out,):
+        track = track_carrier(run)
+        rows = []
+        print(f"{'n':>3} {'major':>14} {'deg':>9} {'minor':>14} {'deg':>9} "
+              f"{'kept':>10}")
+        for n, (major, minor, kept) in enumerate(track, start=1):
+            print(f"{n:>3} {str(major):>14} {float(major):9.4f} "
+                  f"{str(minor):>14} {float(minor):9.4f} {str(kept):>10}")
+            rows.append({
+                "n": n,
+                "major_deg": float(major), "major_exact": str(major),
+                "minor_deg": float(minor), "minor_exact": str(minor),
+                "kept_deg": float(kept), "kept_exact": str(kept),
+            })
+        if json_out:
+            payload = {"input": {"angles": [str(x) for x in base.as_tuple()],
+                                 "iterations": args.iterations},
+                       "generations": rows}
+            _write_json(json_out, payload)
     return EXIT_OK
 
 
 def _cmd_classes(args) -> int:
     run = _build_run(args, RetainPolicy.STREAMING)
-    result = refine(run)
-    exact = run.mode == RunMode.EXACT_BASE
-    quantum = None if exact else NUMERIC_KEY_QUANTUM_DEG
-    if quantum is not None:
-        print(f"numeric mode: classes quantized to {quantum:g} degrees")
-    print(f"{'n':>3} {'cumulative_classes':>20}")
-    for s in result.stats:
-        print(f"{s.n:>3} {s.cumulative_similarity_classes:>20}")
-    if args.json:
-        payload = {
-            "input": _input_dict(run, args.iterations),
-            "procedure": run.kind.value,
-            "quantization_deg": quantum,
-            "generations": [
-                {"n": s.n,
-                 "cumulative_similarity_classes": s.cumulative_similarity_classes}
-                for s in result.stats
-            ],
-        }
-        _write_json(args.json, payload)
+    with _outputs(args.json) as (json_out,):
+        result = refine(run)
+        exact = run.mode == RunMode.EXACT_BASE
+        quantum = None if exact else NUMERIC_KEY_QUANTUM_DEG
+        if quantum is not None:
+            print(f"numeric mode: classes quantized to {quantum:g} degrees")
+        print(f"{'n':>3} {'cumulative_classes':>20}")
+        for s in result.stats:
+            print(f"{s.n:>3} {s.cumulative_similarity_classes:>20}")
+        if json_out:
+            payload = {
+                "input": _input_dict(run, args.iterations),
+                "procedure": run.kind.value,
+                "quantization_deg": quantum,
+                "generations": [
+                    {"n": s.n,
+                     "cumulative_similarity_classes": s.cumulative_similarity_classes}
+                    for s in result.stats
+                ],
+            }
+            _write_json(json_out, payload)
     return EXIT_OK
 
 

@@ -15,19 +15,24 @@ aggregate statistics per generation:
 
 In exact-base mode (largest-angle procedure from rational angles) the angle
 statistics and similarity keys are exact; numeric mode quantizes angles to
-1e-9 degrees for class counting.  Streaming mode walks the tree depth-first
-without retaining nodes, so memory stays flat in the depth; full-tree mode
-additionally returns every generation (for rendering).  Both modes execute
-the identical per-node computation, so their statistics agree bit for bit.
-Aggregation uses only min/max/set-union, hence the result is independent of
-traversal or worker order.
+1e-9 degrees for class counting.  Exact keys stay sorted triples of
+integers at the run's scale while the run counts classes (one run has one
+scale, so integer equality is rational equality); ``class_keys`` converts
+them to (numerator, denominator) pairs on first read.  Streaming mode walks
+the tree depth-first without retaining nodes, so memory stays flat in the
+depth; full-tree mode additionally returns every generation (for
+rendering).  Both modes execute the identical per-node computation, so
+their statistics agree bit for bit.  Aggregation uses only
+min/max/set-union, hence the result is independent of traversal or worker
+order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .exact import BaseAngles, FORM_GAMMA
@@ -131,10 +136,34 @@ class GenerationStats:
 
 @dataclass
 class RefinementResult:
+    """Statistics of one run, plus every generation's nodes for full-tree runs.
+
+    ``key_sets[g]`` holds generation g's similarity keys as the engine built
+    them: sorted triples of angles quantized to 1e-9 degrees in numeric
+    mode, or, in exact-base mode, sorted triples of integers in units of
+    1/``key_scale`` degrees.  ``class_keys`` is the public form, computed on
+    first read and cached.
+    """
+
     run: RefinementRun
     stats: list[GenerationStats]
     generations: list[list[TriangleNode]] | None
-    class_keys: list[frozenset]
+    key_sets: list[set] = field(repr=False)
+    key_scale: int | None = field(default=None, repr=False)
+
+    @cached_property
+    def class_keys(self) -> list[frozenset]:
+        """Per-generation similarity keys.  Exact keys are tuples of
+        (numerator, denominator) pairs, sorted as pairs (not by value)."""
+        scale = self.key_scale
+        if scale is None:
+            return [frozenset(keys) for keys in self.key_sets]
+        return [
+            frozenset(
+                tuple(sorted(Fraction(i, scale).as_integer_ratio() for i in key))
+                for key in keys)
+            for keys in self.key_sets
+        ]
 
 
 def _root_node(run: RefinementRun) -> TriangleNode:
@@ -186,8 +215,8 @@ class _Accumulators:
         self.key_sets[g].add(key)
 
 
-def _assemble(run: RefinementRun, acc: _Accumulators,
-              generations) -> RefinementResult:
+def _assemble(run: RefinementRun, acc: _Accumulators, generations,
+              key_scale: int | None = None) -> RefinementResult:
     depth = run.depth
     stats: list[GenerationStats] = []
     cumulative: set = set()
@@ -209,7 +238,8 @@ def _assemble(run: RefinementRun, acc: _Accumulators,
         run=run,
         stats=stats,
         generations=generations,
-        class_keys=[frozenset(ks) for ks in acc.key_sets],
+        key_sets=acc.key_sets,
+        key_scale=key_scale,
     )
 
 
@@ -243,43 +273,55 @@ def _refine_exact(run: RefinementRun, full: bool) -> RefinementResult:
               _scaled_int(base.gamma, scale))]
     push = stack.append
     pop = stack.pop
+    min_angle = acc.min_angle
+    min_largest = acc.min_largest
+    key_sets = acc.key_sets
     while stack:
         node, v0, v1, v2 = pop()
         g = node.generation
         acc.observe_shape(g, node)
-        key = tuple(sorted((v0, v1, v2)))
-        acc.observe_angles(g, v0, v1, v2, key)
+        # The sorted key by compare-swaps; its ends are the smallest and
+        # largest angles.
+        if v0 <= v1:
+            lo, hi = v0, v1
+        else:
+            lo, hi = v1, v0
+        if v2 < lo:
+            key = (v2, lo, hi)
+            lo = v2
+        elif v2 > hi:
+            key = (lo, hi, v2)
+            hi = v2
+        else:
+            key = (lo, v2, hi)
+        cur = min_angle[g]
+        if cur is None or lo < cur:
+            min_angle[g] = lo
+        cur = min_largest[g]
+        if cur is None or hi < cur:
+            min_largest[g] = hi
+        key_sets[g].add(key)
         if full:
             generations[g].append(node)
         if g < depth:
-            ia = 0
-            best = v0
-            if v1 > best:
-                ia, best = 1, v1
-            if v2 > best:
-                ia, best = 2, v2
-            left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
-            half = best >> 1
-            if ia == 0:
-                vb, vc = v1, v2
-            elif ia == 1:
-                vb, vc = v2, v0
+            # Split the first vertex holding the largest angle.
+            if v0 == hi:
+                ia, vb, vc = 0, v1, v2
+            elif v1 == hi:
+                ia, vb, vc = 1, v2, v0
             else:
-                vb, vc = v0, v1
+                ia, vb, vc = 2, v0, v1
+            left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
+            half = hi >> 1
             push((right, half, half + vb, vc))
             push((left, half, vb, half + vc))
 
-    # Convert the integer aggregates back to exact rational degrees and the
-    # keys to the canonical (numerator, denominator) representation.
+    # Only the angle aggregates become exact rational degrees here; the
+    # keys stay integers until ``class_keys`` is read.
     for g in range(depth + 1):
-        if acc.min_angle[g] is not None:
-            acc.min_angle[g] = Fraction(acc.min_angle[g], scale)
-            acc.min_largest[g] = Fraction(acc.min_largest[g], scale)
-        acc.key_sets[g] = {
-            tuple(sorted(Fraction(i, scale).as_integer_ratio() for i in key))
-            for key in acc.key_sets[g]
-        }
-    return _assemble(run, acc, generations)
+        min_angle[g] = Fraction(min_angle[g], scale)
+        min_largest[g] = Fraction(min_largest[g], scale)
+    return _assemble(run, acc, generations, scale)
 
 
 def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:

@@ -9,10 +9,11 @@ above minus its tolerance.
 Each check is declared once, as one ``@_check`` table entry with four parts:
 its name, its tolerance, a population (suite context -> JSON-ready input
 specs) and a margin function ((spec, runs) -> (margin, witness)), where
-``runs`` memoizes run statistics on (kind, base, depth).  A witness is a
-spec the same margin function accepts, so ``replay_margin`` is that function
-applied to a stored witness with an empty memo: it reproduces the margin bit
-for bit by construction, with no second copy of the check to keep in step.
+``runs`` memoizes run statistics on (kind, base, depth) and parsed bases
+on their witness form.  A witness is a spec the same margin function
+accepts, so ``replay_margin`` is that function applied to a stored witness
+with an empty memo: it reproduces the margin bit for bit by construction,
+with no second copy of the check to keep in step.
 
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
@@ -143,8 +144,15 @@ def _base_json(base: BaseAngles) -> list[str]:
     return [str(base.alpha), str(base.beta), str(base.gamma)]
 
 
-def _base_parse(items) -> BaseAngles:
-    return BaseAngles(Fraction(items[0]), Fraction(items[1]), Fraction(items[2]))
+def _base_parse(items, runs: dict) -> BaseAngles:
+    """The base of a witness-form spec, parsed once per ``runs`` memo."""
+    key = tuple(items)
+    base = runs.get(key)
+    if base is None:
+        base = BaseAngles(Fraction(items[0]), Fraction(items[1]),
+                          Fraction(items[2]))
+        runs[key] = base
+    return base
 
 
 def _stats(runs: dict, kind: ProcedureKind, base: BaseAngles, depth: int):
@@ -157,12 +165,12 @@ def _stats(runs: dict, kind: ProcedureKind, base: BaseAngles, depth: int):
     return stats
 
 
-def _run_from_spec(spec: dict,
+def _run_from_spec(spec: dict, runs: dict,
                    retain: str = RetainPolicy.STREAMING) -> RefinementResult:
     kind = ProcedureKind(spec["kind"])
     if spec.get("base") is not None:
         return refine(RefinementRun(kind=kind, depth=spec["depth"],
-                                    base=_base_parse(spec["base"]),
+                                    base=_base_parse(spec["base"], runs),
                                     retain=retain))
     return refine(RefinementRun(kind=kind, depth=spec["depth"],
                                 sides=tuple(spec["sides"]), retain=retain))
@@ -198,7 +206,9 @@ class _Context:
             (base, "".join(rng.choice("01") for _ in range(CARRIER_N_MAX)))
             for base in self.bases[:walk_count]
         ]
-        self.runs: dict = {}  # the suite's ``_stats`` memo
+        # The suite's memo: ``_stats`` on (kind, base, depth) and
+        # ``_base_parse`` on a base's witness form.
+        self.runs: dict = {}
 
 
 def _finish(name: str, tolerance: float,
@@ -288,7 +298,7 @@ def _per_stats(name: str, tolerance: float, kind: ProcedureKind | None,
     ``kind`` ``None`` reads the procedure from the spec."""
     def wrap(kernel: Callable[..., Iterator[tuple[float, int]]]):
         def pairs(spec: dict, runs: dict) -> Iterator[tuple[float, int]]:
-            base = _base_parse(spec["base"])
+            base = _base_parse(spec["base"], runs)
             run_kind = kind or ProcedureKind(spec["kind"])
             return kernel(_stats(runs, run_kind, base, spec["depth"]), base)
         _per_generation(name, tolerance, population)(pairs)
@@ -339,7 +349,7 @@ def _m_carrier_sum(spec, runs):
 @_per_generation("carrier-major-dominates", TOL_EXACT,
                  lambda ctx: [{"base": _base_json(base)} for base in ctx.bases])
 def _m_carrier_dominates(spec, runs):
-    base = _base_parse(spec["base"])
+    base = _base_parse(spec["base"], runs)
     for n in range(1, CARRIER_N_MAX + 1):
         major, minor = carrier_angle_forms(n)
         big = evaluate_angle_form(major, base)
@@ -440,7 +450,7 @@ def _m_altitude_similarity(spec, runs):
         lambda ctx: [{"base": _base_json(base), "lineage": lineage}
                      for base, lineage in ctx.walks])
 def _m_symbolic_numeric(spec, runs):
-    node = triangle_from_angles(_base_parse(spec["base"]))
+    node = triangle_from_angles(_base_parse(spec["base"], runs))
     worst = 0.0
     for bit in spec["lineage"]:
         left, right = bisect(node, ProcedureKind.LARGEST_ANGLE)
@@ -512,7 +522,7 @@ def _m_rho_monotone(stats, base):
                      if base.alpha <= 2 * base.gamma])
 def _m_flat_start_bound(spec, runs):
     stats = refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
-                                 base=_base_parse(spec["base"]))).stats
+                                 base=_base_parse(spec["base"], runs))).stats
     return FLAT_START_ASPECT_BOUND - stats[2].max_aspect_ratio, spec
 
 
@@ -562,7 +572,7 @@ def _m_max_aspect_observed(spec, runs):
 @_check("carrier-track-matches-closed-form", TOL_EXACT,
         lambda ctx: [{"base": _base_json(base)} for base, _ in ctx.walks])
 def _m_carrier_closed_form(spec, runs):
-    base = _base_parse(spec["base"])
+    base = _base_parse(spec["base"], runs)
     track = track_carrier(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
                                         depth=CARRIER_N_MAX, base=base))
     for n, (major, minor, kept) in enumerate(track, start=1):
@@ -578,7 +588,8 @@ def _m_carrier_closed_form(spec, runs):
         lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
                      if base.alpha != 2 * base.beta])
 def _m_majors_distinct(spec, runs):
-    ok, _ = check_major_angles_distinct(_base_parse(spec["base"]), CARRIER_N_MAX)
+    base = _base_parse(spec["base"], runs)
+    ok, _ = check_major_angles_distinct(base, CARRIER_N_MAX)
     return (0.0 if ok else -1.0), spec
 
 
@@ -594,8 +605,8 @@ def _m_major_collision(spec, runs):
 @_check("right-isosceles-single-class", TOL_EXACT,
         lambda ctx: [{"base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}])
 def _m_single_class(spec, runs):
-    stats = _stats(runs, ProcedureKind.LARGEST_ANGLE, _base_parse(spec["base"]),
-                   spec["depth"])
+    base = _base_parse(spec["base"], runs)
+    stats = _stats(runs, ProcedureKind.LARGEST_ANGLE, base, spec["depth"])
     extra = max(row.cumulative_similarity_classes for row in stats) - 1
     return -float(extra), spec
 
@@ -620,7 +631,7 @@ def _altitude_specs(ctx: _Context) -> list[dict]:
 
 @_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
 def _m_altitude_classes(spec, runs):
-    result = _run_from_spec(spec)
+    result = _run_from_spec(spec, runs)
     union: set = set()
     for n, keys in enumerate(result.class_keys[1:], start=1):
         union |= keys
@@ -629,7 +640,7 @@ def _m_altitude_classes(spec, runs):
 
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
-    result = _run_from_spec(spec, retain=RetainPolicy.FULL_TREE)
+    result = _run_from_spec(spec, runs, retain=RetainPolicy.FULL_TREE)
     root = result.generations[0][0]
     subtrees = []
     for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):
@@ -715,8 +726,8 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 
 @_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
 def _m_mode_identity(spec, runs):
-    streamed = _run_from_spec(spec, RetainPolicy.STREAMING)
-    retained = _run_from_spec(spec, RetainPolicy.FULL_TREE)
+    streamed = _run_from_spec(spec, runs, RetainPolicy.STREAMING)
+    retained = _run_from_spec(spec, runs, RetainPolicy.FULL_TREE)
     worst = 0.0
     for a, b in zip(streamed.stats, retained.stats):
         if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from trirefine import cli
 from trirefine.cli import main
 from trirefine.engine import (
     ProcedureKind,
@@ -131,12 +132,29 @@ class TestInputErrors:
           "--svg", "{bad}"], 2, "error: cannot write {bad}"),
         (["verify", "--depth", "4", "--sweep", "1", "--report", "{bad}"], 2,
          "error: cannot write {bad}"),
+        (["verify", "--report", "{bad}"], 2, "error: cannot write {bad}"),
+        (["refine", "--angles", "80,60,40", "--iterations", "3",
+          "--json", "{ok}", "--csv", "{bad}"], 2, "error: cannot write {bad}"),
+        (["refine", "--sides", "1e308,1e308,1e308", "--iterations", "2",
+          "--json", "{ok}"], 3, "geometry error"),
     ])
-    def test_bad_numbers_and_outputs(self, tmp_path, capsys, argv, code,
-                                     message):
+    def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
+                                     argv, code, message):
         bad = str(tmp_path / "no-such-directory" / "out")
-        assert main([a.format(bad=bad) for a in argv]) == code
+        ok = str(tmp_path / "ok.json")
+        started = []
+        for name in ("refine", "run_suite"):
+            def record(*args, _run=getattr(cli, name), **kwargs):
+                started.append(name)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(cli, name, record)
+        assert main([a.format(bad=bad, ok=ok) for a in argv]) == code
         assert message.format(bad=bad) in capsys.readouterr().err
+        # An unwritable output path fails before the run starts, and a
+        # failed command leaves no output or temp file behind.
+        if "cannot write" in message:
+            assert started == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_geometry_error_exit_code(self, capsys, monkeypatch):
         # Apart from finite input whose coordinates overflow (covered by

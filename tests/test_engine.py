@@ -199,6 +199,21 @@ class TestSimilarityClasses:
             assert c >= n
         assert counts[1] == 2
 
+    def test_exact_key_form(self):
+        # Mixed denominators make the run's scale differ from every angle's
+        # denominator, and many keys sort differently as (numerator,
+        # denominator) pairs than by value, so a wrong scale conversion or
+        # pair order both show.
+        base = BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
+                          Fraction(73129, 2782))
+        full = run_largest(base, 7, retain=RetainPolicy.FULL_TREE)
+        for g, nodes in enumerate(full.generations):
+            assert full.class_keys[g] == {
+                tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
+                for node in nodes
+            }
+        assert full.class_keys == run_largest(base, 7).class_keys
+
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,
                                       depth=5, sides=(3.0, 4.0, 5.0)))
