@@ -42,6 +42,7 @@ from .geometry import (
     bisect,
     bisector_to_longest_side_ratio,
     largest_angle_vertex,
+    longest_side_vertex,
     side_lengths,
     triangle_from_angles,
     triangle_from_angles_deg,
@@ -79,6 +80,7 @@ __all__ = [
     "first_major_angle_collision",
     "jacobsthal",
     "largest_angle_vertex",
+    "longest_side_vertex",
     "major_angle_values",
     "random_valid_base",
     "refine",

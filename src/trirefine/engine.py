@@ -41,7 +41,7 @@ from .geometry import (
     ProcedureKind,
     TriangleNode,
     bisect,
-    side_lengths,
+    longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
 )
@@ -378,7 +378,7 @@ def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
                 push((right, half, half + vb, vc))
                 push((left, half, vb, half + vc))
             elif kind is ProcedureKind.SHORTEST_ALTITUDE:
-                ia = side_lengths(node)[0][1]
+                ia = longest_side_vertex(node)
                 if ia == 0:
                     vb, vc = v1, v2
                 elif ia == 1:

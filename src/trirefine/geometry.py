@@ -60,6 +60,12 @@ class TriangleNode:
     both present in exact-base mode (largest-angle procedure started from
     rational angles) or both ``None`` in numeric mode.  ``lineage`` is the
     bit string of left(0)/right(1) choices from the root.
+
+    The constructor is the one public, validating way to make a node, for
+    roots and user-built triangles: it rejects non-finite coordinates and
+    (numerically) collinear vertices.  ``bisect`` makes children without
+    it: it applies the same checks, with the same expressions, once per
+    split, and hands the children over with ``sides()`` already cached.
     """
 
     __slots__ = ("vertices", "angle_forms", "angles_exact", "generation",
@@ -134,6 +140,11 @@ class TriangleNode:
                 f"vertices={self.vertices})")
 
 
+# ``bisect`` makes children without ``__init__``: it has already run the
+# constructor's checks on them and measured their sides.
+_new_node = object.__new__
+
+
 def side_lengths(t: TriangleNode) -> list[tuple[float, int]]:
     """(length, opposite vertex index) pairs sorted by length descending.
 
@@ -142,6 +153,22 @@ def side_lengths(t: TriangleNode) -> list[tuple[float, int]]:
     """
     s = t.sides()
     return sorted(((s[i], i) for i in range(3)), key=lambda p: (-p[0], p[1]))
+
+
+def _longest_index(s: tuple[float, float, float]) -> int:
+    s0, s1, s2 = s
+    if s0 >= s1:
+        return 0 if s0 >= s2 else 2
+    return 1 if s1 >= s2 else 2
+
+
+def longest_side_vertex(t: TriangleNode) -> int:
+    """Index of the vertex opposite the longest side.
+
+    Exact ties go to the smaller index, so this equals
+    ``side_lengths(t)[0][1]`` without sorting.
+    """
+    return _longest_index(t.sides())
 
 
 def largest_angle_vertex(t: TriangleNode) -> int:
@@ -217,6 +244,15 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     Generation increases by one and the lineage gains a 0 (left) or 1
     (right) bit.
 
+    The children are built in one pass over the split's five edges: AB and
+    AC from the parent, AF, BF and FC through the foot F.  Each edge's
+    difference vector is formed once, and both children are checked once,
+    with the same expressions as ``TriangleNode.__init__`` (finite
+    coordinates, then the relative-area degeneracy test in the child's own
+    vertex order).  The children arrive with their side lengths seeded:
+    |AB| and |AC| come from the parent's ``sides()``, the other three are
+    measured here, bit for bit what ``sides()`` would compute.
+
     ``split_index`` lets a caller that has already located the largest
     angle (the refinement engine keeps exact angle values in a cheaper
     representation) skip the comparison; it must equal
@@ -224,16 +260,25 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     procedure.
     """
     v = t.vertices
+    s = t.sides()
     if kind is ProcedureKind.LARGEST_ANGLE:
         ia = largest_angle_vertex(t) if split_index is None else split_index
-        ib = (ia + 1) % 3
-        ic = (ia + 2) % 3
-        A, B, C = v[ia], v[ib], v[ic]
-        s = t.sides()
+    else:
+        # Both remaining procedures split the longest side; only the foot
+        # differs.  The apex (vertex opposite the longest side) is kept.
+        ia = _longest_index(s)
+    ib = (ia + 1) % 3
+    ic = (ia + 2) % 3
+    A, B, C = v[ia], v[ib], v[ic]
+    ax, ay = A
+    bx, by = B
+    cx, cy = C
+    left_forms = right_forms = left_exact = right_exact = None
+    if kind is ProcedureKind.LARGEST_ANGLE:
         b = s[ib]  # |AC|
         c = s[ic]  # |AB|
         w = b + c
-        foot = Point2((b * B.x + c * C.x) / w, (b * B.y + c * C.y) / w)
+        foot = Point2((b * bx + c * cx) / w, (b * by + c * cy) / w)
         if t.angle_forms is not None:
             fA, fB, fC = t.angle_forms[ia], t.angle_forms[ib], t.angle_forms[ic]
             half_form = fA.halve()
@@ -243,32 +288,56 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
             half_val = aA / 2
             left_exact = (half_val, aB, half_val + aC)
             right_exact = (half_val, half_val + aB, aC)
-        else:
-            left_forms = right_forms = left_exact = right_exact = None
+    elif kind is ProcedureKind.LONGEST_EDGE:
+        foot = Point2((bx + cx) / 2.0, (by + cy) / 2.0)
     else:
-        # Both remaining procedures split the longest side; only the foot
-        # differs.  The apex (vertex opposite the longest side) is kept.
-        (_, ia) = side_lengths(t)[0]
-        ib = (ia + 1) % 3
-        ic = (ia + 2) % 3
-        A, B, C = v[ia], v[ib], v[ic]
-        if kind is ProcedureKind.LONGEST_EDGE:
-            foot = Point2((B.x + C.x) / 2.0, (B.y + C.y) / 2.0)
-        else:
-            ex, ey = C.x - B.x, C.y - B.y
-            tau = ((A.x - B.x) * ex + (A.y - B.y) * ey) / (ex * ex + ey * ey)
-            foot = Point2(B.x + tau * ex, B.y + tau * ey)
-        left_forms = right_forms = left_exact = right_exact = None
+        ex, ey = cx - bx, cy - by
+        tau = ((ax - bx) * ex + (ay - by) * ey) / (ex * ex + ey * ey)
+        foot = Point2(bx + tau * ex, by + tau * ey)
+    fx, fy = foot
+    isfinite = math.isfinite
+    if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)
+            and isfinite(cx) and isfinite(cy) and isfinite(fx)
+            and isfinite(fy)):
+        raise ValueError("triangle vertices must have finite coordinates")
+    # The five edges.  Negating a difference is exact and squares and
+    # hypot ignore the sign, so A - F is served by F - A, and so on.
+    abx, aby = bx - ax, by - ay
+    acx, acy = cx - ax, cy - ay
+    afx, afy = fx - ax, fy - ay
+    bfx, bfy = fx - bx, fy - by
+    fcx, fcy = cx - fx, cy - fy
+    ab_sq = abx ** 2 + aby ** 2
+    af_sq = afx ** 2 + afy ** 2
     gen = t.generation + 1
-    try:
-        left = TriangleNode((A, B, foot), left_forms, left_exact,
-                            gen, t.lineage + "0")
-        right = TriangleNode((A, foot, C), right_forms, right_exact,
-                             gen, t.lineage + "1")
-    except DegenerateTriangleError as exc:
+    # Left (A, B, F), then right (A, F, C), as TriangleNode.__init__
+    # would check them.
+    if (abs(abx * afy - aby * afx)
+            <= 2.0 * DEGENERACY_REL_AREA * max(bfx ** 2 + bfy ** 2, af_sq, ab_sq)
+            or abs(afx * acy - afy * acx)
+            <= 2.0 * DEGENERACY_REL_AREA * max(fcx ** 2 + fcy ** 2,
+                                               acx ** 2 + acy ** 2, af_sq)):
         raise DegenerateTriangleError(
             f"{kind.value} bisection produced a degenerate child at depth "
-            f"{gen} (parent lineage {t.lineage!r})") from exc
+            f"{gen} (parent lineage {t.lineage!r})")
+    af = math.hypot(afx, afy)
+    lineage = t.lineage
+    left = _new_node(TriangleNode)
+    left.vertices = (A, B, foot)
+    left.angle_forms = left_forms
+    left.angles_exact = left_exact
+    left.generation = gen
+    left.lineage = lineage + "0"
+    left._sides = (math.hypot(bfx, bfy), af, s[ic])
+    left._angles_deg = None
+    right = _new_node(TriangleNode)
+    right.vertices = (A, foot, C)
+    right.angle_forms = right_forms
+    right.angles_exact = right_exact
+    right.generation = gen
+    right.lineage = lineage + "1"
+    right._sides = (math.hypot(fcx, fcy), s[ib], af)
+    right._angles_deg = None
     return left, right
 
 
@@ -287,6 +356,17 @@ def _check_root_scale(longest: float) -> None:
             f"longest side {longest!r} is too large: squared lengths overflow")
 
 
+def _law_of_sines_root(big: float, mid: float, small: float,
+                       scale: float) -> tuple[Point2, Point2, Point2]:
+    """Vertices with angles (big, mid, small) degrees, longest side ``scale``
+    on the x-axis from the origin, apex above it."""
+    _check_root_scale(scale)
+    al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
+    c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
+    apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
+    return (apex, Point2(0.0, 0.0), Point2(scale, 0.0))
+
+
 def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
                          exact: bool = True) -> TriangleNode:
     """Root triangle with the given angles, longest side on the x-axis.
@@ -296,13 +376,8 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
     gamma vertex), so the apex carries the largest angle and sits above
     the base.
     """
-    _check_root_scale(scale)
-    al = math.radians(float(base.alpha))
-    be = math.radians(float(base.beta))
-    ga = math.radians(float(base.gamma))
-    c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
-    apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
-    vertices = (apex, Point2(0.0, 0.0), Point2(scale, 0.0))
+    vertices = _law_of_sines_root(float(base.alpha), float(base.beta),
+                                  float(base.gamma), scale)
     if exact:
         return TriangleNode(vertices, (FORM_ALPHA, FORM_BETA, FORM_GAMMA),
                             (base.alpha, base.beta, base.gamma))
@@ -315,11 +390,7 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")
-    _check_root_scale(scale)
-    al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
-    c_len = scale * math.sin(ga) / math.sin(al)
-    apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
-    return TriangleNode((apex, Point2(0.0, 0.0), Point2(scale, 0.0)))
+    return TriangleNode(_law_of_sines_root(big, mid, small, scale))
 
 
 def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:

@@ -157,16 +157,34 @@ class TestInputErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_geometry_error_exit_code(self, capsys, monkeypatch):
-        # Apart from finite input whose coordinates overflow (covered by
-        # test_bad_numbers_and_outputs), no valid float input reaches a
-        # degenerate state under the three procedures (the minimum angle
-        # stays bounded and the degeneracy threshold is scale invariant), so
-        # fault-inject the refinement to pin the exit-code mapping.
+        # Fault-inject the refinement to pin the exit-code mapping apart
+        # from any particular geometry.  Real inputs that end here are
+        # covered by test_thin_input_geometry_error and, for coordinates
+        # that overflow, by test_bad_numbers_and_outputs.
         def boom(run):
             raise DegenerateTriangleError("injected failure at lineage '01'")
         monkeypatch.setattr("trirefine.cli.refine", boom)
         assert main(["refine", "--angles", "60,60,60", "--iterations", "2"]) == 3
         assert "geometry error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angles, iterations, lineage", [
+        ("178,1,1", 10, "001010101"),
+        ("170,5,5", 20, "0000000000101010101"),
+    ])
+    def test_thin_input_geometry_error(self, capsys, angles, iterations,
+                                       lineage):
+        # Valid thin input: under shortest-altitude some lineages shrink by
+        # about sin(smallest angle) per split while their coordinates stay
+        # near the root's, until the relative-area test can no longer tell
+        # them from collinear.  A documented limit (README, exit codes);
+        # pinned here so the failing node cannot move unnoticed.
+        code = main(["refine", "--angles", angles, "--procedure",
+                     "shortest-altitude", "--iterations", str(iterations)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "geometry error: shortest-altitude bisection produced a "
+            f"degenerate child at depth {iterations} (parent lineage "
+            f"{lineage!r})\n")
 
 
 class TestVerifyCommand:

@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from trirefine import geometry
 from trirefine.exact import BaseAngles, evaluate_angle_form
 from trirefine.geometry import (
     DegenerateTriangleError,
@@ -18,6 +21,7 @@ from trirefine.geometry import (
     bisect,
     bisector_to_longest_side_ratio,
     largest_angle_vertex,
+    longest_side_vertex,
     side_lengths,
     smallest_angle_vertex,
     triangle_from_angles,
@@ -204,6 +208,85 @@ class TestOtherProcedures:
         left, right = bisect(t, ProcedureKind.SHORTEST_ALTITUDE)
         for child in (left, right):
             assert max(child.angles_deg()) == pytest.approx(90.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# bisect against the public constructor
+# ---------------------------------------------------------------------------
+
+@st.composite
+def numeric_roots(draw):
+    """A root from ``triangle_from_angles_deg`` or, through its law-of-sines
+    sides, from ``triangle_from_sides``."""
+    angles = draw(angle_triples())
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    if draw(st.booleans()):
+        return triangle_from_angles_deg(*angles, scale=scale)
+    return triangle_from_sides(
+        *(scale * math.sin(math.radians(a)) for a in angles))
+
+
+class TestBisectOracle:
+    """``bisect`` builds children without ``TriangleNode.__init__`` and seeds
+    their sides; the public constructor is the oracle for both."""
+
+    @given(numeric_roots(), st.sampled_from(list(ProcedureKind)))
+    @settings(max_examples=200, deadline=None)
+    def test_children_match_public_constructor(self, root, kind):
+        level = [root]
+        for _ in range(4):
+            children = []
+            for node in level:
+                assert longest_side_vertex(node) == side_lengths(node)[0][1]
+                for child in bisect(node, kind):
+                    rebuilt = TriangleNode(child.vertices, child.angle_forms,
+                                           child.angles_exact,
+                                           child.generation, child.lineage)
+                    assert child.sides() == rebuilt.sides()
+                    children.append(child)
+            level = children
+
+    @given(st.floats(min_value=0.05, max_value=0.95),
+           st.floats(min_value=-11.7, max_value=-11.0),
+           st.sampled_from(list(ProcedureKind)))
+    @settings(max_examples=300, deadline=None)
+    def test_degeneracy_matches_public_constructor(self, x, exponent, kind):
+        # Thin roots whose children straddle the relative-area threshold:
+        # bisect must reject exactly when the constructor would reject a
+        # child.  With the threshold at zero, bisect yields the children
+        # whatever their area.
+        try:
+            root = TriangleNode((Point2(x, 10.0 ** exponent), Point2(0.0, 0.0),
+                                 Point2(1.0, 0.0)))
+        except DegenerateTriangleError:
+            assume(False)
+        with mock.patch.object(geometry, "DEGENERACY_REL_AREA", 0.0):
+            children = bisect(root, kind)
+        constructor_accepts = True
+        for child in children:
+            try:
+                TriangleNode(child.vertices)
+            except DegenerateTriangleError:
+                constructor_accepts = False
+        try:
+            bisect(root, kind)
+            bisect_accepts = True
+        except DegenerateTriangleError:
+            bisect_accepts = False
+        assert bisect_accepts == constructor_accepts
+
+    @pytest.mark.parametrize("sides", [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0),
+                                       (2.0, 1.0, 2.0), (1.0, 2.0, 2.0)])
+    def test_longest_side_vertex_exact_ties(self, sides):
+        t = SimpleNamespace(sides=lambda: sides)
+        assert longest_side_vertex(t) == side_lengths(t)[0][1]
+
+    def test_longest_side_vertex_isosceles_node(self):
+        # hypot ignores signs, so the two legs tie exactly in every rotation.
+        a, b, c = Point2(0.5, 1.9), Point2(0.0, 0.0), Point2(1.0, 0.0)
+        for vertices in ((a, b, c), (b, c, a), (c, a, b)):
+            t = TriangleNode(vertices)
+            assert longest_side_vertex(t) == side_lengths(t)[0][1]
 
 
 # ---------------------------------------------------------------------------
