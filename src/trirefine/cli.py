@@ -95,15 +95,18 @@ def _parse_sides(text: str) -> tuple[float, float, float]:
 
 def _build_run(args, retain: str) -> RefinementRun:
     kind = ProcedureKind(args.procedure)
+    base = sides = None
     if args.angles is not None:
         base = _parse_angles(args.angles)
-        sides = None
+    elif args.scale is not None:
+        raise InputError("--scale applies only to --angles input; "
+                         "--sides are used as given")
     else:
-        base = None
         sides = _parse_sides(args.sides)
+    scale = 1.0 if args.scale is None else args.scale
     try:
         return RefinementRun(kind=kind, depth=args.iterations, base=base,
-                             sides=sides, retain=retain, scale=args.scale)
+                             sides=sides, retain=retain, scale=scale)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="three side lengths (numeric mode)")
         p.add_argument("--iterations", type=int, required=True,
                        help="number of bisection generations")
-        p.add_argument("--scale", type=float, default=1.0,
+        p.add_argument("--scale", type=float, default=None,
                        help="initial longest side for angle input (default 1.0)")
 
     p_refine = sub.add_parser("refine", help="run a refinement and emit statistics")

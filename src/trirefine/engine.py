@@ -35,12 +35,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exact import BaseAngles, FORM_GAMMA
+from .exact import BaseAngles
 from .geometry import (
     ANGLE_TIE_TOL_DEG,
     ProcedureKind,
     TriangleNode,
     bisect,
+    exact_angle_units,
+    largest_angle_vertex,
     longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
@@ -183,8 +185,8 @@ class _Accumulators:
         self.counts = [0] * (depth + 1)
         self.mesh = [0.0] * (depth + 1)
         self.max_aspect = [0.0] * (depth + 1)
-        self.min_angle: list = [None] * (depth + 1)
-        self.min_largest: list = [None] * (depth + 1)
+        self.min_angle: list = [math.inf] * (depth + 1)
+        self.min_largest: list = [math.inf] * (depth + 1)
         self.key_sets: list[set] = [set() for _ in range(depth + 1)]
 
     def observe_shape(self, g: int, node: TriangleNode) -> None:
@@ -198,21 +200,6 @@ class _Accumulators:
         if r > self.max_aspect[g]:
             self.max_aspect[g] = r
         self.counts[g] += 1
-
-    def observe_angles(self, g: int, v0, v1, v2, key) -> None:
-        small = v0 if v0 <= v1 else v1
-        if v2 < small:
-            small = v2
-        big = v0 if v0 >= v1 else v1
-        if v2 > big:
-            big = v2
-        cur = self.min_angle[g]
-        if cur is None or small < cur:
-            self.min_angle[g] = small
-        cur = self.min_largest[g]
-        if cur is None or big < cur:
-            self.min_largest[g] = big
-        self.key_sets[g].add(key)
 
 
 def _assemble(run: RefinementRun, acc: _Accumulators, generations,
@@ -243,11 +230,6 @@ def _assemble(run: RefinementRun, acc: _Accumulators, generations,
     )
 
 
-def _scaled_int(value: Fraction, scale: int) -> int:
-    # scale is a multiple of the denominator, so this is exact.
-    return value.numerator * (scale // value.denominator)
-
-
 def _refine_exact(run: RefinementRun, full: bool) -> RefinementResult:
     """Exact-base largest-angle run.
 
@@ -256,21 +238,18 @@ def _refine_exact(run: RefinementRun, full: bool) -> RefinementResult:
     angles.  Mirroring the exact values as integers at the fixed scale
     q * 2**(depth+1) turns halving, adding and comparing into plain int
     ops; the engine then hands the precomputed split index to ``bisect``.
-    Full-tree runs additionally keep symbolic forms on the retained nodes.
+    Full-tree runs additionally keep exact angles on the retained nodes.
     """
     depth = run.depth
     base = run.base
     acc = _Accumulators(depth)
     generations = [[] for _ in range(depth + 1)] if full else None
 
-    q = math.lcm(base.alpha.denominator, base.beta.denominator,
-                 base.gamma.denominator)
-    scale = q << (depth + 1)
+    (u0, u1, u2), q = exact_angle_units(base.as_tuple())
+    shift = depth + 1
+    scale = q << shift
     root = triangle_from_angles(base, scale=run.scale, exact=full)
-    stack = [(root,
-              _scaled_int(base.alpha, scale),
-              _scaled_int(base.beta, scale),
-              _scaled_int(base.gamma, scale))]
+    stack = [(root, u0 << shift, u1 << shift, u2 << shift)]
     push = stack.append
     pop = stack.pop
     min_angle = acc.min_angle
@@ -294,11 +273,9 @@ def _refine_exact(run: RefinementRun, full: bool) -> RefinementResult:
             hi = v2
         else:
             key = (lo, v2, hi)
-        cur = min_angle[g]
-        if cur is None or lo < cur:
+        if lo < min_angle[g]:
             min_angle[g] = lo
-        cur = min_largest[g]
-        if cur is None or hi < cur:
+        if hi < min_largest[g]:
             min_largest[g] = hi
         key_sets[g].add(key)
         if full:
@@ -350,24 +327,38 @@ def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
     stack = [(root, a0, a1, a2)]
     push = stack.append
     pop = stack.pop
+    min_angle = acc.min_angle
+    min_largest = acc.min_largest
+    key_sets = acc.key_sets
     while stack:
         node, v0, v1, v2 = pop()
         g = node.generation
         acc.observe_shape(g, node)
-        key = tuple(sorted((round(v0 * _KEY_SCALE), round(v1 * _KEY_SCALE),
-                            round(v2 * _KEY_SCALE))))
-        acc.observe_angles(g, v0, v1, v2, key)
+        # Compare-swaps; rounding is monotone, so it keeps the order.
+        if v0 <= v1:
+            lo, hi = v0, v1
+        else:
+            lo, hi = v1, v0
+        if v2 < lo:
+            lo, mid = v2, lo
+        elif v2 > hi:
+            mid, hi = hi, v2
+        else:
+            mid = v2
+        if lo < min_angle[g]:
+            min_angle[g] = lo
+        if hi < min_largest[g]:
+            min_largest[g] = hi
+        key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
+                         round(hi * _KEY_SCALE)))
         if full:
             generations[g].append(node)
         if g < depth:
             if kind is ProcedureKind.LARGEST_ANGLE:
-                top = v0 if v0 >= v1 else v1
-                if v2 > top:
-                    top = v2
-                if top - v0 <= ANGLE_TIE_TOL_DEG:
+                if hi - v0 <= ANGLE_TIE_TOL_DEG:
                     ia = 0
                     va, vb, vc = v0, v1, v2
-                elif top - v1 <= ANGLE_TIE_TOL_DEG:
+                elif hi - v1 <= ANGLE_TIE_TOL_DEG:
                     ia = 1
                     va, vb, vc = v1, v2, v0
                 else:
@@ -385,7 +376,7 @@ def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
                     vb, vc = v2, v0
                 else:
                     vb, vc = v0, v1
-                left, right = bisect(node, kind)
+                left, right = bisect(node, kind, ia)
                 push((right, 90.0 - vc, 90.0, vc))
                 push((left, 90.0 - vb, vb, 90.0))
             else:
@@ -438,18 +429,19 @@ def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction
     node = _root_node(run)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     kept = run.base.gamma
+    i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
     for _ in range(run.depth):
-        left, right = bisect(node, ProcedureKind.LARGEST_ANGLE)
-        if FORM_GAMMA in left.angle_forms:
-            node = left
-        elif FORM_GAMMA in right.angle_forms:
-            node = right
+        ia = largest_angle_vertex(node)
+        left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
+        # Left is (A, B, foot) and right is (A, foot, C).
+        if i_gamma == (ia + 1) % 3:
+            node, i_gamma = left, 1
+        elif i_gamma == (ia + 2) % 3:
+            node, i_gamma = right, 2
         else:
             raise RuntimeError(
                 f"carrier lineage lost at generation {left.generation}")
-        others = sorted(
-            (v for f, v in zip(node.angle_forms, node.angles_exact)
-             if f != FORM_GAMMA),
-            reverse=True)
-        out.append((others[0], others[1], kept))
+        angles = node.angles_exact
+        major, minor = sorted((angles[0], angles[3 - i_gamma]), reverse=True)
+        out.append((major, minor, kept))
     return out

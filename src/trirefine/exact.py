@@ -3,9 +3,9 @@
 Bisecting the largest angle of a triangle only ever halves an angle or
 adds a halved angle to an existing one, so every angle in the process is
 a combination ``c_a*alpha + c_b*beta + c_g*gamma`` whose coefficients are
-dyadic rationals (p / 2**k).  Tracking the coefficients exactly lets
-similarity classes be counted by equality instead of floating-point
-closeness, and keeps minimum-angle statistics exact at any depth.
+dyadic rationals (p / 2**k).  The forms state the carrier closed form the
+verifier checks; the refinement carries the angles' values as integers
+over one scale (``geometry.TriangleNode``), exact at any depth.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.

@@ -1,16 +1,15 @@
 """Numeric triangle geometry and the three bisection procedures.
 
-Coordinates are IEEE-754 doubles; exactness lives in the angle layer
-(``trirefine.exact``).  A triangle node carries its vertices, optionally a
-symbolic form plus an exact value for the angle at each vertex, and its
-position in the bisection tree (generation index and a left/right lineage
-bit string).
+Coordinates are IEEE-754 doubles.  A triangle node carries its vertices,
+optionally the exact angle at each vertex as an integer over one integer
+scale, and its position in the bisection tree (generation index and a
+left/right lineage bit string).
 
 Three splitting procedures are provided:
 
 * ``largest-angle``    -- split along the internal bisector of the largest
-  angle.  Symbolic angle forms survive: the split angle is halved exactly
-  and the foot angle is an exact sum.
+  angle.  Exact angles survive: at twice the parent's scale, halving and
+  the foot angle's sum are integer adds.
 * ``longest-edge``     -- split along the median to the longest side.
 * ``shortest-altitude``-- split along the altitude to the longest side.
 
@@ -25,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import AngleForm, BaseAngles, FORM_ALPHA, FORM_BETA, FORM_GAMMA
+from .exact import BaseAngles
 
 # A triangle is rejected when its area drops below this fraction of the
 # squared longest side; scale-invariant so deep generations are judged the
@@ -56,24 +55,24 @@ class Point2(NamedTuple):
 class TriangleNode:
     """One triangle of the refinement tree.
 
-    ``angle_forms`` and ``angles_exact`` are parallel to ``vertices`` and are
-    both present in exact-base mode (largest-angle procedure started from
-    rational angles) or both ``None`` in numeric mode.  ``lineage`` is the
-    bit string of left(0)/right(1) choices from the root.
+    In exact-base mode (largest-angle procedure started from rational
+    angles) the angle at ``vertices[i]`` is ``angle_units[i] / angle_scale``
+    degrees; in numeric mode both are ``None``.  ``lineage`` is the bit
+    string of left(0)/right(1) choices from the root.
 
     The constructor is the one public, validating way to make a node, for
-    roots and user-built triangles: it rejects non-finite coordinates and
-    (numerically) collinear vertices.  ``bisect`` makes children without
-    it: it applies the same checks, with the same expressions, once per
-    split, and hands the children over with ``sides()`` already cached.
+    roots and user-built triangles: it rejects non-finite coordinates,
+    (numerically) collinear vertices and invalid exact angles.  ``bisect``
+    makes children without it: it applies the same geometric checks, with
+    the same expressions, once per split, and hands the children over with
+    ``sides()`` already cached.
     """
 
-    __slots__ = ("vertices", "angle_forms", "angles_exact", "generation",
+    __slots__ = ("vertices", "angle_units", "angle_scale", "generation",
                  "lineage", "_sides", "_angles_deg")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2],
-                 angle_forms: tuple[AngleForm, AngleForm, AngleForm] | None = None,
-                 angles_exact: tuple[Fraction, Fraction, Fraction] | None = None,
+                 angles_exact: Sequence[Fraction | int] | None = None,
                  generation: int = 0, lineage: str = "") -> None:
         (ax, ay), (bx, by), (cx, cy) = vertices
         if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(bx)
@@ -88,15 +87,21 @@ class TriangleNode:
         if area2 <= 2.0 * DEGENERACY_REL_AREA * longest_sq:
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): {vertices}")
-        if (angle_forms is None) != (angles_exact is None):
-            raise ValueError("angle_forms and angles_exact must be given together")
+        self.angle_units = self.angle_scale = None
+        if angles_exact is not None:
+            self.angle_units, self.angle_scale = exact_angle_units(angles_exact)
         self.vertices = vertices
-        self.angle_forms = angle_forms
-        self.angles_exact = angles_exact
         self.generation = generation
         self.lineage = lineage
         self._sides = None
         self._angles_deg = None
+
+    @property
+    def angles_exact(self) -> tuple[Fraction, Fraction, Fraction] | None:
+        """Exact angle at each vertex in degrees; ``None`` in numeric mode."""
+        if self.angle_units is None:
+            return None
+        return tuple(Fraction(u, self.angle_scale) for u in self.angle_units)
 
     def sides(self) -> tuple[float, float, float]:
         """Side lengths indexed by the opposite vertex."""
@@ -140,6 +145,20 @@ class TriangleNode:
                 f"vertices={self.vertices})")
 
 
+def exact_angle_units(angles: Sequence) -> tuple[tuple[int, int, int], int]:
+    """Three positive rationals summing to 180 degrees, as three integers
+    over one integer scale: the lcm of their denominators."""
+    try:
+        values = [Fraction(a) for a in angles]
+    except (TypeError, ValueError, OverflowError):
+        values = []
+    if len(values) != 3 or min(values) <= 0 or sum(values) != 180:
+        raise ValueError("exact angles must be three positive rationals "
+                         f"summing to 180 degrees, got {angles!r}")
+    scale = math.lcm(*(a.denominator for a in values))
+    return tuple(a.numerator * (scale // a.denominator) for a in values), scale
+
+
 # ``bisect`` makes children without ``__init__``: it has already run the
 # constructor's checks on them and measured their sides.
 _new_node = object.__new__
@@ -174,24 +193,16 @@ def longest_side_vertex(t: TriangleNode) -> int:
 def largest_angle_vertex(t: TriangleNode) -> int:
     """Index of the vertex with the maximal angle.
 
-    Exact comparison when symbolic values are present; otherwise numeric
-    with a tie window of ``ANGLE_TIE_TOL_DEG``.  Ties go to the smallest
-    vertex index in the node's own vertex order.
+    Exact integer comparison when exact angles are present; otherwise
+    numeric with a tie window of ``ANGLE_TIE_TOL_DEG``.  Ties go to the
+    smallest vertex index in the node's own vertex order.
     """
-    vals = t.angles_exact
-    if vals is not None:
-        best = 0
-        if vals[1] > vals[best]:
-            best = 1
-        if vals[2] > vals[best]:
-            best = 2
-        return best
+    units = t.angle_units
+    if units is not None:
+        return units.index(max(units))
     angs = t.angles_deg()
     top = max(angs)
-    for i in range(3):
-        if top - angs[i] <= ANGLE_TIE_TOL_DEG:
-            return i
-    return 0  # unreachable
+    return next(i for i in range(3) if top - angs[i] <= ANGLE_TIE_TOL_DEG)
 
 
 def aspect_ratio(t: TriangleNode, check: bool = False) -> float:
@@ -253,41 +264,40 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     |AB| and |AC| come from the parent's ``sides()``, the other three are
     measured here, bit for bit what ``sides()`` would compute.
 
-    ``split_index`` lets a caller that has already located the largest
-    angle (the refinement engine keeps exact angle values in a cheaper
-    representation) skip the comparison; it must equal
-    ``largest_angle_vertex(t)`` and only applies to the largest-angle
-    procedure.
+    Exact angles pass to the children at twice the parent's scale: parent
+    units (uA, uB, uC) become (uA, 2uB, uA + 2uC) on the left and
+    (uA, uA + 2uB, 2uC) on the right.
+
+    ``split_index`` lets a caller that has already located the split
+    vertex skip the search: it must equal ``largest_angle_vertex(t)`` for
+    the largest-angle procedure and ``longest_side_vertex(t)`` otherwise.
     """
     v = t.vertices
     s = t.sides()
-    if kind is ProcedureKind.LARGEST_ANGLE:
-        ia = largest_angle_vertex(t) if split_index is None else split_index
-    else:
-        # Both remaining procedures split the longest side; only the foot
-        # differs.  The apex (vertex opposite the longest side) is kept.
-        ia = _longest_index(s)
+    ia = split_index
+    if ia is None:
+        # The other two procedures split the longest side, keeping the apex
+        # opposite it; only their feet differ.
+        ia = (largest_angle_vertex(t) if kind is ProcedureKind.LARGEST_ANGLE
+              else _longest_index(s))
     ib = (ia + 1) % 3
     ic = (ia + 2) % 3
     A, B, C = v[ia], v[ib], v[ic]
     ax, ay = A
     bx, by = B
     cx, cy = C
-    left_forms = right_forms = left_exact = right_exact = None
+    left_units = right_units = scale = None
     if kind is ProcedureKind.LARGEST_ANGLE:
         b = s[ib]  # |AC|
         c = s[ic]  # |AB|
         w = b + c
         foot = Point2((b * bx + c * cx) / w, (b * by + c * cy) / w)
-        if t.angle_forms is not None:
-            fA, fB, fC = t.angle_forms[ia], t.angle_forms[ib], t.angle_forms[ic]
-            half_form = fA.halve()
-            left_forms = (half_form, fB, half_form + fC)
-            right_forms = (half_form, half_form + fB, fC)
-            aA, aB, aC = t.angles_exact[ia], t.angles_exact[ib], t.angles_exact[ic]
-            half_val = aA / 2
-            left_exact = (half_val, aB, half_val + aC)
-            right_exact = (half_val, half_val + aB, aC)
+        units = t.angle_units
+        if units is not None:
+            uA, uB, uC = units[ia], units[ib], units[ic]
+            left_units = (uA, uB + uB, uA + uC + uC)
+            right_units = (uA, uA + uB + uB, uC + uC)
+            scale = t.angle_scale << 1
     elif kind is ProcedureKind.LONGEST_EDGE:
         foot = Point2((bx + cx) / 2.0, (by + cy) / 2.0)
     else:
@@ -324,16 +334,16 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     lineage = t.lineage
     left = _new_node(TriangleNode)
     left.vertices = (A, B, foot)
-    left.angle_forms = left_forms
-    left.angles_exact = left_exact
+    left.angle_units = left_units
+    left.angle_scale = scale
     left.generation = gen
     left.lineage = lineage + "0"
     left._sides = (math.hypot(bfx, bfy), af, s[ic])
     left._angles_deg = None
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
-    right.angle_forms = right_forms
-    right.angles_exact = right_exact
+    right.angle_units = right_units
+    right.angle_scale = scale
     right.generation = gen
     right.lineage = lineage + "1"
     right._sides = (math.hypot(fcx, fcy), s[ib], af)
@@ -379,8 +389,7 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
     vertices = _law_of_sines_root(float(base.alpha), float(base.beta),
                                   float(base.gamma), scale)
     if exact:
-        return TriangleNode(vertices, (FORM_ALPHA, FORM_BETA, FORM_GAMMA),
-                            (base.alpha, base.beta, base.gamma))
+        return TriangleNode(vertices, base.as_tuple())
     return TriangleNode(vertices)
 
 
@@ -412,10 +421,5 @@ def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
 
 def smallest_angle_vertex(t: TriangleNode) -> int:
     """Index of the vertex with the minimal angle (smallest index on ties)."""
-    vals: Sequence = t.angles_exact if t.angles_exact is not None else t.angles_deg()
-    best = 0
-    if vals[1] < vals[best]:
-        best = 1
-    if vals[2] < vals[best]:
-        best = 2
-    return best
+    vals = t.angle_units if t.angle_units is not None else t.angles_deg()
+    return vals.index(min(vals))

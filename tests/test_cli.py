@@ -80,6 +80,13 @@ class TestRefineCommand:
                      "--scale", "2.0", "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["generations"][0]["mesh"] == pytest.approx(2.0)
+        assert payload["input"]["scale"] == 2.0
+
+    def test_side_input_reports_default_scale(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["refine", "--sides", "3,4,5", "--iterations", "1",
+                     "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["input"]["scale"] == 1.0
 
 
 class TestInputErrors:
@@ -137,6 +144,8 @@ class TestInputErrors:
           "--json", "{ok}", "--csv", "{bad}"], 2, "error: cannot write {bad}"),
         (["refine", "--sides", "1e308,1e308,1e308", "--iterations", "2",
           "--json", "{ok}"], 3, "geometry error"),
+        (["refine", "--sides", "1,1,1", "--iterations", "2", "--scale", "2",
+          "--json", "{ok}"], 2, "error: --scale applies only to --angles"),
     ])
     def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):

@@ -214,6 +214,19 @@ class TestSimilarityClasses:
             }
         assert full.class_keys == run_largest(base, 7).class_keys
 
+    def test_node_units_are_engine_keys(self):
+        # Nodes carry their angles at their own generation's scale, the
+        # engine keys them at the run's scale q * 2**(depth+1).
+        depth = 8
+        base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
+        full = run_largest(base, depth, retain=RetainPolicy.FULL_TREE)
+        for g, nodes in enumerate(full.generations):
+            keys = full.key_sets[g]
+            for node in nodes:
+                factor = 1 << (depth + 1 - g)
+                assert node.angle_scale * factor == full.key_scale
+                assert tuple(sorted(u * factor for u in node.angle_units)) in keys
+
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,
                                       depth=5, sides=(3.0, 4.0, 5.0)))

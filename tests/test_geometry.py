@@ -9,7 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trirefine import geometry
-from trirefine.exact import BaseAngles, evaluate_angle_form
+from trirefine.exact import (
+    FORM_ALPHA,
+    FORM_BETA,
+    FORM_GAMMA,
+    BaseAngles,
+    evaluate_angle_form,
+)
 from trirefine.geometry import (
     DegenerateTriangleError,
     Point2,
@@ -45,8 +51,52 @@ def angle_triples(draw):
     return (a, b, c)
 
 
+@st.composite
+def exact_bases(draw):
+    """Rational base angles with a common denominator up to 360, each at
+    least one unit."""
+    den = draw(st.integers(min_value=1, max_value=360))
+    total = 180 * den
+    a = draw(st.integers(min_value=1, max_value=total - 2))
+    b = draw(st.integers(min_value=1, max_value=total - a - 1))
+    return BaseAngles.from_unordered(Fraction(a, den), Fraction(b, den),
+                                     Fraction(total - a - b, den))
+
+
 def sorted_sides(t: TriangleNode) -> tuple[float, float, float]:
     return tuple(length for length, _ in side_lengths(t))
+
+
+def reference_children(forms, values, ia):
+    """The exact algebra of a largest-angle split at vertex ``ia``, on
+    symbolic forms and on ``Fraction`` values: children's (forms, values),
+    left then right."""
+    ib, ic = (ia + 1) % 3, (ia + 2) % 3
+    half_form, half_value = forms[ia].halve(), values[ia] / 2
+    left = ((half_form, forms[ib], half_form + forms[ic]),
+            (half_value, values[ib], half_value + values[ic]))
+    right = ((half_form, half_form + forms[ib], forms[ic]),
+             (half_value, half_value + values[ib], values[ic]))
+    return left, right
+
+
+def reference_walk(base, lineage):
+    """Follow ``lineage`` (a sequence of 0/1) from the exact root of
+    ``base``.  At every split yields each child with its reference forms
+    and values, then descends into the child the lineage names.  The
+    reference splits the first vertex holding the largest reference value,
+    independently of the node."""
+    node = triangle_from_angles(base)
+    forms = (FORM_ALPHA, FORM_BETA, FORM_GAMMA)
+    values = base.as_tuple()
+    for bit in lineage:
+        ia = values.index(max(values))
+        children = bisect(node, ProcedureKind.LARGEST_ANGLE)
+        references = reference_children(forms, values, ia)
+        for child, (child_forms, child_values) in zip(children, references):
+            yield child, child_forms, child_values
+        node = children[bit]
+        forms, values = references[bit]
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +170,31 @@ class TestLargestAngleBisection:
 
     def test_exact_values_match_forms(self):
         base = BaseAngles(100, 50, 30)
-        node = triangle_from_angles(base)
-        for _ in range(6):
-            node, _ = bisect(node, ProcedureKind.LARGEST_ANGLE)
-            for form, value in zip(node.angle_forms, node.angles_exact):
+        for node, forms, _ in reference_walk(base, [0] * 6):
+            for form, value in zip(forms, node.angles_exact):
                 assert evaluate_angle_form(form, base) == value
 
     def test_forms_sum_to_unity(self):
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
-        node = triangle_from_angles(base)
-        for _ in range(8):
-            node, other = bisect(node, ProcedureKind.LARGEST_ANGLE)
-            for child in (node, other):
-                f = child.angle_forms
-                total = f[0] + f[1] + f[2]
-                assert all(c.as_fraction() == 1 for c in total.coefficients())
+        for _, f, _ in reference_walk(base, [0] * 8):
+            total = f[0] + f[1] + f[2]
+            assert all(c.as_fraction() == 1 for c in total.coefficients())
+
+    @given(exact_bases(), st.lists(st.integers(min_value=0, max_value=1),
+                                   min_size=10, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_angles_match_reference_walk(self, base, lineage):
+        for node, forms, values in reference_walk(base, lineage):
+            exact = node.angles_exact
+            assert exact == values
+            assert [a.as_integer_ratio() for a in exact] == [
+                v.as_integer_ratio() for v in values]
+            assert tuple(evaluate_angle_form(f, base) for f in forms) == exact
+            total = forms[0] + forms[1] + forms[2]
+            assert all(c.as_fraction() == 1 for c in total.coefficients())
+            assert sum(node.angle_units) == 180 * node.angle_scale
+            assert node.angle_scale == (
+                triangle_from_angles(base).angle_scale << node.generation)
 
     @given(angle_triples())
     @settings(max_examples=300)
@@ -184,7 +244,7 @@ class TestOtherProcedures:
     def test_longest_edge_equilateral_midpoint(self):
         root = triangle_from_angles(EQUILATERAL)
         left, right = bisect(root, ProcedureKind.LONGEST_EDGE)
-        assert left.angle_forms is None and left.angles_exact is None
+        assert left.angle_units is None and left.angles_exact is None
         # Midpoint split of an equilateral gives 30-60-90 children.
         for child in (left, right):
             assert sorted(child.angles_deg()) == pytest.approx(
@@ -237,14 +297,35 @@ class TestBisectOracle:
         for _ in range(4):
             children = []
             for node in level:
-                assert longest_side_vertex(node) == side_lengths(node)[0][1]
-                for child in bisect(node, kind):
-                    rebuilt = TriangleNode(child.vertices, child.angle_forms,
-                                           child.angles_exact,
+                ia = longest_side_vertex(node)
+                assert ia == side_lengths(node)[0][1]
+                pair = bisect(node, kind)
+                if kind is not ProcedureKind.LARGEST_ANGLE:
+                    # The side-based procedures split at the vertex
+                    # opposite the longest side, given or searched.
+                    given_index = bisect(node, kind, ia)
+                    assert ([c.vertices for c in given_index]
+                            == [c.vertices for c in pair])
+                for child in pair:
+                    rebuilt = TriangleNode(child.vertices, child.angles_exact,
                                            child.generation, child.lineage)
                     assert child.sides() == rebuilt.sides()
                     children.append(child)
             level = children
+
+    @given(exact_bases(), st.lists(st.integers(min_value=0, max_value=1),
+                                   min_size=10, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_children_match_public_constructor(self, base, lineage):
+        # The constructor takes the reference values and picks its own
+        # scale; angles and sides must match the bisect-built child.
+        for child, _, values in reference_walk(base, lineage):
+            rebuilt = TriangleNode(child.vertices, values, child.generation,
+                                   child.lineage)
+            assert rebuilt.angles_exact == child.angles_exact
+            assert largest_angle_vertex(rebuilt) == largest_angle_vertex(child)
+            assert smallest_angle_vertex(rebuilt) == smallest_angle_vertex(child)
+            assert child.sides() == rebuilt.sides()
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=-11.7, max_value=-11.0),
@@ -375,10 +456,26 @@ class TestConstructors:
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, math.inf)))
 
-    def test_forms_require_values(self):
+    @pytest.mark.parametrize("angles", [
+        (Fraction(90), Fraction(45), Fraction(44)),
+        (Fraction(180), Fraction(0), Fraction(0)),
+        (Fraction(200), Fraction(-10), Fraction(-10)),
+        (Fraction(90), Fraction(90)),
+        (90, 45, 45, 0),
+        (90, "x", 45),
+        (math.nan, 90, 90),
+        90,
+    ])
+    def test_exact_angles_must_sum_to_180(self, angles):
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, 1)),
-                         angles_exact=(Fraction(90), Fraction(45), Fraction(45)))
+                         angles_exact=angles)
+
+    def test_exact_angles_converted_once(self):
+        t = TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, 1)),
+                         angles_exact=(Fraction(90), Fraction(91, 2), 44.5))
+        assert t.angle_units == (180, 91, 89) and t.angle_scale == 2
+        assert t.angles_exact == (90, Fraction(91, 2), Fraction(89, 2))
 
     def test_aspect_from_angles_helper(self):
         assert aspect_ratio_from_angles_deg(60, 60, 60) == pytest.approx(0.5)
