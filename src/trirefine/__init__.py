@@ -13,7 +13,6 @@ included as reference procedures.
 from .exact import (
     AngleForm,
     BaseAngles,
-    DyadicRational,
     carrier_angle_forms,
     check_major_angles_distinct,
     evaluate_angle_form,
@@ -28,8 +27,6 @@ from .engine import (
     RetainPolicy,
     RunMode,
     refine,
-    rho_sequence,
-    similarity_classes,
     track_carrier,
 )
 from .geometry import (
@@ -61,7 +58,6 @@ __all__ = [
     "BaseAngles",
     "CheckReport",
     "DegenerateTriangleError",
-    "DyadicRational",
     "GenerationStats",
     "Point2",
     "ProcedureKind",
@@ -86,10 +82,8 @@ __all__ = [
     "refine",
     "render_svg",
     "replay_margin",
-    "rho_sequence",
     "run_suite",
     "side_lengths",
-    "similarity_classes",
     "track_carrier",
     "triangle_from_angles",
     "triangle_from_angles_deg",

@@ -343,13 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "longest-edge and shortest-altitude reference procedures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_options(p, sides_allowed=True):
+    def add_input_options(p):
         p.add_argument("--angles", metavar="A,B,C",
                        help="three exact angles in degrees, each 'p/q' or an "
                             "integer; labels are sorted descending")
-        if sides_allowed:
-            p.add_argument("--sides", metavar="X,Y,Z",
-                           help="three side lengths (numeric mode)")
+        p.add_argument("--sides", metavar="X,Y,Z",
+                       help="three side lengths (numeric mode)")
         p.add_argument("--iterations", type=int, required=True,
                        help="number of bisection generations")
         p.add_argument("--scale", type=float, default=None,
@@ -393,25 +392,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "angles", None) is not None and \
-            getattr(args, "sides", None) is not None:
-        print("error: give either --angles or --sides, not both", file=sys.stderr)
-        return EXIT_INPUT
-    if args.command in ("refine", "classes") and \
-            args.angles is None and getattr(args, "sides", None) is None:
-        print("error: one of --angles or --sides is required", file=sys.stderr)
-        return EXIT_INPUT
+def run_command(command, args) -> int:
+    """Run ``command(args)`` and return its exit code, reporting invalid
+    input (exit 2) and degenerate geometry (exit 3) on stderr.
+
+    A command whose arguments include ``--sides`` takes exactly one of
+    ``--angles`` and ``--sides``.
+    """
     try:
-        return args.func(args)
+        angles = getattr(args, "angles", None)
+        if angles is not None and getattr(args, "sides", None) is not None:
+            raise InputError("give either --angles or --sides, not both")
+        if hasattr(args, "sides") and angles is None and args.sides is None:
+            raise InputError("one of --angles or --sides is required")
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateTriangleError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

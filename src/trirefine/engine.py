@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .exact import BaseAngles
 from .geometry import (
@@ -398,21 +397,6 @@ def refine(run: RefinementRun) -> RefinementResult:
     if run.mode == RunMode.EXACT_BASE:
         return _refine_exact(run, full)
     return _refine_numeric(run, full)
-
-
-def rho_sequence(stats: Sequence[GenerationStats]) -> list[float]:
-    """max(r_n, r_{n+1}, sqrt(3)/2) for n = 0 .. len(stats)-2; non-increasing."""
-    if len(stats) < 2:
-        raise ValueError("need statistics for at least two generations")
-    return [
-        max(stats[n].max_aspect_ratio, stats[n + 1].max_aspect_ratio, SQRT3_2)
-        for n in range(len(stats) - 1)
-    ]
-
-
-def similarity_classes(result: RefinementResult) -> list[int]:
-    """Cumulative similarity-class count per generation."""
-    return [s.cumulative_similarity_classes for s in result.stats]
 
 
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:

@@ -3,9 +3,10 @@
 Bisecting the largest angle of a triangle only ever halves an angle or
 adds a halved angle to an existing one, so every angle in the process is
 a combination ``c_a*alpha + c_b*beta + c_g*gamma`` whose coefficients are
-dyadic rationals (p / 2**k).  The forms state the carrier closed form the
-verifier checks; the refinement carries the angles' values as integers
-over one scale (``geometry.TriangleNode``), exact at any depth.
+dyadic rationals (p / 2**k), which ``AngleForm`` holds as ``Fraction``s.
+The forms state the carrier closed form the verifier checks; the
+refinement carries the angles' values as integers over one scale
+(``geometry.TriangleNode``), exact at any depth.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.
@@ -17,136 +18,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class DyadicRational:
-    """An exact number numerator / 2**log2_denominator.
-
-    Canonical form: the numerator is odd (or zero), and zero is stored as
-    0 / 2**0.  Addition, subtraction, halving and comparison are exact;
-    numerators are arbitrary-precision integers so denominators may grow
-    like 2**n without overflow.
-    """
-
-    __slots__ = ("numerator", "log2_denominator")
-
-    def __init__(self, numerator: int, log2_denominator: int = 0) -> None:
-        if log2_denominator < 0:
-            raise ValueError("log2_denominator must be non-negative")
-        if numerator == 0:
-            log2_denominator = 0
-        elif log2_denominator:
-            twos = (numerator & -numerator).bit_length() - 1
-            if twos:
-                shift = twos if twos < log2_denominator else log2_denominator
-                numerator >>= shift
-                log2_denominator -= shift
-        self.numerator = numerator
-        self.log2_denominator = log2_denominator
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "DyadicRational":
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} does not have a power-of-two denominator")
-        return cls(value.numerator, den.bit_length() - 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.log2_denominator)
-
-    def halve(self) -> "DyadicRational":
-        return DyadicRational(self.numerator, self.log2_denominator + 1)
-
-    def _aligned(self, other: "DyadicRational") -> tuple[int, int]:
-        ka, kb = self.log2_denominator, other.log2_denominator
-        if ka == kb:
-            return self.numerator, other.numerator
-        if ka > kb:
-            return self.numerator, other.numerator << (ka - kb)
-        return self.numerator << (kb - ka), other.numerator
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        ka, kb = self.log2_denominator, other.log2_denominator
-        if ka == kb:
-            return DyadicRational(self.numerator + other.numerator, ka)
-        if ka > kb:
-            return DyadicRational(self.numerator + (other.numerator << (ka - kb)), ka)
-        return DyadicRational((self.numerator << (kb - ka)) + other.numerator, kb)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self + DyadicRational(-other.numerator, other.log2_denominator)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.log2_denominator)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.log2_denominator == other.log2_denominator
-        )
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        a, b = self._aligned(other)
-        return a < b
-
-    def __le__(self, other: "DyadicRational") -> bool:
-        a, b = self._aligned(other)
-        return a <= b
-
-    def __gt__(self, other: "DyadicRational") -> bool:
-        a, b = self._aligned(other)
-        return a > b
-
-    def __ge__(self, other: "DyadicRational") -> bool:
-        a, b = self._aligned(other)
-        return a >= b
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.log2_denominator))
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.log2_denominator)
-
-    def __bool__(self) -> bool:
-        return self.numerator != 0
-
-    def __repr__(self) -> str:
-        return f"DyadicRational({self.numerator}, {self.log2_denominator})"
-
-    def __str__(self) -> str:
-        if self.log2_denominator == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.log2_denominator}"
-
-
-DYADIC_ZERO = DyadicRational(0)
-DYADIC_ONE = DyadicRational(1)
-
-
 class AngleForm:
     """One triangle angle written as c_alpha*alpha + c_beta*beta + c_gamma*gamma.
 
-    Coefficients are nonnegative dyadic rationals.  The three forms of any
+    Coefficients are nonnegative ``Fraction``s whose denominators are powers
+    of two; the constructor rejects any other.  The three forms of any
     triangle in the process sum coefficient-wise to (1, 1, 1), mirroring the
     180-degree angle sum.
     """
 
     __slots__ = ("c_alpha", "c_beta", "c_gamma")
 
-    def __init__(self, c_alpha: DyadicRational, c_beta: DyadicRational,
-                 c_gamma: DyadicRational) -> None:
-        if c_alpha.numerator < 0 or c_beta.numerator < 0 or c_gamma.numerator < 0:
-            raise ValueError("angle form coefficients must be nonnegative")
-        self.c_alpha = c_alpha
-        self.c_beta = c_beta
-        self.c_gamma = c_gamma
+    def __init__(self, c_alpha: Fraction | int, c_beta: Fraction | int,
+                 c_gamma: Fraction | int) -> None:
+        coefficients = tuple(c if isinstance(c, Fraction) else Fraction(c)
+                             for c in (c_alpha, c_beta, c_gamma))
+        for c in coefficients:
+            if c.numerator < 0 or c.denominator & (c.denominator - 1):
+                raise ValueError(
+                    f"angle form coefficient {c} is not a nonnegative p/2**k")
+        self.c_alpha, self.c_beta, self.c_gamma = coefficients
 
     def halve(self) -> "AngleForm":
-        return AngleForm(self.c_alpha.halve(), self.c_beta.halve(), self.c_gamma.halve())
+        return AngleForm(self.c_alpha / 2, self.c_beta / 2, self.c_gamma / 2)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         if not isinstance(other, AngleForm):
@@ -157,28 +51,24 @@ class AngleForm:
             self.c_gamma + other.c_gamma,
         )
 
-    def coefficients(self) -> tuple[DyadicRational, DyadicRational, DyadicRational]:
+    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c_alpha, self.c_beta, self.c_gamma)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AngleForm):
             return NotImplemented
-        return (
-            self.c_alpha == other.c_alpha
-            and self.c_beta == other.c_beta
-            and self.c_gamma == other.c_gamma
-        )
+        return self.coefficients() == other.coefficients()
 
     def __hash__(self) -> int:
-        return hash((self.c_alpha, self.c_beta, self.c_gamma))
+        return hash(self.coefficients())
 
     def __repr__(self) -> str:
-        return f"AngleForm({self.c_alpha!s}*a + {self.c_beta!s}*b + {self.c_gamma!s}*g)"
+        return f"AngleForm({self.c_alpha}*a + {self.c_beta}*b + {self.c_gamma}*g)"
 
 
-FORM_ALPHA = AngleForm(DYADIC_ONE, DYADIC_ZERO, DYADIC_ZERO)
-FORM_BETA = AngleForm(DYADIC_ZERO, DYADIC_ONE, DYADIC_ZERO)
-FORM_GAMMA = AngleForm(DYADIC_ZERO, DYADIC_ZERO, DYADIC_ONE)
+FORM_ALPHA = AngleForm(1, 0, 0)
+FORM_BETA = AngleForm(0, 1, 0)
+FORM_GAMMA = AngleForm(0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -217,11 +107,8 @@ class BaseAngles:
 
 def evaluate_angle_form(form: AngleForm, base: BaseAngles) -> Fraction:
     """Instantiate a symbolic angle at concrete base angles, exactly, in degrees."""
-    return (
-        form.c_alpha.as_fraction() * base.alpha
-        + form.c_beta.as_fraction() * base.beta
-        + form.c_gamma.as_fraction() * base.gamma
-    )
+    return (form.c_alpha * base.alpha + form.c_beta * base.beta
+            + form.c_gamma * base.gamma)
 
 
 def jacobsthal(n: int) -> int:
@@ -249,16 +136,10 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    major = AngleForm(
-        DyadicRational(jacobsthal(n + 1), n),
-        DyadicRational(jacobsthal(n), n - 1),
-        DYADIC_ZERO,
-    )
-    minor = AngleForm(
-        DyadicRational(jacobsthal(n), n),
-        DyadicRational(jacobsthal(n - 1), n - 1),
-        DYADIC_ZERO,
-    )
+    major = AngleForm(Fraction(jacobsthal(n + 1), 1 << n),
+                      Fraction(jacobsthal(n), 1 << (n - 1)), 0)
+    minor = AngleForm(Fraction(jacobsthal(n), 1 << n),
+                      Fraction(jacobsthal(n - 1), 1 << (n - 1)), 0)
     return major, minor
 
 

@@ -205,21 +205,11 @@ def largest_angle_vertex(t: TriangleNode) -> int:
     return next(i for i in range(3) if top - angs[i] <= ANGLE_TIE_TOL_DEG)
 
 
-def aspect_ratio(t: TriangleNode, check: bool = False) -> float:
-    """Longest side over the sum of the other two; in [0.5, 1).
-
-    With ``check=True`` the trigonometric form sin(largest/2)/cos((mid-small)/2)
-    is evaluated as well and a disagreement beyond 1e-12 relative raises.
-    """
+def aspect_ratio(t: TriangleNode) -> float:
+    """Longest side over the sum of the other two; in [0.5, 1)."""
     s = t.sides()
     a = max(s)
-    r = a / (s[0] + s[1] + s[2] - a)
-    if check:
-        rt = aspect_ratio_trig(t)
-        if abs(r - rt) > 1e-12 * r:
-            raise ValueError(
-                f"aspect ratio mismatch: sides give {r!r}, angles give {rt!r}")
-    return r
+    return a / (s[0] + s[1] + s[2] - a)
 
 
 def aspect_ratio_from_angles_deg(a1: float, a2: float, a3: float) -> float:

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
+    AngleForm,
     BaseAngles,
-    DyadicRational,
     FORM_GAMMA,
     carrier_angle_forms,
     check_major_angles_distinct,
@@ -342,7 +342,7 @@ def _m_jacobsthal_closed(spec, runs):
 def _m_carrier_sum(spec, runs):
     major, minor = carrier_angle_forms(spec["n"])
     total = major + minor + FORM_GAMMA
-    ok = all(c.as_fraction() == 1 for c in total.coefficients())
+    ok = all(c == 1 for c in total.coefficients())
     return (0.0 if ok else -1.0), spec
 
 
@@ -361,7 +361,8 @@ def _m_carrier_dominates(spec, runs):
         lambda ctx: [{"numerator": num, "log2_denominator": k}
                      for num, k in ctx.dyadics])
 def _m_dyadic_roundtrip(spec, runs):
-    x = DyadicRational(spec["numerator"], spec["log2_denominator"])
+    c = Fraction(abs(spec["numerator"]), 1 << spec["log2_denominator"])
+    x = AngleForm(c, c, c)
     return (0.0 if (x + x).halve() == x else -1.0), spec
 
 

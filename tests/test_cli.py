@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from trirefine.geometry import DegenerateTriangleError
 from trirefine.svg import render_svg
 
 R2_EQUILATERAL = math.sin(math.radians(52.5)) / math.cos(math.radians(7.5))
+MESH_DECAY_SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
+                     / "mesh_decay_comparison.py")
 
 
 class TestRefineCommand:
@@ -253,6 +258,49 @@ class TestClassesCommand:
         assert "quantized to 1e-09 degrees" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["quantization_deg"] == pytest.approx(1e-9)
+
+
+class TestMeshDecayScript:
+    """The script parses its input through ``cli`` and exits as ``main`` does."""
+
+    @staticmethod
+    def run_script(*argv):
+        return subprocess.run([sys.executable, str(MESH_DECAY_SCRIPT), *argv],
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--angles", "60,60"], 2, "error: expected three comma-separated "
+         "angles, e.g. 60/1,60/1,60/1\n"),
+        (["--sides", "1,1,5"], 2,
+         "error: sides '1,1,5' do not form a triangle\n"),
+        (["--angles", "60,60,60", "--depth", "-1"], 2,
+         "error: depth must be non-negative\n"),
+        (["--sides", "3,4,inf"], 2,
+         "error: sides must be positive finite numbers\n"),
+        (["--angles", "60,60,60", "--sides", "3,4,5"], 2,
+         "error: give either --angles or --sides, not both\n"),
+        (["--depth", "2"], 2,
+         "error: one of --angles or --sides is required\n"),
+        # The pinned shortest-altitude thin-input limit
+        # (test_thin_input_geometry_error).
+        (["--angles", "178,1,1", "--depth", "12"], 3,
+         "geometry error: shortest-altitude bisection produced a degenerate "
+         "child at depth 12 (parent lineage '00000010101')\n"),
+    ])
+    def test_bad_input_exit_codes(self, argv, code, err):
+        proc = self.run_script(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+    def test_table_and_csv(self, tmp_path):
+        out = tmp_path / "decay.csv"
+        proc = self.run_script("--sides", "3,4,5", "--depth", "3",
+                               "--csv", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("start: sides 3,4,5   depth 3   rho0 = ")
+        assert lines[-1] == f"wrote {out}"
+        rows = list(csv.reader(out.open()))
+        assert rows[0][0] == "n" and len(rows) == 5
 
 
 class TestRenderSvg:

@@ -13,8 +13,6 @@ from trirefine.engine import (
     RunMode,
     SQRT3_2,
     refine,
-    rho_sequence,
-    similarity_classes,
     track_carrier,
 )
 
@@ -164,24 +162,20 @@ class TestRho:
     def test_equilateral_rho0(self):
         # max(r0, r1, sqrt(3)/2) with r0 = 1/2 and r1 = sqrt(3)-1.
         stats = run_largest(EQUILATERAL, 2).stats
-        rho = rho_sequence(stats)
-        assert rho[0] == pytest.approx(SQRT3_2, abs=1e-12)
-        assert stats[0].rho == rho[0]
+        assert stats[0].rho == pytest.approx(SQRT3_2, abs=1e-12)
+        assert stats[0].rho == max(stats[0].max_aspect_ratio,
+                                   stats[1].max_aspect_ratio, SQRT3_2)
 
     def test_right_isosceles_rho0(self):
         stats = run_largest(RIGHT_ISOSCELES, 2).stats
         assert stats[0].max_aspect_ratio == pytest.approx(1 / math.sqrt(2))
-        assert rho_sequence(stats)[0] == pytest.approx(SQRT3_2, abs=1e-12)
+        assert stats[0].rho == pytest.approx(SQRT3_2, abs=1e-12)
 
     def test_monotone(self):
         for base in (EQUILATERAL, THIN, BaseAngles(100, 50, 30)):
-            rho = rho_sequence(run_largest(base, 10).stats)
+            rho = [s.rho for s in run_largest(base, 10).stats[:-1]]
             for a, b in zip(rho, rho[1:]):
                 assert b <= a + 1e-12
-
-    def test_needs_two_generations(self):
-        with pytest.raises(ValueError):
-            rho_sequence(run_largest(EQUILATERAL, 0).stats)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +185,12 @@ class TestRho:
 class TestSimilarityClasses:
     def test_right_isosceles_single_class(self):
         result = run_largest(RIGHT_ISOSCELES, 12)
-        assert similarity_classes(result) == [1] * 13
+        assert [s.cumulative_similarity_classes
+                for s in result.stats] == [1] * 13
 
     def test_equilateral_growth(self):
-        counts = similarity_classes(run_largest(EQUILATERAL, 10))
+        counts = [s.cumulative_similarity_classes
+                  for s in run_largest(EQUILATERAL, 10).stats]
         for n, c in enumerate(counts):
             assert c >= n
         assert counts[1] == 2

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from trirefine.exact import (
-    DYADIC_ZERO,
     AngleForm,
     BaseAngles,
-    DyadicRational,
     FORM_ALPHA,
     FORM_BETA,
     FORM_GAMMA,
@@ -49,60 +47,31 @@ def recurrence_jacobsthal(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# DyadicRational
+# AngleForm coefficients
 # ---------------------------------------------------------------------------
 
-class TestDyadicRational:
-    def test_canonical_form(self):
-        x = DyadicRational(4, 3)  # 4/8 == 1/2
-        assert (x.numerator, x.log2_denominator) == (1, 1)
-        z = DyadicRational(0, 7)
-        assert (z.numerator, z.log2_denominator) == (0, 0)
-
-    def test_negative_log2_denominator_rejected(self):
+class TestAngleForm:
+    def test_rejects_non_dyadic_or_negative_coefficient(self):
         with pytest.raises(ValueError):
-            DyadicRational(1, -1)
+            AngleForm(Fraction(1, 3), 0, 0)
+        with pytest.raises(ValueError):
+            AngleForm(0, -1, 0)
 
     def test_add_and_halve(self):
-        half = DyadicRational(1, 1)
-        quarter = DyadicRational(1, 2)
-        assert half + quarter == DyadicRational(3, 2)
-        assert half.halve() == quarter
-        assert (half + half) == DyadicRational(1, 0)
+        half = FORM_ALPHA.halve()
+        assert half.coefficients() == (Fraction(1, 2), 0, 0)
+        assert half.halve() + half == AngleForm(Fraction(3, 4), 0, 0)
+        assert half + half == FORM_ALPHA
 
-    def test_comparisons(self):
-        assert DyadicRational(1, 1) < DyadicRational(3, 2)
-        assert DyadicRational(3, 2) <= DyadicRational(3, 2)
-        assert DyadicRational(5, 3) > DyadicRational(1, 1)
-        assert DyadicRational(-1, 1) < DyadicRational(0)
-
-    def test_as_fraction_roundtrip(self):
-        x = DyadicRational(11, 5)
-        assert x.as_fraction() == Fraction(11, 32)
-        assert DyadicRational.from_fraction(Fraction(11, 32)) == x
-        with pytest.raises(ValueError):
-            DyadicRational.from_fraction(Fraction(1, 3))
+    def test_repr(self):
+        form = carrier_angle_forms(2)[0]
+        assert repr(form) == "AngleForm(3/4*a + 1/2*b + 0*g)"
 
     @given(st.integers(-10**9, 10**9), st.integers(0, 60))
     def test_halve_add_roundtrip(self, num, k):
-        x = DyadicRational(num, k)
+        c = Fraction(abs(num), 1 << k)
+        x = AngleForm(c, c / 2, 1)
         assert (x + x).halve() == x
-
-    @given(st.integers(-10**6, 10**6), st.integers(0, 40),
-           st.integers(-10**6, 10**6), st.integers(0, 40))
-    def test_add_matches_fractions(self, n1, k1, n2, k2):
-        x, y = DyadicRational(n1, k1), DyadicRational(n2, k2)
-        assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
-        assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-        assert (x < y) == (x.as_fraction() < y.as_fraction())
-
-    @given(st.integers(-10**6, 10**6), st.integers(0, 40),
-           st.integers(-10**6, 10**6), st.integers(0, 40))
-    def test_results_are_canonical(self, n1, k1, n2, k2):
-        z = DyadicRational(n1, k1) + DyadicRational(n2, k2)
-        assert z.numerator % 2 == 1 or z.log2_denominator == 0
-        if z.numerator == 0:
-            assert z.log2_denominator == 0
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +136,7 @@ class TestEvaluate:
     def test_second_generation_major_equilateral(self):
         # Oracle: one recurrence step from (alpha/2 + beta, alpha/2).
         major, _ = recurrence_carrier_forms(2)
-        assert major.coefficients() == (
-            DyadicRational(3, 2), DyadicRational(1, 1), DYADIC_ZERO)
+        assert major.coefficients() == (Fraction(3, 4), Fraction(1, 2), 0)
         assert evaluate_angle_form(major, EQUILATERAL) == 75
 
 
@@ -184,15 +152,12 @@ class TestCarrierForms:
 
     def test_second_generation(self):
         major, minor = carrier_angle_forms(2)
-        assert major.coefficients() == (
-            DyadicRational(3, 2), DyadicRational(1, 1), DYADIC_ZERO)
-        assert minor.coefficients() == (
-            DyadicRational(1, 2), DyadicRational(1, 1), DYADIC_ZERO)
+        assert major.coefficients() == (Fraction(3, 4), Fraction(1, 2), 0)
+        assert minor.coefficients() == (Fraction(1, 4), Fraction(1, 2), 0)
 
     def test_third_generation_major(self):
         major, _ = carrier_angle_forms(3)
-        assert major.coefficients() == (
-            DyadicRational(5, 3), DyadicRational(3, 2), DYADIC_ZERO)
+        assert major.coefficients() == (Fraction(5, 8), Fraction(3, 4), 0)
 
     def test_matches_recurrence_oracle(self):
         for n in range(1, 31):
@@ -202,8 +167,7 @@ class TestCarrierForms:
         for n in range(1, 41):
             major, minor = carrier_angle_forms(n)
             total = major + minor + FORM_GAMMA
-            assert total.coefficients() == (
-                DyadicRational(1), DyadicRational(1), DyadicRational(1))
+            assert total.coefficients() == (1, 1, 1)
 
     def test_major_dominates(self):
         for base in (EQUILATERAL, RIGHT_ISOSCELES,
