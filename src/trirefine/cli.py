@@ -150,14 +150,23 @@ def _outputs(*paths: str | None):
     """Stage a command's output files, one ``_Output`` per path (``None``
     for an option not given), before the command does its work.
 
-    An unwritable path thus fails up front.  The temp files replace their
+    An unwritable path, or a file named by two outputs (one would silently
+    replace the other), thus fails up front.  The temp files replace their
     outputs only when the block completes; otherwise they are removed, so
     a failed run leaves no output file behind.
     """
     outputs: list[_Output | None] = []
+    targets: set[str] = set()
     try:
         for path in paths:
-            outputs.append(None if path is None else _Output(path, _stage(path)))
+            out = None if path is None else _Output(path, _stage(path))
+            outputs.append(out)
+            if out is not None and out.temp != out.path:
+                target = os.path.realpath(path)
+                if target in targets:
+                    raise InputError(
+                        f"cannot write {path}: another output names the same file")
+                targets.add(target)
         yield outputs
         for out in outputs:
             if out is not None and out.temp != out.path:

@@ -13,18 +13,20 @@ aggregate statistics per generation:
 * ``cumulative_similarity_classes`` -- distinct sorted angle triples seen in
   generations 0..n.
 
-In exact-base mode (largest-angle procedure from rational angles) the angle
-statistics and similarity keys are exact; numeric mode quantizes angles to
-1e-9 degrees for class counting.  Exact keys stay sorted triples of
+One depth-first loop in ``refine`` walks the tree for every procedure and
+both modes, carrying each node's three angles beside it on the stack.  In
+exact-base mode (largest-angle procedure from rational angles) those angles
+are integers at the run's scale q * 2**(depth+1), so the angle statistics
+and similarity keys are exact; numeric mode carries floats and quantizes
+them to 1e-9 degrees for class counting.  Exact keys stay sorted triples of
 integers at the run's scale while the run counts classes (one run has one
 scale, so integer equality is rational equality); ``class_keys`` converts
-them to (numerator, denominator) pairs on first read.  Streaming mode walks
-the tree depth-first without retaining nodes, so memory stays flat in the
-depth; full-tree mode additionally returns every generation (for
-rendering).  Both modes execute the identical per-node computation, so
-their statistics agree bit for bit.  Aggregation uses only
-min/max/set-union, hence the result is independent of traversal or worker
-order.
+them to (numerator, denominator) pairs on first read.  Streaming mode keeps
+no nodes, so memory stays flat in the depth; full-tree mode additionally
+returns every generation (for rendering).  Both modes execute the identical
+per-node computation, so their statistics agree bit for bit.  Aggregation
+uses only min/max/set-union, hence the result is independent of traversal
+or worker order.
 """
 
 from __future__ import annotations
@@ -167,173 +169,73 @@ class RefinementResult:
         ]
 
 
-def _root_node(run: RefinementRun) -> TriangleNode:
+def refine(run: RefinementRun) -> RefinementResult:
+    """Run the refinement and collect per-generation statistics.
+
+    One depth-first loop serves every procedure and both modes.  A stack
+    entry is a node and its angles in vertex order.  Children get theirs
+    from the procedure's angle algebra, not from their coordinates: an
+    angle bisection gives (A/2, B, A/2+C), an altitude split (90, B, 90-B).
+    Only the longest-edge split, whose foot angles are genuinely new,
+    measures them.  The modes differ in values fixed once per run:
+
+    * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
+      common denominator of the base angles, so halving is a shift; the
+      largest angle has a tie window of 0, i.e. equality; keys are the
+      sorted ints; the angle minima become ``Fraction``s at the end, and
+      retained nodes get the ints as ``angle_units`` over ``angle_scale``.
+    * numeric: floats in degrees, within a few ulp of the true angles at
+      any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
+      round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
+
+    Aborts with a ``DegenerateTriangleError`` naming the lineage path if a
+    split ever produces a numerically collinear child.
+    """
+    depth = run.depth
+    kind = run.kind
+    full = run.retain == RetainPolicy.FULL_TREE
+    exact = run.mode == RunMode.EXACT_BASE
     if run.base is not None:
-        return triangle_from_angles(run.base, scale=run.scale,
-                                    exact=run.mode == RunMode.EXACT_BASE)
-    return triangle_from_sides(*run.sides)
+        root = triangle_from_angles(run.base, scale=run.scale, exact=False)
+    else:
+        root = triangle_from_sides(*run.sides)
+    if exact:
+        (a0, a1, a2), q = exact_angle_units(run.base.as_tuple())
+        shift = depth + 1
+        scale = q << shift
+        a0, a1, a2 = a0 << shift, a1 << shift, a2 << shift
+        tie = 0
+    else:
+        scale = None
+        a0, a1, a2 = (root.angles_deg() if run.base is None
+                      else map(float, run.base.as_tuple()))
+        tie = ANGLE_TIE_TOL_DEG
 
-
-class _Accumulators:
-    """Per-generation aggregates; merging is min/max/union, so order-free."""
-
-    __slots__ = ("counts", "mesh", "max_aspect", "min_angle", "min_largest",
-                 "key_sets")
-
-    def __init__(self, depth: int) -> None:
-        self.counts = [0] * (depth + 1)
-        self.mesh = [0.0] * (depth + 1)
-        self.max_aspect = [0.0] * (depth + 1)
-        self.min_angle: list = [math.inf] * (depth + 1)
-        self.min_largest: list = [math.inf] * (depth + 1)
-        self.key_sets: list[set] = [set() for _ in range(depth + 1)]
-
-    def observe_shape(self, g: int, node: TriangleNode) -> None:
+    counts = [0] * (depth + 1)
+    mesh = [0.0] * (depth + 1)
+    max_aspect = [0.0] * (depth + 1)
+    min_angle: list = [math.inf] * (depth + 1)
+    min_largest: list = [math.inf] * (depth + 1)
+    key_sets: list[set] = [set() for _ in range(depth + 1)]
+    generations = [[] for _ in range(depth + 1)] if full else None
+    stack = [(root, a0, a1, a2)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        node, v0, v1, v2 = pop()
+        g = node.generation
         s0, s1, s2 = node.sides()
         longest = s0 if s0 >= s1 else s1
         if s2 > longest:
             longest = s2
-        if longest > self.mesh[g]:
-            self.mesh[g] = longest
+        if longest > mesh[g]:
+            mesh[g] = longest
         r = longest / (s0 + s1 + s2 - longest)
-        if r > self.max_aspect[g]:
-            self.max_aspect[g] = r
-        self.counts[g] += 1
-
-
-def _assemble(run: RefinementRun, acc: _Accumulators, generations,
-              key_scale: int | None = None) -> RefinementResult:
-    depth = run.depth
-    stats: list[GenerationStats] = []
-    cumulative: set = set()
-    for n in range(depth + 1):
-        cumulative |= acc.key_sets[n]
-        rho = (max(acc.max_aspect[n], acc.max_aspect[n + 1], SQRT3_2)
-               if n < depth else None)
-        stats.append(GenerationStats(
-            n=n,
-            triangle_count=acc.counts[n],
-            mesh=acc.mesh[n],
-            min_angle_deg=acc.min_angle[n],
-            min_largest_angle_deg=acc.min_largest[n],
-            max_aspect_ratio=acc.max_aspect[n],
-            rho=rho,
-            cumulative_similarity_classes=len(cumulative),
-        ))
-    return RefinementResult(
-        run=run,
-        stats=stats,
-        generations=generations,
-        key_sets=acc.key_sets,
-        key_scale=key_scale,
-    )
-
-
-def _refine_exact(run: RefinementRun, full: bool) -> RefinementResult:
-    """Exact-base largest-angle run.
-
-    Every angle that appears at generation g is an integer multiple of
-    1 / (q * 2**g) degrees, q being the common denominator of the base
-    angles.  Mirroring the exact values as integers at the fixed scale
-    q * 2**(depth+1) turns halving, adding and comparing into plain int
-    ops; the engine then hands the precomputed split index to ``bisect``.
-    Full-tree runs additionally keep exact angles on the retained nodes.
-    """
-    depth = run.depth
-    base = run.base
-    acc = _Accumulators(depth)
-    generations = [[] for _ in range(depth + 1)] if full else None
-
-    (u0, u1, u2), q = exact_angle_units(base.as_tuple())
-    shift = depth + 1
-    scale = q << shift
-    root = triangle_from_angles(base, scale=run.scale, exact=full)
-    stack = [(root, u0 << shift, u1 << shift, u2 << shift)]
-    push = stack.append
-    pop = stack.pop
-    min_angle = acc.min_angle
-    min_largest = acc.min_largest
-    key_sets = acc.key_sets
-    while stack:
-        node, v0, v1, v2 = pop()
-        g = node.generation
-        acc.observe_shape(g, node)
-        # The sorted key by compare-swaps; its ends are the smallest and
-        # largest angles.
-        if v0 <= v1:
-            lo, hi = v0, v1
-        else:
-            lo, hi = v1, v0
-        if v2 < lo:
-            key = (v2, lo, hi)
-            lo = v2
-        elif v2 > hi:
-            key = (lo, hi, v2)
-            hi = v2
-        else:
-            key = (lo, v2, hi)
-        if lo < min_angle[g]:
-            min_angle[g] = lo
-        if hi < min_largest[g]:
-            min_largest[g] = hi
-        key_sets[g].add(key)
-        if full:
-            generations[g].append(node)
-        if g < depth:
-            # Split the first vertex holding the largest angle.
-            if v0 == hi:
-                ia, vb, vc = 0, v1, v2
-            elif v1 == hi:
-                ia, vb, vc = 1, v2, v0
-            else:
-                ia, vb, vc = 2, v0, v1
-            left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
-            half = hi >> 1
-            push((right, half, half + vb, vc))
-            push((left, half, vb, half + vc))
-
-    # Only the angle aggregates become exact rational degrees here; the
-    # keys stay integers until ``class_keys`` is read.
-    for g in range(depth + 1):
-        min_angle[g] = Fraction(min_angle[g], scale)
-        min_largest[g] = Fraction(min_largest[g], scale)
-    return _assemble(run, acc, generations, scale)
-
-
-def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
-    """Numeric-mode run.
-
-    Angle statistics follow each procedure's own angle algebra rather than
-    remeasuring coordinates: halving a float is exact, an angle-bisection
-    child has angles (A/2, B, A/2+C), and an altitude split always produces
-    (90, B, 90-B).  Coordinates accumulate error relative to the shrinking
-    local scale (badly so for thin triangles), while the propagated values
-    stay within a few ulp of the true angles at any supported depth, which
-    keeps quantized similarity keys stable.  Only the longest-edge split,
-    whose foot angles are genuinely new, measures them from the child
-    coordinates.
-    """
-    depth = run.depth
-    kind = run.kind
-    acc = _Accumulators(depth)
-    generations = [[] for _ in range(depth + 1)] if full else None
-
-    root = _root_node(run)
-    if run.base is not None:
-        a0, a1, a2 = (float(x) for x in run.base.as_tuple())
-    else:
-        a0, a1, a2 = root.angles_deg()
-    stack = [(root, a0, a1, a2)]
-    push = stack.append
-    pop = stack.pop
-    min_angle = acc.min_angle
-    min_largest = acc.min_largest
-    key_sets = acc.key_sets
-    while stack:
-        node, v0, v1, v2 = pop()
-        g = node.generation
-        acc.observe_shape(g, node)
-        # Compare-swaps; rounding is monotone, so it keeps the order.
+        if r > max_aspect[g]:
+            max_aspect[g] = r
+        counts[g] += 1
+        # The sorted angles by compare-swaps; rounding is monotone, so the
+        # numeric key keeps their order.
         if v0 <= v1:
             lo, hi = v0, v1
         else:
@@ -348,23 +250,23 @@ def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
             min_angle[g] = lo
         if hi < min_largest[g]:
             min_largest[g] = hi
-        key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
-                         round(hi * _KEY_SCALE)))
-        if full:
-            generations[g].append(node)
+        if exact:
+            key_sets[g].add((lo, mid, hi))
+        else:
+            key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
+                             round(hi * _KEY_SCALE)))
         if g < depth:
             if kind is ProcedureKind.LARGEST_ANGLE:
-                if hi - v0 <= ANGLE_TIE_TOL_DEG:
-                    ia = 0
-                    va, vb, vc = v0, v1, v2
-                elif hi - v1 <= ANGLE_TIE_TOL_DEG:
-                    ia = 1
-                    va, vb, vc = v1, v2, v0
+                # Split the first vertex within the tie window of the
+                # largest angle.
+                if hi - v0 <= tie:
+                    ia, va, vb, vc = 0, v0, v1, v2
+                elif hi - v1 <= tie:
+                    ia, va, vb, vc = 1, v1, v2, v0
                 else:
-                    ia = 2
-                    va, vb, vc = v2, v0, v1
+                    ia, va, vb, vc = 2, v2, v0, v1
                 left, right = bisect(node, kind, ia)
-                half = va / 2.0
+                half = va >> 1 if exact else va / 2.0
                 push((right, half, half + vb, vc))
                 push((left, half, vb, half + vc))
             elif kind is ProcedureKind.SHORTEST_ALTITUDE:
@@ -382,21 +284,35 @@ def _refine_numeric(run: RefinementRun, full: bool) -> RefinementResult:
                 left, right = bisect(node, kind)
                 push((right,) + right.angles_deg())
                 push((left,) + left.angles_deg())
-    return _assemble(run, acc, generations)
+        if full:
+            generations[g].append(node)
+            if exact:  # set after the split: ``bisect`` then adds no units
+                node.angle_units = (v0, v1, v2)
+                node.angle_scale = scale
 
-
-def refine(run: RefinementRun) -> RefinementResult:
-    """Run the refinement and collect per-generation statistics.
-
-    Depth-first traversal with per-generation accumulators; aborts with a
-    ``DegenerateTriangleError`` naming the lineage path if a split ever
-    produces a numerically collinear child.  Streaming and full-tree runs
-    execute the same per-node computation and report identical statistics.
-    """
-    full = run.retain == RetainPolicy.FULL_TREE
-    if run.mode == RunMode.EXACT_BASE:
-        return _refine_exact(run, full)
-    return _refine_numeric(run, full)
+    if exact:
+        # Only the angle aggregates become exact rational degrees here; the
+        # keys stay integers until ``class_keys`` is read.
+        min_angle = [Fraction(x, scale) for x in min_angle]
+        min_largest = [Fraction(x, scale) for x in min_largest]
+    stats: list[GenerationStats] = []
+    cumulative: set = set()
+    for n in range(depth + 1):
+        cumulative |= key_sets[n]
+        rho = (max(max_aspect[n], max_aspect[n + 1], SQRT3_2)
+               if n < depth else None)
+        stats.append(GenerationStats(
+            n=n,
+            triangle_count=counts[n],
+            mesh=mesh[n],
+            min_angle_deg=min_angle[n],
+            min_largest_angle_deg=min_largest[n],
+            max_aspect_ratio=max_aspect[n],
+            rho=rho,
+            cumulative_similarity_classes=len(cumulative),
+        ))
+    return RefinementResult(run=run, stats=stats, generations=generations,
+                            key_sets=key_sets, key_scale=scale)
 
 
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -410,7 +326,7 @@ def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction
     """
     if run.mode != RunMode.EXACT_BASE:
         raise ValueError("carrier tracking requires exact-base mode")
-    node = _root_node(run)
+    node = triangle_from_angles(run.base, scale=run.scale)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     kept = run.base.gamma
     i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)

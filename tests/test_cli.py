@@ -151,6 +151,8 @@ class TestInputErrors:
           "--json", "{ok}"], 3, "geometry error"),
         (["refine", "--sides", "1,1,1", "--iterations", "2", "--scale", "2",
           "--json", "{ok}"], 2, "error: --scale applies only to --angles"),
+        (["refine", "--angles", "60,60,60", "--iterations", "3",
+          "--svg", "{ok}", "--json", "{ok}"], 2, "error: cannot write {ok}"),
     ])
     def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):
@@ -163,7 +165,7 @@ class TestInputErrors:
                 return _run(*args, **kwargs)
             monkeypatch.setattr(cli, name, record)
         assert main([a.format(bad=bad, ok=ok) for a in argv]) == code
-        assert message.format(bad=bad) in capsys.readouterr().err
+        assert message.format(bad=bad, ok=ok) in capsys.readouterr().err
         # An unwritable output path fails before the run starts, and a
         # failed command leaves no output or temp file behind.
         if "cannot write" in message:
@@ -299,7 +301,7 @@ class TestMeshDecayScript:
         lines = proc.stdout.splitlines()
         assert lines[0].startswith("start: sides 3,4,5   depth 3   rho0 = ")
         assert lines[-1] == f"wrote {out}"
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "n" and len(rows) == 5
 
 

@@ -15,6 +15,12 @@ from trirefine.engine import (
     refine,
     track_carrier,
 )
+from trirefine.geometry import (
+    aspect_ratio,
+    bisect,
+    triangle_from_angles,
+    triangle_from_sides,
+)
 
 EQUILATERAL = BaseAngles(60, 60, 60)
 RIGHT_ISOSCELES = BaseAngles(90, 45, 45)
@@ -129,13 +135,24 @@ class TestRefine:
             for a, b in zip(rows, rows[1:]):
                 assert b.mesh <= a.mesh * (1 + 1e-12)
 
-    def test_streaming_equals_full_tree(self):
-        a = run_largest(EQUILATERAL, 6, retain=RetainPolicy.STREAMING)
-        b = run_largest(EQUILATERAL, 6, retain=RetainPolicy.FULL_TREE)
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("source", [
+        {"base": EQUILATERAL},
+        # Numeric mode on ties: every angle choice goes through the tie
+        # window.
+        {"base": EQUILATERAL, "mode": RunMode.NUMERIC},
+        {"sides": (3, 4, 5)},
+    ], ids=["base", "base-numeric", "sides"])
+    def test_streaming_equals_full_tree(self, kind, source):
+        a = refine(RefinementRun(kind=kind, depth=6,
+                                 retain=RetainPolicy.STREAMING, **source))
+        b = refine(RefinementRun(kind=kind, depth=6,
+                                 retain=RetainPolicy.FULL_TREE, **source))
         assert a.generations is None
         assert b.generations is not None
-        for ra, rb in zip(a.stats, b.stats):
-            assert ra == rb  # bitwise: identical computations in both modes
+        assert a.stats == b.stats  # bitwise: identical computations in both modes
+        assert a.class_keys == b.class_keys
 
     def test_full_tree_lineage_order(self):
         result = run_largest(EQUILATERAL, 3, retain=RetainPolicy.FULL_TREE)
@@ -152,6 +169,55 @@ class TestRefine:
                 rn.min_angle_deg, abs=1e-9)
             assert rn.cumulative_similarity_classes == \
                 re_.cumulative_similarity_classes
+
+
+# ---------------------------------------------------------------------------
+# refine against a walk by public bisect
+# ---------------------------------------------------------------------------
+
+def bisect_walk(root, kind, depth):
+    """Every generation of the tree, split by the public ``bisect`` alone."""
+    generations = [[root]]
+    for _ in range(depth):
+        generations.append([child for node in generations[-1]
+                            for child in bisect(node, kind)])
+    return generations
+
+
+class TestRefineOracle:
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("source", [
+        {"base": EQUILATERAL},
+        {"base": THIN},
+        {"base": BaseAngles(80, 60, 40)},
+        {"base": BaseAngles(Fraction(355, 4), Fraction(199, 4),
+                            Fraction(166, 4))},
+        {"sides": (3, 4, 5)},
+        {"sides": (2, 3, 4)},
+    ], ids=["60-60-60", "178-1-1", "80-60-40", "dyadic", "sides-3-4-5",
+            "sides-2-3-4"])
+    def test_matches_bisect_walk(self, kind, source):
+        depth = 7
+        result = refine(RefinementRun(kind=kind, depth=depth, **source))
+        # The angle root carries exact angles, so its largest-angle splits
+        # are chosen exactly, as in the engine's exact mode.
+        root = (triangle_from_angles(source["base"]) if "base" in source
+                else triangle_from_sides(*source["sides"]))
+        walk = bisect_walk(root, kind, depth)
+        assert len(result.stats) == len(walk)
+        for stats, nodes in zip(result.stats, walk):
+            assert stats.triangle_count == len(nodes)
+            assert stats.mesh == max(max(node.sides()) for node in nodes)
+            assert stats.max_aspect_ratio == max(map(aspect_ratio, nodes))
+        if result.run.mode != RunMode.EXACT_BASE:
+            return
+        for stats, keys, nodes in zip(result.stats, result.class_keys, walk):
+            angles = [node.angles_exact for node in nodes]
+            assert stats.min_angle_deg == min(min(a) for a in angles)
+            assert stats.min_largest_angle_deg == min(max(a) for a in angles)
+            assert keys == {tuple(sorted(x.as_integer_ratio() for x in a))
+                            for a in angles}
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +277,15 @@ class TestSimilarityClasses:
         assert full.class_keys == run_largest(base, 7).class_keys
 
     def test_node_units_are_engine_keys(self):
-        # Nodes carry their angles at their own generation's scale, the
-        # engine keys them at the run's scale q * 2**(depth+1).
-        depth = 8
+        # Retained nodes carry their angles at the run's scale
+        # q * 2**(depth+1), the scale the engine keys them at.
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
-        full = run_largest(base, depth, retain=RetainPolicy.FULL_TREE)
+        full = run_largest(base, 8, retain=RetainPolicy.FULL_TREE)
         for g, nodes in enumerate(full.generations):
             keys = full.key_sets[g]
             for node in nodes:
-                factor = 1 << (depth + 1 - g)
-                assert node.angle_scale * factor == full.key_scale
-                assert tuple(sorted(u * factor for u in node.angle_units)) in keys
+                assert node.angle_scale == full.key_scale
+                assert tuple(sorted(node.angle_units)) in keys
 
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,
