@@ -18,7 +18,6 @@ from .exact import (
     evaluate_angle_form,
     first_major_angle_collision,
     jacobsthal,
-    major_angle_values,
 )
 from .engine import (
     GenerationStats,
@@ -40,7 +39,6 @@ from .geometry import (
     bisector_to_longest_side_ratio,
     largest_angle_vertex,
     longest_side_vertex,
-    side_lengths,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
@@ -77,13 +75,11 @@ __all__ = [
     "jacobsthal",
     "largest_angle_vertex",
     "longest_side_vertex",
-    "major_angle_values",
     "random_valid_base",
     "refine",
     "render_svg",
     "replay_margin",
     "run_suite",
-    "side_lengths",
     "track_carrier",
     "triangle_from_angles",
     "triangle_from_angles_deg",

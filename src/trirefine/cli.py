@@ -225,17 +225,9 @@ def _result_json(result: RefinementResult) -> dict:
 def _write_csv(result: RefinementResult, out: _Output) -> None:
     with _writing(out.path), \
             open(out.temp, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STATS_FIELDS)
-        for s in result.stats:
-            writer.writerow([
-                s.n, s.triangle_count, repr(s.mesh),
-                repr(float(s.min_angle_deg)),
-                repr(float(s.min_largest_angle_deg)),
-                repr(s.max_aspect_ratio),
-                "" if s.rho is None else repr(s.rho),
-                s.cumulative_similarity_classes,
-            ])
+        writer = csv.DictWriter(handle, STATS_FIELDS)
+        writer.writeheader()
+        writer.writerows(_stats_row(s, exact=False) for s in result.stats)
 
 
 def _print_stats_table(result: RefinementResult) -> None:

@@ -143,36 +143,23 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     return major, minor
 
 
-def major_angle_values(alpha: Fraction, beta: Fraction, n_max: int) -> list[Fraction]:
-    """Exact values of major(1..n_max) for an arbitrary positive (alpha, beta) pair.
-
-    No ordering between alpha and beta is required here; the collision
-    behaviour below depends only on whether alpha == 2*beta.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    values = []
-    for n in range(1, n_max + 1):
-        values.append(
-            Fraction(jacobsthal(n + 1), 1 << n) * alpha
-            + Fraction(jacobsthal(n), 1 << (n - 1)) * beta
-        )
-    return values
-
-
 def first_major_angle_collision(alpha: Fraction, beta: Fraction,
                                 n_max: int) -> tuple[int, int] | None:
     """First (p, q), p < q <= n_max, with major(p) == major(q), or None.
 
-    Exact evaluation: equal values can only occur when alpha == 2*beta, in
-    which case every major(n) collapses to the constant alpha.
+    major(n) is the major form of ``carrier_angle_forms(n)``, evaluated
+    exactly at any positive (alpha, beta) in either order.  Equal values
+    occur only when alpha == 2*beta; then every major(n) is alpha.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
     seen: dict[Fraction, int] = {}
-    for n, value in enumerate(major_angle_values(alpha, beta, n_max), start=1):
+    for n in range(1, n_max + 1):
+        major, _ = carrier_angle_forms(n)
+        value = major.c_alpha * alpha + major.c_beta * beta
         if value in seen:
             return (seen[value], n)
         seen[value] = n

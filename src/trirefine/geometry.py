@@ -65,11 +65,11 @@ class TriangleNode:
     (numerically) collinear vertices and invalid exact angles.  ``bisect``
     makes children without it: it applies the same geometric checks, with
     the same expressions, once per split, and hands the children over with
-    ``sides()`` already cached.
+    ``sides()`` already cached, the node's one cache.
     """
 
     __slots__ = ("vertices", "angle_units", "angle_scale", "generation",
-                 "lineage", "_sides", "_angles_deg")
+                 "lineage", "_sides")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2],
                  angles_exact: Sequence[Fraction | int] | None = None,
@@ -94,7 +94,6 @@ class TriangleNode:
         self.generation = generation
         self.lineage = lineage
         self._sides = None
-        self._angles_deg = None
 
     @property
     def angles_exact(self) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -117,24 +116,20 @@ class TriangleNode:
         return s
 
     def angles_deg(self) -> tuple[float, float, float]:
-        """Numeric angle at each vertex, in degrees."""
-        a = self._angles_deg
-        if a is None:
-            (ax, ay), (bx, by), (cx, cy) = self.vertices
-            abx, aby = bx - ax, by - ay
-            acx, acy = cx - ax, cy - ay
-            bcx, bcy = cx - bx, cy - by
-            # |cross| is twice the area, identical at every corner.
-            cross = abs(abx * acy - aby * acx)
-            degrees = math.degrees
-            atan2 = math.atan2
-            a = (
-                degrees(atan2(cross, abx * acx + aby * acy)),
-                degrees(atan2(cross, -(bcx * abx + bcy * aby))),
-                degrees(atan2(cross, acx * bcx + acy * bcy)),
-            )
-            self._angles_deg = a
-        return a
+        """Numeric angle at each vertex, in degrees, computed on each call."""
+        (ax, ay), (bx, by), (cx, cy) = self.vertices
+        abx, aby = bx - ax, by - ay
+        acx, acy = cx - ax, cy - ay
+        bcx, bcy = cx - bx, cy - by
+        # |cross| is twice the area, identical at every corner.
+        cross = abs(abx * acy - aby * acx)
+        degrees = math.degrees
+        atan2 = math.atan2
+        return (
+            degrees(atan2(cross, abx * acx + aby * acy)),
+            degrees(atan2(cross, -(bcx * abx + bcy * aby))),
+            degrees(atan2(cross, acx * bcx + acy * bcy)),
+        )
 
     def area(self) -> float:
         (ax, ay), (bx, by), (cx, cy) = self.vertices
@@ -164,16 +159,6 @@ def exact_angle_units(angles: Sequence) -> tuple[tuple[int, int, int], int]:
 _new_node = object.__new__
 
 
-def side_lengths(t: TriangleNode) -> list[tuple[float, int]]:
-    """(length, opposite vertex index) pairs sorted by length descending.
-
-    Exact ties are broken by the smaller vertex index so the ordering is
-    reproducible.
-    """
-    s = t.sides()
-    return sorted(((s[i], i) for i in range(3)), key=lambda p: (-p[0], p[1]))
-
-
 def _longest_index(s: tuple[float, float, float]) -> int:
     s0, s1, s2 = s
     if s0 >= s1:
@@ -184,8 +169,8 @@ def _longest_index(s: tuple[float, float, float]) -> int:
 def longest_side_vertex(t: TriangleNode) -> int:
     """Index of the vertex opposite the longest side.
 
-    Exact ties go to the smaller index, so this equals
-    ``side_lengths(t)[0][1]`` without sorting.
+    Exact ties go to the smaller index.  This is the one longest-side rule:
+    ``bisect`` and the engine split the side-based procedures by it.
     """
     return _longest_index(t.sides())
 
@@ -212,14 +197,10 @@ def aspect_ratio(t: TriangleNode) -> float:
     return a / (s[0] + s[1] + s[2] - a)
 
 
-def aspect_ratio_from_angles_deg(a1: float, a2: float, a3: float) -> float:
-    """Aspect ratio from the three angles alone: sin(big/2) / cos((mid-small)/2)."""
-    big, mid, small = sorted((a1, a2, a3), reverse=True)
-    return math.sin(math.radians(big) / 2.0) / math.cos(math.radians(mid - small) / 2.0)
-
-
 def aspect_ratio_trig(t: TriangleNode) -> float:
-    return aspect_ratio_from_angles_deg(*t.angles_deg())
+    """``aspect_ratio`` by the law of sines: sin(big/2) / cos((mid-small)/2)."""
+    big, mid, small = sorted(t.angles_deg(), reverse=True)
+    return math.sin(math.radians(big) / 2.0) / math.cos(math.radians(mid - small) / 2.0)
 
 
 def bisector_to_longest_side_ratio(t: TriangleNode) -> float:
@@ -229,7 +210,7 @@ def bisector_to_longest_side_ratio(t: TriangleNode) -> float:
     b*c/(b+c)**2 * ((b+c)**2 - a**2)/a**2;  at most sqrt(3)/2, with equality
     only for the equilateral triangle.
     """
-    (a, _), (b, _), (c, _) = side_lengths(t)
+    a, b, c = sorted(t.sides(), reverse=True)
     w = b + c
     ratio_sq = (b * c / (w * w)) * ((w * w - a * a) / (a * a))
     return math.sqrt(ratio_sq)
@@ -329,7 +310,6 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     left.generation = gen
     left.lineage = lineage + "0"
     left._sides = (math.hypot(bfx, bfy), af, s[ic])
-    left._angles_deg = None
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
     right.angle_units = right_units
@@ -337,7 +317,6 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     right.generation = gen
     right.lineage = lineage + "1"
     right._sides = (math.hypot(fcx, fcy), s[ib], af)
-    right._angles_deg = None
     return left, right
 
 
@@ -385,10 +364,13 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
 
 def triangle_from_angles_deg(a1: float, a2: float, a3: float,
                              scale: float = 1.0) -> TriangleNode:
-    """Numeric-only root triangle from angles in degrees (any order)."""
+    """Numeric-only root triangle from angles in degrees (any order); they
+    must be positive and sum to 180 within 1e-9 (float rounding)."""
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")
+    if not abs(a1 + a2 + a3 - 180.0) <= 1e-9:
+        raise ValueError(f"angles must sum to 180 degrees, got {(a1, a2, a3)}")
     return TriangleNode(_law_of_sines_root(big, mid, small, scale))
 
 

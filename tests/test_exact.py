@@ -16,7 +16,6 @@ from trirefine.exact import (
     evaluate_angle_form,
     first_major_angle_collision,
     jacobsthal,
-    major_angle_values,
 )
 
 EQUILATERAL = BaseAngles(Fraction(60), Fraction(60), Fraction(60))
@@ -36,6 +35,18 @@ def recurrence_carrier_forms(n: int) -> tuple[AngleForm, AngleForm]:
     for _ in range(n - 1):
         major, minor = major.halve() + minor, major.halve()
     return major, minor
+
+
+def recurrence_major_values(alpha, beta, n_max: int) -> list[Fraction]:
+    """Oracle: major(1..n_max) at (alpha, beta) by the same one-step
+    recurrence on values, starting at (major, minor) = (alpha/2 + beta,
+    alpha/2)."""
+    major, minor = Fraction(alpha) / 2 + beta, Fraction(alpha) / 2
+    values = []
+    for _ in range(n_max):
+        values.append(major)
+        major, minor = major / 2 + minor, major / 2
+    return values
 
 
 def recurrence_jacobsthal(n: int) -> int:
@@ -189,7 +200,7 @@ class TestCarrierForms:
 
 class TestMajorAngleDistinctness:
     def pairwise_distinct_oracle(self, alpha, beta, n_max):
-        values = major_angle_values(alpha, beta, n_max)
+        values = recurrence_major_values(alpha, beta, n_max)
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 if values[i] == values[j]:
@@ -213,7 +224,7 @@ class TestMajorAngleDistinctness:
         # entry point is used.
         collision = first_major_angle_collision(Fraction(80), Fraction(40), 10)
         assert collision == (1, 2)
-        values = major_angle_values(Fraction(80), Fraction(40), 10)
+        values = recurrence_major_values(Fraction(80), Fraction(40), 10)
         assert all(v == 80 for v in values)
 
     def test_collision_iff_alpha_twice_beta(self):
@@ -231,3 +242,16 @@ class TestMajorAngleDistinctness:
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):
             check_major_angles_distinct(EQUILATERAL, 1)
+
+    def test_collision_rejects_bad_arguments_in_order(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            first_major_angle_collision(Fraction(0), Fraction(40), 0)
+        for alpha, beta in ((0, 40), (80, 0), (-80, 40)):
+            with pytest.raises(ValueError, match="must be positive"):
+                first_major_angle_collision(Fraction(alpha), Fraction(beta), 5)
+
+    def test_recurrence_oracle_matches_carrier_forms(self):
+        base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
+        values = recurrence_major_values(base.alpha, base.beta, 12)
+        for n, value in enumerate(values, start=1):
+            assert value == evaluate_angle_form(carrier_angle_forms(n)[0], base)

@@ -22,13 +22,11 @@ from trirefine.geometry import (
     ProcedureKind,
     TriangleNode,
     aspect_ratio,
-    aspect_ratio_from_angles_deg,
     aspect_ratio_trig,
     bisect,
     bisector_to_longest_side_ratio,
     largest_angle_vertex,
     longest_side_vertex,
-    side_lengths,
     smallest_angle_vertex,
     triangle_from_angles,
     triangle_from_angles_deg,
@@ -64,7 +62,14 @@ def exact_bases(draw):
 
 
 def sorted_sides(t: TriangleNode) -> tuple[float, float, float]:
-    return tuple(length for length, _ in side_lengths(t))
+    return tuple(sorted(t.sides(), reverse=True))
+
+
+def side_order(t) -> list[int]:
+    """Oracle: opposite-vertex indices by side length descending, exact ties
+    to the smaller index, by sorting on (-length, index)."""
+    s = t.sides()
+    return sorted(range(3), key=lambda i: (-s[i], i))
 
 
 def reference_children(forms, values, ia):
@@ -100,16 +105,15 @@ def reference_walk(base, lineage):
 
 
 # ---------------------------------------------------------------------------
-# side_lengths / largest_angle_vertex
+# sides / longest_side_vertex / largest_angle_vertex
 # ---------------------------------------------------------------------------
 
 class TestSideLengths:
     def test_right_isosceles_legs_one(self):
         t = TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, 1)))
-        got = side_lengths(t)
-        assert got[0] == (pytest.approx(math.sqrt(2)), 0)
-        assert got[1] == (1.0, 1)
-        assert got[2] == (1.0, 2)
+        assert t.sides() == (pytest.approx(math.sqrt(2)), 1.0, 1.0)
+        assert side_order(t) == [0, 1, 2]
+        assert longest_side_vertex(t) == 0
 
     def test_equilateral(self):
         t = triangle_from_angles(EQUILATERAL)
@@ -117,8 +121,9 @@ class TestSideLengths:
 
     def test_pythagorean_triple(self):
         t = TriangleNode((Point2(0, 0), Point2(4, 0), Point2(4, 3)))
-        assert [(round(l, 12), i) for l, i in side_lengths(t)] == [
-            (5.0, 1), (4.0, 2), (3.0, 0)]
+        assert [round(l, 12) for l in t.sides()] == [3.0, 5.0, 4.0]
+        assert side_order(t) == [1, 2, 0]
+        assert longest_side_vertex(t) == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangleError):
@@ -298,7 +303,7 @@ class TestBisectOracle:
             children = []
             for node in level:
                 ia = longest_side_vertex(node)
-                assert ia == side_lengths(node)[0][1]
+                assert ia == side_order(node)[0]
                 pair = bisect(node, kind)
                 if kind is not ProcedureKind.LARGEST_ANGLE:
                     # The side-based procedures split at the vertex
@@ -310,6 +315,9 @@ class TestBisectOracle:
                     rebuilt = TriangleNode(child.vertices, child.angles_exact,
                                            child.generation, child.lineage)
                     assert child.sides() == rebuilt.sides()
+                    # Bit for bit: the engine's longest-edge branch reads
+                    # these angles from bisect-built children.
+                    assert child.angles_deg() == rebuilt.angles_deg()
                     children.append(child)
             level = children
 
@@ -360,14 +368,14 @@ class TestBisectOracle:
                                        (2.0, 1.0, 2.0), (1.0, 2.0, 2.0)])
     def test_longest_side_vertex_exact_ties(self, sides):
         t = SimpleNamespace(sides=lambda: sides)
-        assert longest_side_vertex(t) == side_lengths(t)[0][1]
+        assert longest_side_vertex(t) == side_order(t)[0]
 
     def test_longest_side_vertex_isosceles_node(self):
         # hypot ignores signs, so the two legs tie exactly in every rotation.
         a, b, c = Point2(0.5, 1.9), Point2(0.0, 0.0), Point2(1.0, 0.0)
         for vertices in ((a, b, c), (b, c, a), (c, a, b)):
             t = TriangleNode(vertices)
-            assert longest_side_vertex(t) == side_lengths(t)[0][1]
+            assert longest_side_vertex(t) == side_order(t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -474,4 +482,28 @@ class TestConstructors:
         assert t.angles_exact == (90, Fraction(91, 2), Fraction(89, 2))
 
     def test_aspect_from_angles_helper(self):
-        assert aspect_ratio_from_angles_deg(60, 60, 60) == pytest.approx(0.5)
+        assert aspect_ratio_trig(
+            triangle_from_angles_deg(60, 60, 60)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("angles", [
+        (10, 10, 10),
+        (90, 60, 20),
+        (90, 60, 30 + 1e-6),
+        (179, 1, 1),
+        (200, 30, 30),
+    ])
+    def test_from_angles_deg_rejects_wrong_sum(self, angles):
+        # The law of sines would build a triangle with other angles, e.g.
+        # (85, 10, 85) from (10, 10, 10).
+        with pytest.raises(ValueError, match="sum to 180"):
+            triangle_from_angles_deg(*angles)
+
+    @pytest.mark.parametrize("angles", [
+        (60, 60, 60),
+        (90, 60, 30 + 5e-10),
+        (0.1 + 0.2, 90, 180 - 90 - (0.1 + 0.2)),
+    ])
+    def test_from_angles_deg_accepts_sum_within_tolerance(self, angles):
+        t = triangle_from_angles_deg(*angles)
+        assert sorted(t.angles_deg()) == pytest.approx(sorted(angles),
+                                                       abs=1e-9)
