@@ -18,10 +18,12 @@ both modes, carrying each node's three angles beside it on the stack.  In
 exact-base mode (largest-angle procedure from rational angles) those angles
 are integers at the run's scale q * 2**(depth+1), so the angle statistics
 and similarity keys are exact; numeric mode carries floats and quantizes
-them to 1e-9 degrees for class counting.  Exact keys stay sorted triples of
-integers at the run's scale while the run counts classes (one run has one
-scale, so integer equality is rational equality); ``class_keys`` converts
-them to (numerator, denominator) pairs on first read.  Streaming mode keeps
+them to 1e-9 degrees for class counting.  An exact key is one packed int,
+``lo * M + mid``, where lo <= mid <= hi are the sorted angles at the run's
+scale and M = 180 * scale is their sum, so hi follows from the other two.
+Keys stay packed while the run counts classes (one run has one scale, so
+integer equality is rational equality); ``class_keys`` unpacks them to
+(numerator, denominator) pairs on first read.  Streaming mode keeps
 no nodes, so memory stays flat in the depth; full-tree mode additionally
 returns every generation (for rendering).  Both modes execute the identical
 per-node computation, so their statistics agree bit for bit.  Aggregation
@@ -143,9 +145,10 @@ class RefinementResult:
 
     ``key_sets[g]`` holds generation g's similarity keys as the engine built
     them: sorted triples of angles quantized to 1e-9 degrees in numeric
-    mode, or, in exact-base mode, sorted triples of integers in units of
-    1/``key_scale`` degrees.  ``class_keys`` is the public form, computed on
-    first read and cached.
+    mode, or, in exact-base mode, one int per key: with the sorted angles
+    lo <= mid <= hi in units of 1/``key_scale`` degrees and
+    M = 180 * ``key_scale`` their sum, the key is ``lo * M + mid``.
+    ``class_keys`` is the public form, computed on first read and cached.
     """
 
     run: RefinementRun
@@ -161,12 +164,14 @@ class RefinementResult:
         scale = self.key_scale
         if scale is None:
             return [frozenset(keys) for keys in self.key_sets]
-        return [
-            frozenset(
-                tuple(sorted(Fraction(i, scale).as_integer_ratio() for i in key))
-                for key in keys)
-            for keys in self.key_sets
-        ]
+        total = 180 * scale
+
+        def unpack(key: int) -> tuple:
+            lo, mid = divmod(key, total)
+            return tuple(sorted(Fraction(i, scale).as_integer_ratio()
+                                for i in (lo, mid, total - lo - mid)))
+
+        return [frozenset(map(unpack, keys)) for keys in self.key_sets]
 
 
 def refine(run: RefinementRun) -> RefinementResult:
@@ -181,9 +186,10 @@ def refine(run: RefinementRun) -> RefinementResult:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
-      largest angle has a tie window of 0, i.e. equality; keys are the
-      sorted ints; the angle minima become ``Fraction``s at the end, and
-      retained nodes get the ints as ``angle_units`` over ``angle_scale``.
+      largest angle has a tie window of 0, i.e. equality; a key packs the
+      two smaller ints into one (see ``RefinementResult``); the angle
+      minima become ``Fraction``s at the end, and retained nodes get the
+      ints as ``angle_units`` over ``angle_scale``.
     * numeric: floats in degrees, within a few ulp of the true angles at
       any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
       round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
@@ -193,6 +199,8 @@ def refine(run: RefinementRun) -> RefinementResult:
     """
     depth = run.depth
     kind = run.kind
+    largest = kind is ProcedureKind.LARGEST_ANGLE
+    altitude = kind is ProcedureKind.SHORTEST_ALTITUDE
     full = run.retain == RetainPolicy.FULL_TREE
     exact = run.mode == RunMode.EXACT_BASE
     if run.base is not None:
@@ -203,6 +211,7 @@ def refine(run: RefinementRun) -> RefinementResult:
         (a0, a1, a2), q = exact_angle_units(run.base.as_tuple())
         shift = depth + 1
         scale = q << shift
+        key_base = 180 * scale
         a0, a1, a2 = a0 << shift, a1 << shift, a2 << shift
         tie = 0
     else:
@@ -251,12 +260,12 @@ def refine(run: RefinementRun) -> RefinementResult:
         if hi < min_largest[g]:
             min_largest[g] = hi
         if exact:
-            key_sets[g].add((lo, mid, hi))
+            key_sets[g].add(lo * key_base + mid)
         else:
             key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
                              round(hi * _KEY_SCALE)))
         if g < depth:
-            if kind is ProcedureKind.LARGEST_ANGLE:
+            if largest:
                 # Split the first vertex within the tie window of the
                 # largest angle.
                 if hi - v0 <= tie:
@@ -269,7 +278,7 @@ def refine(run: RefinementRun) -> RefinementResult:
                 half = va >> 1 if exact else va / 2.0
                 push((right, half, half + vb, vc))
                 push((left, half, vb, half + vc))
-            elif kind is ProcedureKind.SHORTEST_ALTITUDE:
+            elif altitude:
                 ia = longest_side_vertex(node)
                 if ia == 0:
                     vb, vc = v1, v2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 class AngleForm:
@@ -121,6 +122,7 @@ def jacobsthal(n: int) -> int:
     return ((1 << n) - (1 if n % 2 == 0 else -1)) // 3
 
 
+@lru_cache(maxsize=64)
 def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     """Closed form for the two mutable angles of the generation-n carrier triangle.
 
@@ -133,6 +135,10 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     where j is the ``jacobsthal`` sequence.  major(n) is the angle bisected
     on the way to generation n+1; major(n) >= minor(n) and major(n) >= gamma
     for every valid base.
+
+    The forms do not depend on the base, so they are built once per ``n``
+    (the last 64 are kept): every caller shares the returned objects and
+    must not assign to their coefficients.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

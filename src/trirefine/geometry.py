@@ -62,7 +62,11 @@ class TriangleNode:
 
     The constructor is the one public, validating way to make a node, for
     roots and user-built triangles: it rejects non-finite coordinates,
-    (numerically) collinear vertices and invalid exact angles.  ``bisect``
+    (numerically) collinear vertices and invalid exact angles.  The
+    collinearity test compares twice the area with
+    ``2 * DEGENERACY_REL_AREA`` times the longest squared side, squares
+    written ``x * x`` (correctly rounded, unlike ``x ** 2``, which goes
+    through libm ``pow``).  ``bisect``
     makes children without it: it applies the same geometric checks, with
     the same expressions, once per split, and hands the children over with
     ``sides()`` already cached, the node's one cache.
@@ -78,12 +82,12 @@ class TriangleNode:
         if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(bx)
                 and math.isfinite(by) and math.isfinite(cx) and math.isfinite(cy)):
             raise ValueError("triangle vertices must have finite coordinates")
-        area2 = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-        longest_sq = max(
-            (cx - bx) ** 2 + (cy - by) ** 2,
-            (ax - cx) ** 2 + (ay - cy) ** 2,
-            (bx - ax) ** 2 + (by - ay) ** 2,
-        )
+        abx, aby = bx - ax, by - ay
+        acx, acy = cx - ax, cy - ay
+        bcx, bcy = cx - bx, cy - by
+        area2 = abs(abx * acy - aby * acx)
+        longest_sq = max(bcx * bcx + bcy * bcy, acx * acx + acy * acy,
+                         abx * abx + aby * aby)
         if area2 <= 2.0 * DEGENERACY_REL_AREA * longest_sq:
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): {vertices}")
@@ -155,8 +159,14 @@ def exact_angle_units(angles: Sequence) -> tuple[tuple[int, int, int], int]:
 
 
 # ``bisect`` makes children without ``__init__``: it has already run the
-# constructor's checks on them and measured their sides.
+# constructor's checks on them and measured their sides.  It builds the
+# foot without ``Point2.__new__`` (same type, same values), and compares
+# ``kind`` with these module constants rather than looking the members up
+# on the enum at every split.
 _new_node = object.__new__
+_new_point = tuple.__new__
+_LARGEST_ANGLE = ProcedureKind.LARGEST_ANGLE
+_LONGEST_EDGE = ProcedureKind.LONGEST_EDGE
 
 
 def _longest_index(s: tuple[float, float, float]) -> int:
@@ -231,9 +241,10 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     difference vector is formed once, and both children are checked once,
     with the same expressions as ``TriangleNode.__init__`` (finite
     coordinates, then the relative-area degeneracy test in the child's own
-    vertex order).  The children arrive with their side lengths seeded:
-    |AB| and |AC| come from the parent's ``sides()``, the other three are
-    measured here, bit for bit what ``sides()`` would compute.
+    vertex order, squares written ``x * x``).  The children arrive with
+    their side lengths seeded: |AB| and |AC| come from the parent's
+    ``sides()``, the other three are measured here, bit for bit what
+    ``sides()`` would compute.
 
     Exact angles pass to the children at twice the parent's scale: parent
     units (uA, uB, uC) become (uA, 2uB, uA + 2uC) on the left and
@@ -249,7 +260,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     if ia is None:
         # The other two procedures split the longest side, keeping the apex
         # opposite it; only their feet differ.
-        ia = (largest_angle_vertex(t) if kind is ProcedureKind.LARGEST_ANGLE
+        ia = (largest_angle_vertex(t) if kind is _LARGEST_ANGLE
               else _longest_index(s))
     ib = (ia + 1) % 3
     ic = (ia + 2) % 3
@@ -258,24 +269,26 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     bx, by = B
     cx, cy = C
     left_units = right_units = scale = None
-    if kind is ProcedureKind.LARGEST_ANGLE:
+    if kind is _LARGEST_ANGLE:
         b = s[ib]  # |AC|
         c = s[ic]  # |AB|
         w = b + c
-        foot = Point2((b * bx + c * cx) / w, (b * by + c * cy) / w)
+        fx = (b * bx + c * cx) / w
+        fy = (b * by + c * cy) / w
         units = t.angle_units
         if units is not None:
             uA, uB, uC = units[ia], units[ib], units[ic]
             left_units = (uA, uB + uB, uA + uC + uC)
             right_units = (uA, uA + uB + uB, uC + uC)
             scale = t.angle_scale << 1
-    elif kind is ProcedureKind.LONGEST_EDGE:
-        foot = Point2((bx + cx) / 2.0, (by + cy) / 2.0)
+    elif kind is _LONGEST_EDGE:
+        fx = (bx + cx) / 2.0
+        fy = (by + cy) / 2.0
     else:
         ex, ey = cx - bx, cy - by
         tau = ((ax - bx) * ex + (ay - by) * ey) / (ex * ex + ey * ey)
-        foot = Point2(bx + tau * ex, by + tau * ey)
-    fx, fy = foot
+        fx = bx + tau * ex
+        fy = by + tau * ey
     isfinite = math.isfinite
     if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)
             and isfinite(cx) and isfinite(cy) and isfinite(fx)
@@ -288,20 +301,32 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     afx, afy = fx - ax, fy - ay
     bfx, bfy = fx - bx, fy - by
     fcx, fcy = cx - fx, cy - fy
-    ab_sq = abx ** 2 + aby ** 2
-    af_sq = afx ** 2 + afy ** 2
+    af_sq = afx * afx + afy * afy
+    # The longest squared side of the left child (A, B, F) and of the right
+    # child (A, F, C), each by the compare chain of ``max(...)`` over the
+    # same arguments in the same order.
+    left_sq = bfx * bfx + bfy * bfy
+    if af_sq > left_sq:
+        left_sq = af_sq
+    sq = abx * abx + aby * aby
+    if sq > left_sq:
+        left_sq = sq
+    right_sq = fcx * fcx + fcy * fcy
+    sq = acx * acx + acy * acy
+    if sq > right_sq:
+        right_sq = sq
+    if af_sq > right_sq:
+        right_sq = af_sq
     gen = t.generation + 1
-    # Left (A, B, F), then right (A, F, C), as TriangleNode.__init__
-    # would check them.
-    if (abs(abx * afy - aby * afx)
-            <= 2.0 * DEGENERACY_REL_AREA * max(bfx ** 2 + bfy ** 2, af_sq, ab_sq)
+    # Left, then right, as TriangleNode.__init__ would check them.
+    if (abs(abx * afy - aby * afx) <= 2.0 * DEGENERACY_REL_AREA * left_sq
             or abs(afx * acy - afy * acx)
-            <= 2.0 * DEGENERACY_REL_AREA * max(fcx ** 2 + fcy ** 2,
-                                               acx ** 2 + acy ** 2, af_sq)):
+            <= 2.0 * DEGENERACY_REL_AREA * right_sq):
         raise DegenerateTriangleError(
             f"{kind.value} bisection produced a degenerate child at depth "
             f"{gen} (parent lineage {t.lineage!r})")
     af = math.hypot(afx, afy)
+    foot = _new_point(Point2, (fx, fy))
     lineage = t.lineage
     left = _new_node(TriangleNode)
     left.vertices = (A, B, foot)

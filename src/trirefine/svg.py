@@ -49,16 +49,25 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
     # Flip y inside the bounding box so screen-down SVG shows apex-up.
     flip = ymin + ymax
 
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{xmin - margin!r} {ymin - margin!r} '
-        f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">'
-    ]
-    for node in ordered:
-        pts = " ".join(f"{p.x!r},{flip - p.y!r}" for p in node.vertices)
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="black" '
-            f'stroke-width="{stroke!r}"/>')
-    lines.append("</svg>")
+    tail = f'" fill="none" stroke="black" stroke-width="{stroke!r}"/>\n'
+    # Neighbouring triangles share vertex objects, so each is formatted
+    # once.  The cache is keyed by identity, not value: 0.0 == -0.0, but
+    # their reprs differ.  The nodes keep every vertex alive meanwhile, so
+    # no id is reused.
+    points: dict[int, str] = {}
+
+    def point(p) -> str:
+        text = points.get(id(p))
+        if text is None:
+            text = points[id(p)] = f"{p.x!r},{flip - p.y!r}"
+        return text
+
     with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        write = handle.write
+        write('<svg xmlns="http://www.w3.org/2000/svg" '
+              f'viewBox="{xmin - margin!r} {ymin - margin!r} '
+              f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">\n')
+        for node in ordered:
+            a, b, c = node.vertices
+            write(f'<polygon points="{point(a)} {point(b)} {point(c)}{tail}')
+        write("</svg>\n")

@@ -18,7 +18,7 @@ from trirefine.engine import (
     refine,
 )
 from trirefine.exact import BaseAngles
-from trirefine.geometry import DegenerateTriangleError
+from trirefine.geometry import DegenerateTriangleError, Point2, TriangleNode
 from trirefine.svg import render_svg
 
 R2_EQUILATERAL = math.sin(math.radians(52.5)) / math.cos(math.radians(7.5))
@@ -305,6 +305,34 @@ class TestMeshDecayScript:
         assert rows[0][0] == "n" and len(rows) == 5
 
 
+def join_render_svg(nodes, path, stroke_reference=None):
+    """The SVG writer as first written: every vertex formatted where it is
+    used, the document joined in memory and written at once."""
+    ordered = sorted(nodes, key=lambda n: n.lineage)
+    xs = [p.x for n in ordered for p in n.vertices]
+    ys = [p.y for n in ordered for p in n.vertices]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    margin = 0.02 * max(xmax - xmin, ymax - ymin)
+    if stroke_reference is None:
+        stroke_reference = max(max(n.sides()) for n in ordered)
+    stroke = 0.002 * stroke_reference
+    flip = ymin + ymax
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{xmin - margin!r} {ymin - margin!r} '
+        f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">'
+    ]
+    for node in ordered:
+        pts = " ".join(f"{p.x!r},{flip - p.y!r}" for p in node.vertices)
+        lines.append(
+            f'<polygon points="{pts}" fill="none" stroke="black" '
+            f'stroke-width="{stroke!r}"/>')
+    lines.append("</svg>")
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 class TestRenderSvg:
     def run_full(self, depth):
         return refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
@@ -344,3 +372,31 @@ class TestRenderSvg:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             render_svg([], str(tmp_path / "x.svg"))
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind))
+    def test_matches_join_writer(self, tmp_path, kind):
+        result = refine(RefinementRun(kind=kind, depth=8, sides=(1.3, 1.7, 1.5),
+                                      retain=RetainPolicy.FULL_TREE))
+        for stroke_reference in (None, result.stats[0].mesh):
+            render_svg(result.generations[8], str(tmp_path / "new.svg"),
+                       stroke_reference=stroke_reference)
+            join_render_svg(result.generations[8], str(tmp_path / "old.svg"),
+                            stroke_reference=stroke_reference)
+            assert ((tmp_path / "new.svg").read_bytes()
+                    == (tmp_path / "old.svg").read_bytes())
+
+    def test_signed_zero_vertices_keep_their_repr(self, tmp_path):
+        # 0.0 == -0.0 and they hash alike, but they print differently: a
+        # vertex cache keyed by value would write one for the other.
+        def node(vertices, lineage):
+            t = TriangleNode(tuple(Point2(x, y) for x, y in vertices))
+            t.generation, t.lineage = 1, lineage
+            return t
+
+        nodes = [node(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), "0"),
+                 node(((-0.0, 0.0), (0.0, 1.0), (-1.0, 0.5)), "1")]
+        render_svg(nodes, str(tmp_path / "new.svg"))
+        join_render_svg(nodes, str(tmp_path / "old.svg"))
+        text = (tmp_path / "new.svg").read_text()
+        assert text == (tmp_path / "old.svg").read_text()
+        assert 'points="-0.0,' in text

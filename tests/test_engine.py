@@ -278,14 +278,31 @@ class TestSimilarityClasses:
 
     def test_node_units_are_engine_keys(self):
         # Retained nodes carry their angles at the run's scale
-        # q * 2**(depth+1), the scale the engine keys them at.
+        # q * 2**(depth+1), the scale the engine keys them at, and a key
+        # packs the two smaller of them as lo * 180 * scale + mid.
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
         full = run_largest(base, 8, retain=RetainPolicy.FULL_TREE)
+        total = 180 * full.key_scale
         for g, nodes in enumerate(full.generations):
             keys = full.key_sets[g]
             for node in nodes:
                 assert node.angle_scale == full.key_scale
-                assert tuple(sorted(node.angle_units)) in keys
+                lo, mid, hi = sorted(node.angle_units)
+                assert lo + mid + hi == total
+                assert lo * total + mid in keys
+
+    def test_packed_keys_unpack_to_node_angles(self):
+        # q = 9999 from mixed denominators (9999, 3333, 9999): at depth 10
+        # a packed key is wider than a machine word.
+        base = BaseAngles(Fraction(887543, 9999), Fraction(176543, 3333),
+                          Fraction(382648, 9999))
+        full = run_largest(base, 10, retain=RetainPolicy.FULL_TREE)
+        assert full.key_scale == 9999 << 11
+        for g, nodes in enumerate(full.generations):
+            assert full.class_keys[g] == {
+                tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
+                for node in nodes
+            }
 
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,

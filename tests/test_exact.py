@@ -174,6 +174,14 @@ class TestCarrierForms:
         for n in range(1, 31):
             assert carrier_angle_forms(n) == recurrence_carrier_forms(n)
 
+    def test_cached_forms_equal_fresh_build(self):
+        # The forms are built once per n and shared: a caller that changed
+        # one would make it differ from a fresh build.
+        for n in range(1, 31):
+            forms = carrier_angle_forms(n)
+            assert carrier_angle_forms(n) is forms
+            assert forms == carrier_angle_forms.__wrapped__(n)
+
     def test_coefficient_sum_is_unity(self):
         for n in range(1, 41):
             major, minor = carrier_angle_forms(n)

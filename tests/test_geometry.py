@@ -1,6 +1,7 @@
 """Tests for the numeric geometry layer and the three splitting procedures."""
 
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -334,6 +335,65 @@ class TestBisectOracle:
             assert largest_angle_vertex(rebuilt) == largest_angle_vertex(child)
             assert smallest_angle_vertex(rebuilt) == smallest_angle_vertex(child)
             assert child.sides() == rebuilt.sides()
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind))
+    def test_degeneracy_threshold_matches_public_constructor(self, kind):
+        # With the threshold set to the smallest value at which the
+        # constructor rejects one of the children, bisect must reject, and
+        # one ulp below it must accept: its test is the constructor's, bit
+        # for bit.  The roots are picked so that some child has an edge
+        # whose squared length differs in the last bit between x * x and
+        # x ** 2 (libm pow), where a mismatch of the two would show.
+        def rejects(vertices, rel):
+            geometry.DEGENERACY_REL_AREA = rel
+            try:
+                TriangleNode(vertices)
+            except DegenerateTriangleError:
+                return True
+            return False
+
+        def threshold(child):
+            # The smallest rel the constructor rejects at, searched by ulp
+            # steps from an estimate within a few ulps of it.
+            rel = child.area() / max(child.sides()) ** 2
+            while rejects(child.vertices, rel):
+                rel = math.nextafter(rel, 0.0)
+            while not rejects(child.vertices, rel):
+                rel = math.nextafter(rel, math.inf)
+            return rel
+
+        def pow_differs(child):
+            p, q, r = child.vertices
+            return any((u.x - v.x) ** 2 + (u.y - v.y) ** 2
+                       != (u.x - v.x) * (u.x - v.x) + (u.y - v.y) * (u.y - v.y)
+                       for u, v in ((p, q), (q, r), (r, p)))
+
+        rng = random.Random(0)
+        saved = geometry.DEGENERACY_REL_AREA
+        checked = sharp = 0
+        try:
+            for _ in range(20000):
+                a, b = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+                c = rng.uniform(abs(a - b) + 0.01, a + b - 0.01)
+                geometry.DEGENERACY_REL_AREA = 0.0
+                root = triangle_from_sides(a, b, c)
+                children = bisect(root, kind)
+                if any(map(pow_differs, children)):
+                    sharp += 1
+                elif checked >= 20:
+                    continue
+                rel = min(threshold(child) for child in children)
+                geometry.DEGENERACY_REL_AREA = rel
+                with pytest.raises(DegenerateTriangleError):
+                    bisect(root, kind)
+                geometry.DEGENERACY_REL_AREA = math.nextafter(rel, 0.0)
+                bisect(root, kind)
+                checked += 1
+                if sharp >= 40:
+                    break
+        finally:
+            geometry.DEGENERACY_REL_AREA = saved
+        assert checked >= 20
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=-11.7, max_value=-11.0),

@@ -1,0 +1,68 @@
+"""Golden outputs: the bytes the command line writes, pinned by sha256 prefix.
+
+Every performance change promises byte-identical output.  These digests
+were taken from the command line as it stood before the split kernel was
+trimmed and exact class keys were packed, and they match under Python
+3.10, 3.11 and 3.12.  A change that moves any of them changes what the tool
+reports.
+"""
+
+import hashlib
+
+import pytest
+
+from trirefine.cli import main
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# (input, procedure) -> digests of stdout, --json, --csv and --svg at 11
+# iterations.
+REFINE_GOLDEN = {
+    (("--angles", "80,60,40"), "largest-angle"): (
+        "db256e14876df1b1", "058d3dd7da190d4a", "04e56466eb45c17b",
+        "d259ff176634dbe6"),
+    (("--sides", "1.3,1.7,1.5"), "longest-edge"): (
+        "0548386ad72b7951", "7fe224de6057b09e", "1deab2e4bc73e84c",
+        "bc723e6f9147bd8e"),
+    (("--sides", "1.3,1.7,1.5"), "shortest-altitude"): (
+        "549790a5773415e4", "ea98b9aad506e5ab", "f5445477df225b54",
+        "a205fc3e8f573a7b"),
+}
+
+
+@pytest.mark.parametrize("source, procedure", list(REFINE_GOLDEN),
+                         ids=[p for _, p in REFINE_GOLDEN])
+def test_refine_outputs(tmp_path, capsys, source, procedure):
+    outputs = [tmp_path / f"out.{ext}" for ext in ("json", "csv", "svg")]
+    code = main(["refine", *source, "--procedure", procedure,
+                 "--iterations", "11", "--json", str(outputs[0]),
+                 "--csv", str(outputs[1]), "--svg", str(outputs[2])])
+    assert code == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (digest(stdout), *(digest(p.read_bytes()) for p in outputs))
+    assert got == REFINE_GOLDEN[(source, procedure)]
+
+
+@pytest.mark.parametrize("depth, sweep, seed, expected", [
+    ("5", "40", "1", "b0cf694b29abc7d5"),
+    ("8", "20", "0", "e717f1d3da21bfbf"),
+])
+def test_verify_report(tmp_path, capsys, depth, sweep, seed, expected):
+    report = tmp_path / "report.json"
+    code = main(["verify", "--depth", depth, "--sweep", sweep,
+                 "--seed", seed, "--report", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    assert digest(report.read_bytes()) == expected
+
+
+def test_thin_input_exit_message(capsys):
+    code = main(["refine", "--angles", "178,1,1",
+                 "--procedure", "shortest-altitude", "--iterations", "11"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "geometry error: shortest-altitude bisection produced a degenerate "
+        "child at depth 11 (parent lineage '0000101010')\n")
