@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input (including non-finite numbers and
 unwritable output paths), 3 degenerate geometry (including finite input
-whose coordinates overflow); ``verify`` exits 1 when a check fails (the
-report is still written).
+whose squared lengths overflow or underflow); ``verify`` exits 1 when a
+check fails (the report is still written).  Input text is only split into
+numbers here; the library checks the values, and its messages are shown.
 
 Output files are checked before the run starts and written atomically:
 each goes to a temp file beside it that replaces it only once the whole
@@ -26,7 +27,6 @@ import contextlib
 import csv
 import errno
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -68,12 +68,6 @@ def _parse_angles(text: str) -> BaseAngles:
         values = [Fraction(p.strip()) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse angles {text!r}: {exc}") from None
-    if any(v <= 0 for v in values):
-        raise InputError("angles must be positive")
-    if sum(values) != 180:
-        raise InputError(
-            f"angles must sum to 180 degrees exactly; {text!r} sums to "
-            f"{sum(values)}")
     return BaseAngles.from_unordered(*values)
 
 
@@ -82,33 +76,30 @@ def _parse_sides(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise InputError("expected three comma-separated side lengths, e.g. 3,4,5")
     try:
-        values = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"cannot parse sides {text!r}: {exc}") from None
-    if not all(v > 0 and math.isfinite(v) for v in values):
-        raise InputError("sides must be positive finite numbers")
-    a, b, c = sorted(values, reverse=True)
-    if b + c <= a:
-        raise InputError(f"sides {text!r} do not form a triangle")
-    return values
 
 
 def _build_run(args, retain: str) -> RefinementRun:
-    kind = ProcedureKind(args.procedure)
-    base = sides = None
-    if args.angles is not None:
-        base = _parse_angles(args.angles)
-    elif args.scale is not None:
-        raise InputError("--scale applies only to --angles input; "
-                         "--sides are used as given")
-    else:
-        sides = _parse_sides(args.sides)
-    scale = 1.0 if args.scale is None else args.scale
+    """The run the input options describe.  Only the text is parsed here:
+    ``BaseAngles`` and ``RefinementRun`` check the values, and their
+    ``ValueError`` becomes an ``InputError``.  The one rule left to the
+    command line is that ``--scale`` goes with ``--angles``, since a run
+    cannot tell a default scale of 1.0 from a given one."""
     try:
-        return RefinementRun(kind=kind, depth=args.iterations, base=base,
-                             sides=sides, retain=retain, scale=scale)
+        base = None if args.angles is None else _parse_angles(args.angles)
+        sides = None if args.sides is None else _parse_sides(args.sides)
+        run = RefinementRun(kind=ProcedureKind(args.procedure),
+                            depth=args.iterations, base=base, sides=sides,
+                            retain=retain,
+                            scale=1.0 if args.scale is None else args.scale)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if run.sides is not None and args.scale is not None:
+        raise InputError("--scale applies only to --angles input; "
+                         "--sides are used as given")
+    return run
 
 
 @contextlib.contextmanager
@@ -283,12 +274,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_upsilon(args) -> int:
-    base = _parse_angles(args.angles)
-    try:
-        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
-                            depth=args.iterations, base=base)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    run = _build_run(args, RetainPolicy.STREAMING)
     with _outputs(args.json) as (json_out,):
         track = track_carrier(run)
         rows = []
@@ -304,7 +290,7 @@ def _cmd_upsilon(args) -> int:
                 "kept_deg": float(kept), "kept_exact": str(kept),
             })
         if json_out:
-            payload = {"input": {"angles": [str(x) for x in base.as_tuple()],
+            payload = {"input": {"angles": [str(x) for x in run.base.as_tuple()],
                                  "iterations": args.iterations},
                        "generations": rows}
             _write_json(json_out, payload)
@@ -380,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_upsilon.add_argument("--angles", metavar="A,B,C", required=True)
     p_upsilon.add_argument("--iterations", type=int, required=True)
     p_upsilon.add_argument("--json", metavar="PATH")
-    p_upsilon.set_defaults(func=_cmd_upsilon)
+    p_upsilon.set_defaults(func=_cmd_upsilon,
+                           procedure=ProcedureKind.LARGEST_ANGLE.value,
+                           sides=None, scale=None)
 
     p_classes = sub.add_parser(
         "classes", help="cumulative similarity-class counts per generation")
@@ -395,17 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(command, args) -> int:
     """Run ``command(args)`` and return its exit code, reporting invalid
-    input (exit 2) and degenerate geometry (exit 3) on stderr.
-
-    A command whose arguments include ``--sides`` takes exactly one of
-    ``--angles`` and ``--sides``.
-    """
+    input (exit 2) and degenerate geometry (exit 3) on stderr."""
     try:
-        angles = getattr(args, "angles", None)
-        if angles is not None and getattr(args, "sides", None) is not None:
-            raise InputError("give either --angles or --sides, not both")
-        if hasattr(args, "sides") and angles is None and args.sides is None:
-            raise InputError("one of --angles or --sides is required")
         return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ from .geometry import (
     longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
+    triangle_sides,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -77,7 +78,8 @@ class RetainPolicy:
 class RefinementRun:
     """Configuration of one refinement run.
 
-    Exactly one of ``base`` (exact angles) or ``sides`` must be given.
+    Exactly one of ``base`` (exact angles) or ``sides`` must be given;
+    ``sides`` must pass ``triangle_sides`` and are kept as given.
     ``mode`` defaults to exact-base when base angles drive the largest-angle
     procedure, numeric otherwise.  ``scale`` is the initial longest side for
     angle input; side input is used as given.
@@ -120,9 +122,8 @@ class RefinementRun:
                 f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError("scale must be a positive finite number")
-        if self.sides is not None and not all(
-                s > 0 and math.isfinite(s) for s in self.sides):
-            raise ValueError("sides must be positive finite numbers")
+        if self.sides is not None:
+            triangle_sides(self.sides)
 
 
 @dataclass
@@ -305,9 +306,11 @@ def refine(run: RefinementRun) -> RefinementResult:
         min_angle = [Fraction(x, scale) for x in min_angle]
         min_largest = [Fraction(x, scale) for x in min_largest]
     stats: list[GenerationStats] = []
-    cumulative: set = set()
+    cumulative = 0
     for n in range(depth + 1):
-        cumulative |= key_sets[n]
+        # The keys new in generation n; a union of every key would be a
+        # second copy of key_sets.
+        cumulative += len(key_sets[n].difference(*key_sets[:n]))
         rho = (max(max_aspect[n], max_aspect[n + 1], SQRT3_2)
                if n < depth else None)
         stats.append(GenerationStats(
@@ -318,7 +321,7 @@ def refine(run: RefinementRun) -> RefinementResult:
             min_largest_angle_deg=min_largest[n],
             max_aspect_ratio=max_aspect[n],
             rho=rho,
-            cumulative_similarity_classes=len(cumulative),
+            cumulative_similarity_classes=cumulative,
         ))
     return RefinementResult(run=run, stats=stats, generations=generations,
                             key_sets=key_sets, key_scale=scale)

@@ -20,6 +20,7 @@ angles, so they run numeric-only.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -347,17 +348,21 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
 
 def _check_root_scale(longest: float) -> None:
     """Reject a root whose longest side is not a positive finite number, or
-    so long that squared lengths overflow.
+    so long that squared lengths overflow, or so short that they underflow.
 
     Every coordinate and side length in the tree is at most the root's
-    longest side, so this one check at the root covers every product that
-    ``TriangleNode`` and ``bisect`` form at any depth.
+    longest side, so the overflow check at the root covers every product
+    that ``TriangleNode`` and ``bisect`` form at any depth.  Without the
+    underflow check a tiny root would be reported as collinear.
     """
     if not (longest > 0 and math.isfinite(longest)):
         raise ValueError("scale must be a positive finite number")
     if not math.isfinite(2.0 * longest * longest):
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too large: squared lengths overflow")
+    if longest * longest < sys.float_info.min:
+        raise DegenerateTriangleError(
+            f"longest side {longest!r} is too small: squared lengths underflow")
 
 
 def _law_of_sines_root(big: float, mid: float, small: float,
@@ -399,13 +404,22 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
     return TriangleNode(_law_of_sines_root(big, mid, small, scale))
 
 
+def triangle_sides(sides: Sequence[float]) -> tuple[float, float, float]:
+    """Three side lengths as floats, sorted longest first; ``ValueError``
+    unless they are positive, finite and satisfy the strict triangle
+    inequality."""
+    values = tuple(float(s) for s in sides)
+    if not all(s > 0 and math.isfinite(s) for s in values):
+        raise ValueError("sides must be positive finite numbers")
+    a, b, c = sorted(values, reverse=True)
+    if b + c <= a:
+        raise ValueError(f"sides {values} do not form a triangle")
+    return a, b, c
+
+
 def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
     """Numeric-only root triangle from side lengths, longest side on the x-axis."""
-    a, b, c = sorted((float(s1), float(s2), float(s3)), reverse=True)
-    if not all(x > 0 and math.isfinite(x) for x in (a, b, c)):
-        raise ValueError("sides must be positive finite numbers")
-    if b + c <= a:
-        raise ValueError(f"sides ({s1}, {s2}, {s3}) do not form a triangle")
+    a, b, c = triangle_sides((s1, s2, s3))
     _check_root_scale(a)
     x = (a * a + c * c - b * b) / (2.0 * a)
     y_sq = c * c - x * x

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .exact import (
     AngleForm,
@@ -211,29 +211,26 @@ class _Context:
         self.runs: dict = {}
 
 
+def _first_min(items: Iterable[tuple[float, Any]],
+               default: Any) -> tuple[float, Any, int]:
+    """The first smallest margin with the item beside it, and the number of
+    items; (inf, default, 0) when there are none.  A NaN margin counts as
+    smaller than any number, so the first NaN is the worst."""
+    worst, worst_item, count = math.inf, default, 0
+    for margin, item in items:
+        count += 1
+        if worst == worst and not margin >= worst:
+            worst, worst_item = margin, item
+    return worst, worst_item, count
+
+
 def _finish(name: str, tolerance: float,
             items: Iterable[tuple[float, dict]]) -> CheckReport:
-    worst = math.inf
-    witness: dict = {}
-    population = 0
-    for margin, wit in items:
-        population += 1
-        if margin < worst:
-            worst = margin
-            witness = wit
+    worst, witness, population = _first_min(items, {})
     if population == 0:
         worst = 0.0
     return CheckReport(name, population, worst, tolerance, witness,
                        worst >= -tolerance)
-
-
-def _worst(items: Iterable[tuple[float, int]]) -> tuple[float, int]:
-    """The first smallest (margin, n) pair; (inf, 0) when there is none."""
-    worst, worst_n = math.inf, 0
-    for m, n in items:
-        if m < worst:
-            worst, worst_n = m, n
-    return worst, worst_n
 
 
 class _Check(NamedTuple):
@@ -284,7 +281,7 @@ def _per_generation(name: str, tolerance: float,
     witness records its ``n``."""
     def wrap(pairs: Callable[[dict, dict], Iterator[tuple[float, int]]]):
         def margin(spec: dict, runs: dict) -> tuple[float, dict]:
-            worst, n = _worst(pairs(spec, runs))
+            worst, n, _ = _first_min(pairs(spec, runs), 0)
             return worst, _at_generation(spec, n)
         _check(name, tolerance, population)(margin)
         return pairs

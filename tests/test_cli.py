@@ -153,6 +153,12 @@ class TestInputErrors:
           "--json", "{ok}"], 2, "error: --scale applies only to --angles"),
         (["refine", "--angles", "60,60,60", "--iterations", "3",
           "--svg", "{ok}", "--json", "{ok}"], 2, "error: cannot write {ok}"),
+        (["refine", "--angles", "60,60,60", "--iterations", "2",
+          "--scale", "1e-300"], 3, "geometry error: longest side 1e-300 is "
+         "too small: squared lengths underflow\n"),
+        (["refine", "--sides", "1e-200,1e-200,1e-200", "--iterations", "2"],
+         3, "geometry error: longest side 1e-200 is too small: squared "
+         "lengths underflow\n"),
     ])
     def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):
@@ -171,6 +177,11 @@ class TestInputErrors:
         if "cannot write" in message:
             assert started == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_smallest_scale_runs(self, capsys):
+        assert main(["refine", "--angles", "60,60,60", "--scale", "1e-153",
+                     "--iterations", "4"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_geometry_error_exit_code(self, capsys, monkeypatch):
         # Fault-inject the refinement to pin the exit-code mapping apart
@@ -274,15 +285,15 @@ class TestMeshDecayScript:
         (["--angles", "60,60"], 2, "error: expected three comma-separated "
          "angles, e.g. 60/1,60/1,60/1\n"),
         (["--sides", "1,1,5"], 2,
-         "error: sides '1,1,5' do not form a triangle\n"),
+         "error: sides (1.0, 1.0, 5.0) do not form a triangle\n"),
         (["--angles", "60,60,60", "--depth", "-1"], 2,
          "error: depth must be non-negative\n"),
         (["--sides", "3,4,inf"], 2,
          "error: sides must be positive finite numbers\n"),
         (["--angles", "60,60,60", "--sides", "3,4,5"], 2,
-         "error: give either --angles or --sides, not both\n"),
+         "error: exactly one of base angles or sides must be given\n"),
         (["--depth", "2"], 2,
-         "error: one of --angles or --sides is required\n"),
+         "error: exactly one of base angles or sides must be given\n"),
         # The pinned shortest-altitude thin-input limit
         # (test_thin_input_geometry_error).
         (["--angles", "178,1,1", "--depth", "12"], 3,
@@ -303,6 +314,55 @@ class TestMeshDecayScript:
         assert lines[-1] == f"wrote {out}"
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "n" and len(rows) == 5
+
+
+# One row per input rule: (input options, depth, exit code, stderr).  The
+# library owns each rule, so every front end reports it with the same code
+# and the same line.
+BAD_INPUTS = {
+    "bad-sum": (["--angles", "90,45,46"], "2", 2,
+                "error: angles must sum to 180 degrees exactly, got "
+                "90 + 46 + 45\n"),
+    "zero-angle": (["--angles", "90,90,0"], "2", 2,
+                   "error: angles must satisfy alpha >= beta >= gamma > 0, "
+                   "got (90, 90, 0)\n"),
+    "malformed-rational": (["--angles", "60,60,sixty"], "2", 2,
+                           "error: cannot parse angles '60,60,sixty': "
+                           "Invalid literal for Fraction: 'sixty'\n"),
+    "non-triangle-sides": (["--sides", "1,1,5"], "2", 2,
+                           "error: sides (1.0, 1.0, 5.0) do not form a "
+                           "triangle\n"),
+    "nan-side": (["--sides", "nan,1,1"], "2", 2,
+                 "error: sides must be positive finite numbers\n"),
+    "both-inputs": (["--angles", "60,60,60", "--sides", "3,4,5"], "2", 2,
+                    "error: exactly one of base angles or sides must be "
+                    "given\n"),
+    "neither-input": ([], "2", 2,
+                      "error: exactly one of base angles or sides must be "
+                      "given\n"),
+    "negative-depth": (["--angles", "60,60,60"], "-1", 2,
+                       "error: depth must be non-negative\n"),
+}
+
+# upsilon takes --angles only, so it runs the rows that give angles alone.
+BAD_INPUT_CASES = [
+    (front, row) for row, (options, *_) in BAD_INPUTS.items()
+    for front in ("refine", "classes", "upsilon", "script")
+    if front != "upsilon" or "--angles" in options and "--sides" not in options
+]
+
+
+@pytest.mark.parametrize("front, row", BAD_INPUT_CASES,
+                         ids=[f"{front}-{row}" for front, row in BAD_INPUT_CASES])
+def test_bad_input_same_on_every_front_end(capsys, front, row):
+    options, depth, code, err = BAD_INPUTS[row]
+    if front == "script":
+        proc = TestMeshDecayScript.run_script(*options, "--depth", depth)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    else:
+        got = (main([front, *options, "--iterations", depth]),
+               *capsys.readouterr())
+    assert got == (code, "", err)
 
 
 def join_render_svg(nodes, path, stroke_reference=None):

@@ -47,6 +47,20 @@ class TestRunValidation:
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                           base=EQUILATERAL, sides=(3, 4, 5))
 
+    @pytest.mark.parametrize("sides, message", [
+        ((1, 1, 5), r"sides \(1.0, 1.0, 5.0\) do not form a triangle"),
+        ((1, 2, 3), "do not form a triangle"),
+        ((math.nan, 1, 1), "sides must be positive finite numbers"),
+        ((0, 1, 1), "sides must be positive finite numbers"),
+        ((math.inf, 1, 1), "sides must be positive finite numbers"),
+    ])
+    def test_sides_must_form_a_triangle(self, sides, message):
+        # Rejected before the run starts, by the rule triangle_from_sides
+        # applies.
+        with pytest.raises(ValueError, match=message):
+            RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=2,
+                          sides=sides)
+
     def test_mode_is_derived(self):
         r = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                           base=EQUILATERAL)

@@ -32,6 +32,7 @@ from trirefine.geometry import (
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
+    triangle_sides,
 )
 
 EQUILATERAL = BaseAngles(60, 60, 60)
@@ -511,6 +512,27 @@ class TestConstructors:
             triangle_from_sides(1, 2, 3)
         with pytest.raises(ValueError):
             triangle_from_sides(1, 1, 0)
+
+    def test_sides_sorted_longest_first(self):
+        assert triangle_sides((3, 5, 4)) == (5.0, 4.0, 3.0)
+        with pytest.raises(ValueError, match=r"sides \(1.0, 1.0, 5.0\) do not"):
+            triangle_sides((1, 1, 5))
+        with pytest.raises(ValueError, match="positive finite"):
+            triangle_sides((1, math.nan, 1))
+
+    @pytest.mark.parametrize("build", [
+        lambda: triangle_from_angles(EQUILATERAL, scale=1e-160),
+        lambda: triangle_from_sides(1e-200, 1e-200, 1e-200),
+    ])
+    def test_tiny_root_underflows(self, build):
+        # Squared lengths below the smallest normal double would make such
+        # a root look collinear.
+        with pytest.raises(DegenerateTriangleError, match="too small"):
+            build()
+
+    def test_smallest_supported_scale(self):
+        t = triangle_from_angles(EQUILATERAL, scale=1e-153)
+        assert sorted_sides(t)[0] == pytest.approx(1e-153, rel=1e-12)
 
     def test_from_angles_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=2.5)

@@ -1,6 +1,7 @@
 """Tests for the verification suite itself."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -73,6 +74,46 @@ class TestRandomValidBase:
 @pytest.fixture(scope="module")
 def reports():
     return run_suite(depth=5, sweep_size=40, seed=1)
+
+
+class TestWorstMargin:
+    """The one first-minimum scan behind every report and every
+    per-generation margin."""
+
+    def test_first_smallest_margin_wins(self):
+        report = verifier._finish("probe", 0.0, [(2.0, {"i": 0}),
+                                                 (0.5, {"i": 1}),
+                                                 (0.5, {"i": 2})])
+        assert (report.population, report.worst_margin, report.witness,
+                report.passed) == (3, 0.5, {"i": 1}, True)
+
+    def test_empty_population_passes(self):
+        report = verifier._finish("probe", 0.0, [])
+        assert (report.population, report.worst_margin, report.witness,
+                report.passed) == (0, 0.0, {}, True)
+
+    def test_nan_margin_fails_with_first_nan_witness(self):
+        report = verifier._finish("probe", 1e-9, [(1.0, {"i": 0}),
+                                                  (math.nan, {"i": 1}),
+                                                  (-5.0, {"i": 2}),
+                                                  (math.nan, {"i": 3})])
+        assert report.population == 4
+        assert math.isnan(report.worst_margin)
+        assert report.witness == {"i": 1}
+        assert not report.passed
+
+    def test_all_nan_margins_fail(self):
+        report = verifier._finish("probe", 1e-9, [(math.nan, {"i": 0}),
+                                                  (math.nan, {"i": 1})])
+        assert math.isnan(report.worst_margin)
+        assert report.witness == {"i": 0}
+        assert not report.passed
+
+    def test_per_generation_nan_is_worst(self):
+        worst, n, count = verifier._first_min(
+            [(0.25, 0), (math.nan, 1), (-1.0, 2), (math.nan, 3)], 0)
+        assert math.isnan(worst) and (n, count) == (1, 4)
+        assert verifier._first_min([], 0) == (math.inf, 0, 0)
 
 
 class TestRunSuite:
