@@ -44,7 +44,7 @@ from .engine import (
 )
 from .exact import BaseAngles
 from .geometry import DegenerateTriangleError
-from .svg import MAX_RENDER_GENERATION, render_svg
+from .svg import render_svg
 from .verifier import report_as_dict, run_suite
 
 EXIT_OK = 0
@@ -236,11 +236,8 @@ def _print_stats_table(result: RefinementResult) -> None:
 
 
 def _cmd_refine(args) -> int:
-    retain = RetainPolicy.FULL_TREE if args.svg else RetainPolicy.STREAMING
-    if args.svg and args.iterations > MAX_RENDER_GENERATION:
-        raise InputError(
-            f"--svg supports at most {MAX_RENDER_GENERATION} iterations "
-            f"(2**{MAX_RENDER_GENERATION} polygons); got {args.iterations}")
+    retain = (RetainPolicy.FINAL_GENERATION if args.svg
+              else RetainPolicy.STREAMING)
     run = _build_run(args, retain)
     with _outputs(args.json, args.csv, args.svg) as (json_out, csv_out, svg_out):
         result = refine(run)
@@ -251,7 +248,7 @@ def _cmd_refine(args) -> int:
             _write_csv(result, csv_out)
         if svg_out:
             with _writing(svg_out.path):
-                render_svg(result.generations[-1], svg_out.temp,
+                render_svg(result.nodes, svg_out.temp,
                            stroke_reference=result.stats[0].mesh)
     return EXIT_OK
 

@@ -24,11 +24,12 @@ scale and M = 180 * scale is their sum, so hi follows from the other two.
 Keys stay packed while the run counts classes (one run has one scale, so
 integer equality is rational equality); ``class_keys`` unpacks them to
 (numerator, denominator) pairs on first read.  Streaming mode keeps
-no nodes, so memory stays flat in the depth; full-tree mode additionally
-returns every generation (for rendering).  Both modes execute the identical
-per-node computation, so their statistics agree bit for bit.  Aggregation
-uses only min/max/set-union, hence the result is independent of traversal
-or worker order.
+no nodes, so memory stays flat in the depth; final-generation mode also
+returns the 2**depth nodes of the last generation, the one an SVG draws,
+and drops every earlier node once it is split.  Both modes execute the
+identical per-node computation, so their statistics agree bit for bit.
+Aggregation uses only min/max/set-union, hence the result is independent
+of traversal or worker order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .geometry import (
     ProcedureKind,
     TriangleNode,
     bisect,
+    check_scale,
     exact_angle_units,
     largest_angle_vertex,
     longest_side_vertex,
@@ -61,7 +63,9 @@ NUMERIC_KEY_QUANTUM_DEG = 1e-9
 _KEY_SCALE = 1e9
 
 MAX_DEPTH_STREAMING = 40
-MAX_DEPTH_FULL_TREE = 24
+# A run that retains nodes keeps 2**depth of them: at most 2**14 = 16384
+# polygons, the most an SVG draws.
+MAX_RENDER_GENERATION = 14
 
 
 class RunMode:
@@ -70,8 +74,12 @@ class RunMode:
 
 
 class RetainPolicy:
+    """What a run keeps besides its statistics: nothing (``STREAMING``), or
+    the nodes of its last generation (``FINAL_GENERATION``), for rendering,
+    up to depth ``MAX_RENDER_GENERATION``."""
+
     STREAMING = "streaming"
-    FULL_TREE = "full-tree"
+    FINAL_GENERATION = "final-generation"
 
 
 @dataclass(frozen=True)
@@ -111,17 +119,18 @@ class RefinementRun:
                 raise ValueError(
                     "exact-base mode is only available for the largest-angle "
                     "procedure; the other procedures leave the exact span")
-        if self.retain not in (RetainPolicy.STREAMING, RetainPolicy.FULL_TREE):
+        if self.retain == RetainPolicy.STREAMING:
+            limit = MAX_DEPTH_STREAMING
+        elif self.retain == RetainPolicy.FINAL_GENERATION:
+            limit = MAX_RENDER_GENERATION
+        else:
             raise ValueError(f"unknown retain policy {self.retain!r}")
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        limit = (MAX_DEPTH_FULL_TREE if self.retain == RetainPolicy.FULL_TREE
-                 else MAX_DEPTH_STREAMING)
         if self.depth > limit:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a positive finite number")
+        check_scale(self.scale)
         if self.sides is not None:
             triangle_sides(self.sides)
 
@@ -142,7 +151,11 @@ class GenerationStats:
 
 @dataclass
 class RefinementResult:
-    """Statistics of one run, plus every generation's nodes for full-tree runs.
+    """Statistics of one run, plus the last generation's nodes if retained.
+
+    ``nodes`` holds the 2**depth nodes of the last generation in lineage
+    order for a final-generation run (exact ones carry their angles at the
+    run's scale, ``key_scale``), and is ``None`` for a streaming run.
 
     ``key_sets[g]`` holds generation g's similarity keys as the engine built
     them: sorted triples of angles quantized to 1e-9 degrees in numeric
@@ -154,7 +167,7 @@ class RefinementResult:
 
     run: RefinementRun
     stats: list[GenerationStats]
-    generations: list[list[TriangleNode]] | None
+    nodes: list[TriangleNode] | None
     key_sets: list[set] = field(repr=False)
     key_scale: int | None = field(default=None, repr=False)
 
@@ -183,7 +196,8 @@ def refine(run: RefinementRun) -> RefinementResult:
     from the procedure's angle algebra, not from their coordinates: an
     angle bisection gives (A/2, B, A/2+C), an altitude split (90, B, 90-B).
     Only the longest-edge split, whose foot angles are genuinely new,
-    measures them.  The modes differ in values fixed once per run:
+    measures them: ``bisect`` hands them over, measured from the vectors
+    it has already formed.  The modes differ in values fixed once per run:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
@@ -202,7 +216,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     kind = run.kind
     largest = kind is ProcedureKind.LARGEST_ANGLE
     altitude = kind is ProcedureKind.SHORTEST_ALTITUDE
-    full = run.retain == RetainPolicy.FULL_TREE
+    retain = run.retain == RetainPolicy.FINAL_GENERATION
     exact = run.mode == RunMode.EXACT_BASE
     if run.base is not None:
         root = triangle_from_angles(run.base, scale=run.scale, exact=False)
@@ -227,7 +241,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     min_angle: list = [math.inf] * (depth + 1)
     min_largest: list = [math.inf] * (depth + 1)
     key_sets: list[set] = [set() for _ in range(depth + 1)]
-    generations = [[] for _ in range(depth + 1)] if full else None
+    nodes: list[TriangleNode] | None = [] if retain else None
     stack = [(root, a0, a1, a2)]
     push = stack.append
     pop = stack.pop
@@ -292,13 +306,16 @@ def refine(run: RefinementRun) -> RefinementResult:
                 push((left, 90.0 - vb, vb, 90.0))
             else:
                 left, right = bisect(node, kind)
-                push((right,) + right.angles_deg())
-                push((left,) + left.angles_deg())
-        if full:
-            generations[g].append(node)
-            if exact:  # set after the split: ``bisect`` then adds no units
+                push((right,) + right._split_angles)
+                push((left,) + left._split_angles)
+        elif retain:
+            # Left children are popped first, so the last generation
+            # arrives in lineage order.  Its nodes are never split, so
+            # their units stay at the run's scale.
+            if exact:
                 node.angle_units = (v0, v1, v2)
                 node.angle_scale = scale
+            nodes.append(node)
 
     if exact:
         # Only the angle aggregates become exact rational degrees here; the
@@ -323,7 +340,7 @@ def refine(run: RefinementRun) -> RefinementResult:
             rho=rho,
             cumulative_similarity_classes=cumulative,
         ))
-    return RefinementResult(run=run, stats=stats, generations=generations,
+    return RefinementResult(run=run, stats=stats, nodes=nodes,
                             key_sets=key_sets, key_scale=scale)
 
 

@@ -70,11 +70,13 @@ class TriangleNode:
     through libm ``pow``).  ``bisect``
     makes children without it: it applies the same geometric checks, with
     the same expressions, once per split, and hands the children over with
-    ``sides()`` already cached, the node's one cache.
+    ``sides()`` already cached, the node's one cache.  Longest-edge
+    children also carry ``_split_angles``, what ``angles_deg()`` returns
+    for them, for the engine to read; the slot is unset on other nodes.
     """
 
     __slots__ = ("vertices", "angle_units", "angle_scale", "generation",
-                 "lineage", "_sides")
+                 "lineage", "_sides", "_split_angles")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2],
                  angles_exact: Sequence[Fraction | int] | None = None,
@@ -247,6 +249,11 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     ``sides()``, the other three are measured here, bit for bit what
     ``sides()`` would compute.
 
+    Longest-edge children also get their angles in degrees, as
+    ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
+    and cross products formed here, so bit for bit what ``angles_deg()``
+    returns.
+
     Exact angles pass to the children at twice the parent's scale: parent
     units (uA, uB, uC) become (uA, 2uB, uA + 2uC) on the left and
     (uA, uA + 2uB, 2uC) on the right.
@@ -319,10 +326,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     if af_sq > right_sq:
         right_sq = af_sq
     gen = t.generation + 1
-    # Left, then right, as TriangleNode.__init__ would check them.
-    if (abs(abx * afy - aby * afx) <= 2.0 * DEGENERACY_REL_AREA * left_sq
-            or abs(afx * acy - afy * acx)
-            <= 2.0 * DEGENERACY_REL_AREA * right_sq):
+    # Twice each child's area, as TriangleNode.__init__ and angles_deg()
+    # form it in the child's own vertex order; left checked first.
+    left_cross = abs(abx * afy - aby * afx)
+    right_cross = abs(afx * acy - afy * acx)
+    if (left_cross <= 2.0 * DEGENERACY_REL_AREA * left_sq
+            or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
         raise DegenerateTriangleError(
             f"{kind.value} bisection produced a degenerate child at depth "
             f"{gen} (parent lineage {t.lineage!r})")
@@ -343,20 +352,41 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     right.generation = gen
     right.lineage = lineage + "1"
     right._sides = (math.hypot(fcx, fcy), s[ib], af)
+    if kind is _LONGEST_EDGE:
+        # angles_deg() of (A, B, F) and of (A, F, C): its edge vectors are
+        # AB, AF, BF on the left and AF, AC, FC on the right.
+        degrees = math.degrees
+        atan2 = math.atan2
+        left._split_angles = (
+            degrees(atan2(left_cross, abx * afx + aby * afy)),
+            degrees(atan2(left_cross, -(bfx * abx + bfy * aby))),
+            degrees(atan2(left_cross, afx * bfx + afy * bfy)),
+        )
+        right._split_angles = (
+            degrees(atan2(right_cross, afx * acx + afy * acy)),
+            degrees(atan2(right_cross, -(fcx * afx + fcy * afy))),
+            degrees(atan2(right_cross, acx * fcx + acy * fcy)),
+        )
     return left, right
 
 
+def check_scale(scale: float) -> None:
+    """``ValueError`` unless ``scale`` is a positive finite number: the
+    rule for a run's scale and for a root's longest side."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("scale must be a positive finite number")
+
+
 def _check_root_scale(longest: float) -> None:
-    """Reject a root whose longest side is not a positive finite number, or
-    so long that squared lengths overflow, or so short that they underflow.
+    """Reject a root whose longest side fails ``check_scale``, or is so long
+    that squared lengths overflow, or so short that they underflow.
 
     Every coordinate and side length in the tree is at most the root's
     longest side, so the overflow check at the root covers every product
     that ``TriangleNode`` and ``bisect`` form at any depth.  Without the
     underflow check a tiny root would be reported as collinear.
     """
-    if not (longest > 0 and math.isfinite(longest)):
-        raise ValueError("scale must be a positive finite number")
+    check_scale(longest)
     if not math.isfinite(2.0 * longest * longest):
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too large: squared lengths overflow")

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .engine import MAX_RENDER_GENERATION
 from .geometry import TriangleNode
-
-MAX_RENDER_GENERATION = 14  # at most 2**14 = 16384 polygons
 
 _MARGIN_FRACTION = 0.02
 _STROKE_FRACTION = 0.002

@@ -638,8 +638,13 @@ def _m_altitude_classes(spec, runs):
 
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
-    result = _run_from_spec(spec, runs, retain=RetainPolicy.FULL_TREE)
-    root = result.generations[0][0]
+    # The engine's root, built as ``refine`` builds it.
+    if spec.get("base") is not None:
+        root = triangle_from_angles(_base_parse(spec["base"], runs),
+                                    exact=False)
+    else:
+        root = triangle_from_sides(*spec["sides"])
+    result = _run_from_spec(spec, runs)
     subtrees = []
     for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):
         sides = sorted(child.sides(), reverse=True)
@@ -707,7 +712,7 @@ def _m_le_equilateral_angle(stats, base):
 
 
 # ---------------------------------------------------------------------------
-# Streaming / full-tree agreement
+# Streaming / final-generation agreement
 # ---------------------------------------------------------------------------
 
 def _mode_identity_specs(ctx: _Context) -> list[dict]:
@@ -725,7 +730,7 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 @_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
 def _m_mode_identity(spec, runs):
     streamed = _run_from_spec(spec, runs, RetainPolicy.STREAMING)
-    retained = _run_from_spec(spec, runs, RetainPolicy.FULL_TREE)
+    retained = _run_from_spec(spec, runs, RetainPolicy.FINAL_GENERATION)
     worst = 0.0
     for a, b in zip(streamed.stats, retained.stats):
         if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \

@@ -95,37 +95,50 @@ class TestRefineCommand:
 
 
 class TestInputErrors:
+    # Rows that every input front end shares are in BAD_INPUTS below.
+
     def test_bad_angle_sum(self, capsys):
         assert main(["refine", "--angles", "90,45,46", "--iterations", "2"]) == 2
-        assert "sum to 180" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: angles must sum to 180 degrees exactly, got "
+            "90 + 46 + 45\n")
 
-    def test_non_triangle_sides(self, capsys):
-        assert main(["refine", "--sides", "1,2,3", "--iterations", "2"]) == 2
-        assert "do not form a triangle" in capsys.readouterr().err
+    def test_missing_input(self, capsys):
+        assert main(["refine", "--iterations", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: exactly one of base angles or sides must be given\n")
+
+    def test_both_inputs(self, capsys):
+        assert main(["refine", "--angles", "60,60,60", "--sides", "3,4,5",
+                     "--iterations", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: exactly one of base angles or sides must be given\n")
+
+    def test_malformed_rational(self, capsys):
+        assert main(["refine", "--angles", "60,60,sixty",
+                     "--iterations", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse angles '60,60,sixty': "
+            "Invalid literal for Fraction: 'sixty'\n")
+
+    def test_zero_angle(self, capsys):
+        assert main(["refine", "--angles", "90,90,0", "--iterations", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: angles must satisfy alpha >= beta >= gamma > 0, "
+            "got (90, 90, 0)\n")
 
     def test_depth_over_limit(self, capsys):
         assert main(["refine", "--angles", "60,60,60",
                      "--iterations", "99"]) == 2
         assert "exceeds" in capsys.readouterr().err
 
-    def test_svg_depth_over_render_limit(self, capsys):
+    def test_svg_depth_over_render_limit(self, tmp_path, capsys):
+        # The library refuses the retaining run before any output is staged.
         assert main(["refine", "--angles", "60,60,60", "--iterations", "15",
-                     "--svg", "x.svg"]) == 2
-        assert "--svg supports at most" in capsys.readouterr().err
-
-    def test_missing_input(self, capsys):
-        assert main(["refine", "--iterations", "2"]) == 2
-
-    def test_both_inputs(self, capsys):
-        assert main(["refine", "--angles", "60,60,60", "--sides", "3,4,5",
-                     "--iterations", "2"]) == 2
-
-    def test_malformed_rational(self, capsys):
-        assert main(["refine", "--angles", "60,60,sixty",
-                     "--iterations", "2"]) == 2
-
-    def test_zero_angle(self, capsys):
-        assert main(["refine", "--angles", "90,90,0", "--iterations", "2"]) == 2
+                     "--svg", str(tmp_path / "x.svg")]) == 2
+        assert capsys.readouterr().err == (
+            "error: depth 15 exceeds the final-generation limit of 14\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, code, message", [
         (["refine", "--angles", "60,60,60", "--iterations", "2",
@@ -332,6 +345,8 @@ BAD_INPUTS = {
     "non-triangle-sides": (["--sides", "1,1,5"], "2", 2,
                            "error: sides (1.0, 1.0, 5.0) do not form a "
                            "triangle\n"),
+    "flat-sides": (["--sides", "1,2,3"], "2", 2,
+                   "error: sides (1.0, 2.0, 3.0) do not form a triangle\n"),
     "nan-side": (["--sides", "nan,1,1"], "2", 2,
                  "error: sides must be positive finite numbers\n"),
     "both-inputs": (["--angles", "60,60,60", "--sides", "3,4,5"], "2", 2,
@@ -394,27 +409,27 @@ def join_render_svg(nodes, path, stroke_reference=None):
 
 
 class TestRenderSvg:
-    def run_full(self, depth):
+    def run_retained(self, depth):
         return refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
                                     depth=depth, base=BaseAngles(60, 60, 60),
-                                    retain=RetainPolicy.FULL_TREE))
+                                    retain=RetainPolicy.FINAL_GENERATION))
 
     def test_single_polygon_at_depth_zero(self, tmp_path):
-        result = self.run_full(0)
+        result = self.run_retained(0)
         out = tmp_path / "root.svg"
-        render_svg(result.generations[0], str(out))
+        render_svg(result.nodes, str(out))
         assert out.read_text().count("<polygon") == 1
 
     def test_eight_polygons_at_depth_three(self, tmp_path):
-        result = self.run_full(3)
+        result = self.run_retained(3)
         out = tmp_path / "g3.svg"
-        render_svg(result.generations[3], str(out))
+        render_svg(result.nodes, str(out))
         assert out.read_text().count("<polygon") == 8
 
     def test_viewbox_margin_and_stroke(self, tmp_path):
-        result = self.run_full(2)
+        result = self.run_retained(2)
         out = tmp_path / "g2.svg"
-        render_svg(result.generations[2], str(out),
+        render_svg(result.nodes, str(out),
                    stroke_reference=result.stats[0].mesh)
         text = out.read_text()
         # 2% margin around the unit-based equilateral: x starts at -0.02.
@@ -423,8 +438,8 @@ class TestRenderSvg:
         assert 'fill="none"' in text
 
     def test_render_limit(self, tmp_path):
-        result = self.run_full(3)
-        node = result.generations[3][0]
+        result = self.run_retained(3)
+        node = result.nodes[0]
         node.generation = 15
         with pytest.raises(ValueError):
             render_svg([node], str(tmp_path / "x.svg"))
@@ -436,11 +451,11 @@ class TestRenderSvg:
     @pytest.mark.parametrize("kind", list(ProcedureKind))
     def test_matches_join_writer(self, tmp_path, kind):
         result = refine(RefinementRun(kind=kind, depth=8, sides=(1.3, 1.7, 1.5),
-                                      retain=RetainPolicy.FULL_TREE))
+                                      retain=RetainPolicy.FINAL_GENERATION))
         for stroke_reference in (None, result.stats[0].mesh):
-            render_svg(result.generations[8], str(tmp_path / "new.svg"),
+            render_svg(result.nodes, str(tmp_path / "new.svg"),
                        stroke_reference=stroke_reference)
-            join_render_svg(result.generations[8], str(tmp_path / "old.svg"),
+            join_render_svg(result.nodes, str(tmp_path / "old.svg"),
                             stroke_reference=stroke_reference)
             assert ((tmp_path / "new.svg").read_bytes()
                     == (tmp_path / "old.svg").read_bytes())

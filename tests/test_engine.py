@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from trirefine import svg
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
+    MAX_RENDER_GENERATION,
     ProcedureKind,
     RefinementRun,
     RetainPolicy,
@@ -85,11 +87,23 @@ class TestRunValidation:
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=41,
                           base=EQUILATERAL)
         with pytest.raises(ValueError):
-            RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=25,
-                          base=EQUILATERAL, retain=RetainPolicy.FULL_TREE)
-        with pytest.raises(ValueError):
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=-1,
                           base=EQUILATERAL)
+
+    def test_retaining_run_limited_to_render_generation(self):
+        # A retaining run keeps 2**depth nodes, at most what an SVG draws;
+        # a deeper one is refused before it starts.
+        assert svg.MAX_RENDER_GENERATION == MAX_RENDER_GENERATION == 14
+        for kind in ProcedureKind:
+            RefinementRun(kind=kind, depth=14, sides=(3, 4, 5),
+                          retain=RetainPolicy.FINAL_GENERATION)
+            with pytest.raises(ValueError, match="^depth 15 exceeds the "
+                               "final-generation limit of 14$"):
+                RefinementRun(kind=kind, depth=15, sides=(3, 4, 5),
+                              retain=RetainPolicy.FINAL_GENERATION)
+        # A streaming run keeps no nodes and is not held to it.
+        RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=15,
+                      sides=(3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +176,15 @@ class TestRefine:
         a = refine(RefinementRun(kind=kind, depth=6,
                                  retain=RetainPolicy.STREAMING, **source))
         b = refine(RefinementRun(kind=kind, depth=6,
-                                 retain=RetainPolicy.FULL_TREE, **source))
-        assert a.generations is None
-        assert b.generations is not None
+                                 retain=RetainPolicy.FINAL_GENERATION, **source))
+        assert a.nodes is None
+        assert len(b.nodes) == 2 ** 6
         assert a.stats == b.stats  # bitwise: identical computations in both modes
         assert a.class_keys == b.class_keys
 
     def test_full_tree_lineage_order(self):
-        result = run_largest(EQUILATERAL, 3, retain=RetainPolicy.FULL_TREE)
-        lineages = [node.lineage for node in result.generations[3]]
+        result = run_largest(EQUILATERAL, 3, retain=RetainPolicy.FINAL_GENERATION)
+        lineages = [node.lineage for node in result.nodes]
         assert lineages == sorted(lineages)
         assert len(lineages) == 8
 
@@ -233,6 +247,34 @@ class TestRefineOracle:
             assert keys == {tuple(sorted(x.as_integer_ratio() for x in a))
                             for a in angles}
 
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("source", [
+        {"base": BaseAngles(80, 60, 40)},
+        {"base": BaseAngles(80, 60, 40), "mode": RunMode.NUMERIC},
+        {"base": EQUILATERAL, "mode": RunMode.NUMERIC},
+        {"sides": (2, 3, 4)},
+    ], ids=["base", "base-numeric", "60-60-60-numeric", "sides"])
+    def test_nodes_are_last_walk_generation(self, kind, source):
+        depth = 7
+        result = refine(RefinementRun(kind=kind, depth=depth,
+                                      retain=RetainPolicy.FINAL_GENERATION,
+                                      **source))
+        # The engine's root, with exact angles only where the run is exact.
+        exact = result.run.mode == RunMode.EXACT_BASE
+        root = (triangle_from_angles(source["base"], exact=exact)
+                if "base" in source else triangle_from_sides(*source["sides"]))
+        last = bisect_walk(root, kind, depth)[-1]
+        assert len(result.nodes) == len(last) == 2 ** depth
+        for node, oracle in zip(result.nodes, last):
+            # repr tells -0.0 from 0.0: bit for bit.
+            assert repr(node.vertices) == repr(oracle.vertices)
+            assert node.lineage == oracle.lineage
+            assert repr(node.sides()) == repr(oracle.sides())
+            assert node.generation == depth
+            assert node.angles_exact == oracle.angles_exact
+            assert (node.angle_units is None) == (not exact)
+
 
 # ---------------------------------------------------------------------------
 # rho sequence
@@ -282,25 +324,31 @@ class TestSimilarityClasses:
         # pair order both show.
         base = BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
                           Fraction(73129, 2782))
-        full = run_largest(base, 7, retain=RetainPolicy.FULL_TREE)
-        for g, nodes in enumerate(full.generations):
-            assert full.class_keys[g] == {
+        result = run_largest(base, 7)
+        walk = bisect_walk(triangle_from_angles(base),
+                           ProcedureKind.LARGEST_ANGLE, 7)
+        assert len(walk) == len(result.class_keys) == 8
+        for keys, nodes in zip(result.class_keys, walk):
+            assert keys == {
                 tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
                 for node in nodes
             }
-        assert full.class_keys == run_largest(base, 7).class_keys
+        retained = run_largest(base, 7, retain=RetainPolicy.FINAL_GENERATION)
+        assert retained.class_keys == result.class_keys
 
     def test_node_units_are_engine_keys(self):
         # Retained nodes carry their angles at the run's scale
         # q * 2**(depth+1), the scale the engine keys them at, and a key
         # packs the two smaller of them as lo * 180 * scale + mid.
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
-        full = run_largest(base, 8, retain=RetainPolicy.FULL_TREE)
-        total = 180 * full.key_scale
-        for g, nodes in enumerate(full.generations):
-            keys = full.key_sets[g]
-            for node in nodes:
-                assert node.angle_scale == full.key_scale
+        for g in range(9):
+            result = run_largest(base, g, retain=RetainPolicy.FINAL_GENERATION)
+            assert len(result.nodes) == 2 ** g
+            assert result.key_scale == 4 << (g + 1)
+            total = 180 * result.key_scale
+            keys = result.key_sets[g]
+            for node in result.nodes:
+                assert node.angle_scale == result.key_scale
                 lo, mid, hi = sorted(node.angle_units)
                 assert lo + mid + hi == total
                 assert lo * total + mid in keys
@@ -310,10 +358,13 @@ class TestSimilarityClasses:
         # a packed key is wider than a machine word.
         base = BaseAngles(Fraction(887543, 9999), Fraction(176543, 3333),
                           Fraction(382648, 9999))
-        full = run_largest(base, 10, retain=RetainPolicy.FULL_TREE)
-        assert full.key_scale == 9999 << 11
-        for g, nodes in enumerate(full.generations):
-            assert full.class_keys[g] == {
+        result = run_largest(base, 10)
+        assert result.key_scale == 9999 << 11
+        walk = bisect_walk(triangle_from_angles(base),
+                           ProcedureKind.LARGEST_ANGLE, 10)
+        assert len(walk) == len(result.class_keys) == 11
+        for keys, nodes in zip(result.class_keys, walk):
+            assert keys == {
                 tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
                 for node in nodes
             }

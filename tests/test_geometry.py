@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trirefine import geometry
+from trirefine.engine import RefinementRun
 from trirefine.exact import (
     FORM_ALPHA,
     FORM_BETA,
@@ -26,6 +27,7 @@ from trirefine.geometry import (
     aspect_ratio_trig,
     bisect,
     bisector_to_longest_side_ratio,
+    check_scale,
     largest_angle_vertex,
     longest_side_vertex,
     smallest_angle_vertex,
@@ -320,6 +322,8 @@ class TestBisectOracle:
                     # Bit for bit: the engine's longest-edge branch reads
                     # these angles from bisect-built children.
                     assert child.angles_deg() == rebuilt.angles_deg()
+                    if kind is ProcedureKind.LONGEST_EDGE:
+                        assert child._split_angles == rebuilt.angles_deg()
                     children.append(child)
             level = children
 
@@ -336,6 +340,31 @@ class TestBisectOracle:
             assert largest_angle_vertex(rebuilt) == largest_angle_vertex(child)
             assert smallest_angle_vertex(rebuilt) == smallest_angle_vertex(child)
             assert child.sides() == rebuilt.sides()
+
+    def test_seeded_longest_edge_angles(self):
+        # Longest-edge children carry the angles the engine reads, measured
+        # from the split's own vectors; on a seeded sweep of roots, thin
+        # ones included, they are angles_deg() of the child, bit for bit.
+        rng = random.Random(0)
+        checked = 0
+        for _ in range(150):
+            if rng.random() < 0.5:
+                a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+                root = triangle_from_sides(
+                    a, b, rng.uniform(abs(a - b) + 1e-3, a + b - 1e-3))
+            else:
+                small = rng.uniform(0.5, 60.0)
+                mid = rng.uniform(small, (180.0 - small) / 2.0)
+                root = triangle_from_angles_deg(180.0 - small - mid, mid,
+                                                small, rng.uniform(0.1, 10.0))
+            level = [root]
+            for _ in range(6):
+                level = [child for node in level
+                         for child in bisect(node, ProcedureKind.LONGEST_EDGE)]
+                for child in level:
+                    assert child._split_angles == child.angles_deg()
+                checked += len(level)
+        assert checked == 150 * (2 ** 7 - 2)
 
     @pytest.mark.parametrize("kind", list(ProcedureKind))
     def test_degeneracy_threshold_matches_public_constructor(self, kind):
@@ -533,6 +562,20 @@ class TestConstructors:
     def test_smallest_supported_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=1e-153)
         assert sorted_sides(t)[0] == pytest.approx(1e-153, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_one_scale_rule(self, scale):
+        # A run's scale and a root's longest side obey one rule, with one
+        # message; it is a plain ValueError (exit 2), not a geometry error.
+        for reject in (
+                lambda: check_scale(scale),
+                lambda: triangle_from_angles(EQUILATERAL, scale=scale),
+                lambda: RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                      depth=1, base=EQUILATERAL, scale=scale)):
+            with pytest.raises(ValueError) as info:
+                reject()
+            assert type(info.value) is ValueError
+            assert str(info.value) == "scale must be a positive finite number"
 
     def test_from_angles_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=2.5)

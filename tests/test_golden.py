@@ -46,6 +46,21 @@ def test_refine_outputs(tmp_path, capsys, source, procedure):
     assert got == REFINE_GOLDEN[(source, procedure)]
 
 
+def test_render_limit_outputs(tmp_path, capsys):
+    # At the render limit, 2**14 polygons: digests taken when a retaining
+    # run still kept every generation of the tree.
+    outputs = [tmp_path / f"out.{ext}" for ext in ("json", "csv", "svg")]
+    code = main(["refine", "--sides", "1.3,1.7,1.5",
+                 "--procedure", "longest-edge", "--iterations", "14",
+                 "--json", str(outputs[0]), "--csv", str(outputs[1]),
+                 "--svg", str(outputs[2])])
+    assert code == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (digest(stdout), *(digest(p.read_bytes()) for p in outputs))
+    assert got == ("3addfc6993aad894", "2325a66bebf8ba69", "b4467918c6d36120",
+                   "8ed442365e81c77d")
+
+
 @pytest.mark.parametrize("depth, sweep, seed, expected", [
     ("5", "40", "1", "b0cf694b29abc7d5"),
     ("8", "20", "0", "e717f1d3da21bfbf"),
