@@ -14,11 +14,12 @@ aggregate statistics per generation:
   generations 0..n.
 
 One depth-first loop in ``refine`` walks the tree for every procedure and
-both modes, carrying each node's three angles beside it on the stack.  In
-exact-base mode (largest-angle procedure from rational angles) those angles
-are integers at the run's scale q * 2**(depth+1), so the angle statistics
-and similarity keys are exact; numeric mode carries floats and quantizes
-them to 1e-9 degrees for class counting.  An exact key is one packed int,
+both modes, carrying each node's three angles beside it on the stack (a
+node carries geometry only).  In exact-base mode (largest-angle procedure
+from rational angles) they are integers at the run's scale q * 2**(depth+1)
+from ``BaseAngles.units``, as in ``track_carrier``, so angle statistics and
+similarity keys are exact; numeric mode carries floats and quantizes them
+to 1e-9 degrees for class counting.  An exact key is one packed int,
 ``lo * M + mid``, where lo <= mid <= hi are the sorted angles at the run's
 scale and M = 180 * scale is their sum, so hi follows from the other two.
 Keys stay packed while the run counts classes (one run has one scale, so
@@ -46,8 +47,6 @@ from .geometry import (
     TriangleNode,
     bisect,
     check_scale,
-    exact_angle_units,
-    largest_angle_vertex,
     longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
@@ -87,38 +86,29 @@ class RefinementRun:
     """Configuration of one refinement run.
 
     Exactly one of ``base`` (exact angles) or ``sides`` must be given;
-    ``sides`` must pass ``triangle_sides`` and are kept as given.
-    ``mode`` defaults to exact-base when base angles drive the largest-angle
-    procedure, numeric otherwise.  ``scale`` is the initial longest side for
-    angle input; side input is used as given.
+    ``sides`` must pass ``triangle_sides`` and are kept as given.  ``scale``
+    is the initial longest side for angle input; side input is used as
+    given.
     """
 
     kind: ProcedureKind
     depth: int
     base: BaseAngles | None = None
     sides: tuple[float, float, float] | None = None
-    mode: str | None = None
     retain: str = RetainPolicy.STREAMING
     scale: float = 1.0
+
+    @property
+    def mode(self) -> str:
+        """Exact-base when base angles drive the largest-angle procedure,
+        whose splits stay in their dyadic span; numeric otherwise."""
+        if self.base is not None and self.kind is ProcedureKind.LARGEST_ANGLE:
+            return RunMode.EXACT_BASE
+        return RunMode.NUMERIC
 
     def __post_init__(self) -> None:
         if (self.base is None) == (self.sides is None):
             raise ValueError("exactly one of base angles or sides must be given")
-        if self.mode is None:
-            derived = (RunMode.EXACT_BASE
-                       if self.base is not None
-                       and self.kind is ProcedureKind.LARGEST_ANGLE
-                       else RunMode.NUMERIC)
-            object.__setattr__(self, "mode", derived)
-        if self.mode not in (RunMode.EXACT_BASE, RunMode.NUMERIC):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == RunMode.EXACT_BASE:
-            if self.base is None:
-                raise ValueError("exact-base mode requires base angles")
-            if self.kind is not ProcedureKind.LARGEST_ANGLE:
-                raise ValueError(
-                    "exact-base mode is only available for the largest-angle "
-                    "procedure; the other procedures leave the exact span")
         if self.retain == RetainPolicy.STREAMING:
             limit = MAX_DEPTH_STREAMING
         elif self.retain == RetainPolicy.FINAL_GENERATION:
@@ -154,8 +144,7 @@ class RefinementResult:
     """Statistics of one run, plus the last generation's nodes if retained.
 
     ``nodes`` holds the 2**depth nodes of the last generation in lineage
-    order for a final-generation run (exact ones carry their angles at the
-    run's scale, ``key_scale``), and is ``None`` for a streaming run.
+    order for a final-generation run, and is ``None`` for a streaming run.
 
     ``key_sets[g]`` holds generation g's similarity keys as the engine built
     them: sorted triples of angles quantized to 1e-9 degrees in numeric
@@ -203,8 +192,7 @@ def refine(run: RefinementRun) -> RefinementResult:
       common denominator of the base angles, so halving is a shift; the
       largest angle has a tie window of 0, i.e. equality; a key packs the
       two smaller ints into one (see ``RefinementResult``); the angle
-      minima become ``Fraction``s at the end, and retained nodes get the
-      ints as ``angle_units`` over ``angle_scale``.
+      minima become ``Fraction``s at the end.
     * numeric: floats in degrees, within a few ulp of the true angles at
       any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
       round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
@@ -219,15 +207,12 @@ def refine(run: RefinementRun) -> RefinementResult:
     retain = run.retain == RetainPolicy.FINAL_GENERATION
     exact = run.mode == RunMode.EXACT_BASE
     if run.base is not None:
-        root = triangle_from_angles(run.base, scale=run.scale, exact=False)
+        root = triangle_from_angles(run.base, scale=run.scale)
     else:
         root = triangle_from_sides(*run.sides)
     if exact:
-        (a0, a1, a2), q = exact_angle_units(run.base.as_tuple())
-        shift = depth + 1
-        scale = q << shift
+        (a0, a1, a2), scale = run.base.units(depth + 1)
         key_base = 180 * scale
-        a0, a1, a2 = a0 << shift, a1 << shift, a2 << shift
         tie = 0
     else:
         scale = None
@@ -310,11 +295,7 @@ def refine(run: RefinementRun) -> RefinementResult:
                 push((left,) + left._split_angles)
         elif retain:
             # Left children are popped first, so the last generation
-            # arrives in lineage order.  Its nodes are never split, so
-            # their units stay at the run's scale.
-            if exact:
-                node.angle_units = (v0, v1, v2)
-                node.angle_scale = scale
+            # arrives in lineage order.
             nodes.append(node)
 
     if exact:
@@ -344,6 +325,17 @@ def refine(run: RefinementRun) -> RefinementResult:
                             key_sets=key_sets, key_scale=scale)
 
 
+def split_units(units: tuple[int, int, int], ia: int
+                ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Exact angles of the children of a largest-angle split at vertex
+    ``ia``, in ``bisect``'s vertex order: (A, B, C) counted from ``ia``
+    become (A/2, B, A/2 + C) and (A/2, A/2 + B, C) at the parent's scale,
+    as in ``refine``; ``BaseAngles.units(depth + 1)`` allows depth splits."""
+    half = units[ia] >> 1
+    vb, vc = units[(ia + 1) % 3], units[(ia + 2) % 3]
+    return (half, vb, half + vc), (half, half + vb, vc)
+
+
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
     """Angles of the carrier triangle for generations 1 .. depth, exactly.
 
@@ -351,26 +343,28 @@ def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction
     split; a triangle's largest angle is never the kept gamma corner, so
     the lineage is well defined.  Each entry is (major, minor, kept) in
     degrees, where major >= minor are the two mutable angles; they match
-    ``carrier_angle_forms(n)`` evaluated at the base.
+    ``carrier_angle_forms(n)`` evaluated at the base.  The walk splits as
+    ``refine`` does in exact-base mode, on integers at the run's scale.
     """
     if run.mode != RunMode.EXACT_BASE:
         raise ValueError("carrier tracking requires exact-base mode")
     node = triangle_from_angles(run.base, scale=run.scale)
+    units, scale = run.base.units(run.depth + 1)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     kept = run.base.gamma
     i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
     for _ in range(run.depth):
-        ia = largest_angle_vertex(node)
+        ia = units.index(max(units))
         left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
+        left_units, right_units = split_units(units, ia)
         # Left is (A, B, foot) and right is (A, foot, C).
         if i_gamma == (ia + 1) % 3:
-            node, i_gamma = left, 1
+            node, units, i_gamma = left, left_units, 1
         elif i_gamma == (ia + 2) % 3:
-            node, i_gamma = right, 2
+            node, units, i_gamma = right, right_units, 2
         else:
             raise RuntimeError(
                 f"carrier lineage lost at generation {left.generation}")
-        angles = node.angles_exact
-        major, minor = sorted((angles[0], angles[3 - i_gamma]), reverse=True)
-        out.append((major, minor, kept))
+        major, minor = sorted((units[0], units[3 - i_gamma]), reverse=True)
+        out.append((Fraction(major, scale), Fraction(minor, scale), kept))
     return out

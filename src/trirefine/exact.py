@@ -6,7 +6,7 @@ a combination ``c_a*alpha + c_b*beta + c_g*gamma`` whose coefficients are
 dyadic rationals (p / 2**k), which ``AngleForm`` holds as ``Fraction``s.
 The forms state the carrier closed form the verifier checks; the
 refinement carries the angles' values as integers over one scale
-(``geometry.TriangleNode``), exact at any depth.
+(``BaseAngles.units``), exact at any depth.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.
@@ -14,6 +14,7 @@ radians happens only at the numeric geometry boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,6 +105,15 @@ class BaseAngles:
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)
+
+    def units(self, shift: int) -> tuple[tuple[int, int, int], int]:
+        """(alpha, beta, gamma) in units of 1/scale degrees, and the scale
+        ``q << shift``, q the lcm of their denominators: each integer can
+        be halved exactly ``shift`` times."""
+        q = math.lcm(self.alpha.denominator, self.beta.denominator,
+                     self.gamma.denominator)
+        return tuple(a.numerator * (q // a.denominator) << shift
+                     for a in self.as_tuple()), q << shift
 
 
 def evaluate_angle_form(form: AngleForm, base: BaseAngles) -> Fraction:

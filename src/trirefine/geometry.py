@@ -1,20 +1,16 @@
 """Numeric triangle geometry and the three bisection procedures.
 
-Coordinates are IEEE-754 doubles.  A triangle node carries its vertices,
-optionally the exact angle at each vertex as an integer over one integer
-scale, and its position in the bisection tree (generation index and a
-left/right lineage bit string).
+Coordinates are IEEE-754 doubles.  A triangle node carries geometry only:
+its vertices and its position in the bisection tree (generation index and
+a left/right lineage bit string).  Exact angles, where a run has them, ride
+beside the nodes in the walk that needs them (``engine``).
 
 Three splitting procedures are provided:
 
 * ``largest-angle``    -- split along the internal bisector of the largest
-  angle.  Exact angles survive: at twice the parent's scale, halving and
-  the foot angle's sum are integer adds.
+  angle.
 * ``longest-edge``     -- split along the median to the longest side.
 * ``shortest-altitude``-- split along the altitude to the longest side.
-
-The latter two produce angles outside the dyadic span of the starting
-angles, so they run numeric-only.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exact import BaseAngles
@@ -54,32 +49,26 @@ class Point2(NamedTuple):
 
 
 class TriangleNode:
-    """One triangle of the refinement tree.
-
-    In exact-base mode (largest-angle procedure started from rational
-    angles) the angle at ``vertices[i]`` is ``angle_units[i] / angle_scale``
-    degrees; in numeric mode both are ``None``.  ``lineage`` is the bit
-    string of left(0)/right(1) choices from the root.
+    """One triangle of the refinement tree: its vertices, generation and
+    ``lineage``, the bit string of left(0)/right(1) choices from the root.
 
     The constructor is the one public, validating way to make a node, for
-    roots and user-built triangles: it rejects non-finite coordinates,
-    (numerically) collinear vertices and invalid exact angles.  The
-    collinearity test compares twice the area with
-    ``2 * DEGENERACY_REL_AREA`` times the longest squared side, squares
-    written ``x * x`` (correctly rounded, unlike ``x ** 2``, which goes
-    through libm ``pow``).  ``bisect``
-    makes children without it: it applies the same geometric checks, with
-    the same expressions, once per split, and hands the children over with
-    ``sides()`` already cached, the node's one cache.  Longest-edge
-    children also carry ``_split_angles``, what ``angles_deg()`` returns
-    for them, for the engine to read; the slot is unset on other nodes.
+    roots and user-built triangles: it rejects non-finite coordinates and
+    (numerically) collinear vertices.  The collinearity test compares twice
+    the area with ``2 * DEGENERACY_REL_AREA`` times the longest squared
+    side, squares written ``x * x`` (correctly rounded, unlike ``x ** 2``,
+    which goes through libm ``pow``).  ``bisect`` makes children without
+    it: it applies the same checks, with the same expressions, once per
+    split, and hands the children over with ``sides()`` already cached, the
+    node's one cache.  Longest-edge children also carry ``_split_angles``,
+    what ``angles_deg()`` returns for them, for the engine to read; the
+    slot is unset on other nodes.
     """
 
-    __slots__ = ("vertices", "angle_units", "angle_scale", "generation",
-                 "lineage", "_sides", "_split_angles")
+    __slots__ = ("vertices", "generation", "lineage", "_sides",
+                 "_split_angles")
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2],
-                 angles_exact: Sequence[Fraction | int] | None = None,
                  generation: int = 0, lineage: str = "") -> None:
         (ax, ay), (bx, by), (cx, cy) = vertices
         if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(bx)
@@ -94,20 +83,10 @@ class TriangleNode:
         if area2 <= 2.0 * DEGENERACY_REL_AREA * longest_sq:
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): {vertices}")
-        self.angle_units = self.angle_scale = None
-        if angles_exact is not None:
-            self.angle_units, self.angle_scale = exact_angle_units(angles_exact)
         self.vertices = vertices
         self.generation = generation
         self.lineage = lineage
         self._sides = None
-
-    @property
-    def angles_exact(self) -> tuple[Fraction, Fraction, Fraction] | None:
-        """Exact angle at each vertex in degrees; ``None`` in numeric mode."""
-        if self.angle_units is None:
-            return None
-        return tuple(Fraction(u, self.angle_scale) for u in self.angle_units)
 
     def sides(self) -> tuple[float, float, float]:
         """Side lengths indexed by the opposite vertex."""
@@ -147,20 +126,6 @@ class TriangleNode:
                 f"vertices={self.vertices})")
 
 
-def exact_angle_units(angles: Sequence) -> tuple[tuple[int, int, int], int]:
-    """Three positive rationals summing to 180 degrees, as three integers
-    over one integer scale: the lcm of their denominators."""
-    try:
-        values = [Fraction(a) for a in angles]
-    except (TypeError, ValueError, OverflowError):
-        values = []
-    if len(values) != 3 or min(values) <= 0 or sum(values) != 180:
-        raise ValueError("exact angles must be three positive rationals "
-                         f"summing to 180 degrees, got {angles!r}")
-    scale = math.lcm(*(a.denominator for a in values))
-    return tuple(a.numerator * (scale // a.denominator) for a in values), scale
-
-
 # ``bisect`` makes children without ``__init__``: it has already run the
 # constructor's checks on them and measured their sides.  It builds the
 # foot without ``Point2.__new__`` (same type, same values), and compares
@@ -189,15 +154,10 @@ def longest_side_vertex(t: TriangleNode) -> int:
 
 
 def largest_angle_vertex(t: TriangleNode) -> int:
-    """Index of the vertex with the maximal angle.
-
-    Exact integer comparison when exact angles are present; otherwise
-    numeric with a tie window of ``ANGLE_TIE_TOL_DEG``.  Ties go to the
-    smallest vertex index in the node's own vertex order.
+    """Index of the vertex with the maximal angle, from the numeric angles
+    with a tie window of ``ANGLE_TIE_TOL_DEG``.  Ties go to the smallest
+    vertex index in the node's own vertex order.
     """
-    units = t.angle_units
-    if units is not None:
-        return units.index(max(units))
     angs = t.angles_deg()
     top = max(angs)
     return next(i for i in range(3) if top - angs[i] <= ANGLE_TIE_TOL_DEG)
@@ -254,13 +214,11 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     and cross products formed here, so bit for bit what ``angles_deg()``
     returns.
 
-    Exact angles pass to the children at twice the parent's scale: parent
-    units (uA, uB, uC) become (uA, 2uB, uA + 2uC) on the left and
-    (uA, uA + 2uB, 2uC) on the right.
-
     ``split_index`` lets a caller that has already located the split
-    vertex skip the search: it must equal ``largest_angle_vertex(t)`` for
-    the largest-angle procedure and ``longest_side_vertex(t)`` otherwise.
+    vertex skip the search: a walk that carries exact angles passes the
+    vertex of the largest one for the largest-angle procedure (where
+    ``largest_angle_vertex(t)`` would decide numerically), and the
+    side-based procedures take ``longest_side_vertex(t)``.
     """
     v = t.vertices
     s = t.sides()
@@ -276,19 +234,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     ax, ay = A
     bx, by = B
     cx, cy = C
-    left_units = right_units = scale = None
     if kind is _LARGEST_ANGLE:
         b = s[ib]  # |AC|
         c = s[ic]  # |AB|
         w = b + c
         fx = (b * bx + c * cx) / w
         fy = (b * by + c * cy) / w
-        units = t.angle_units
-        if units is not None:
-            uA, uB, uC = units[ia], units[ib], units[ic]
-            left_units = (uA, uB + uB, uA + uC + uC)
-            right_units = (uA, uA + uB + uB, uC + uC)
-            scale = t.angle_scale << 1
     elif kind is _LONGEST_EDGE:
         fx = (bx + cx) / 2.0
         fy = (by + cy) / 2.0
@@ -340,15 +291,11 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     lineage = t.lineage
     left = _new_node(TriangleNode)
     left.vertices = (A, B, foot)
-    left.angle_units = left_units
-    left.angle_scale = scale
     left.generation = gen
     left.lineage = lineage + "0"
     left._sides = (math.hypot(bfx, bfy), af, s[ic])
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
-    right.angle_units = right_units
-    right.angle_scale = scale
     right.generation = gen
     right.lineage = lineage + "1"
     right._sides = (math.hypot(fcx, fcy), s[ib], af)
@@ -406,8 +353,7 @@ def _law_of_sines_root(big: float, mid: float, small: float,
     return (apex, Point2(0.0, 0.0), Point2(scale, 0.0))
 
 
-def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
-                         exact: bool = True) -> TriangleNode:
+def triangle_from_angles(base: BaseAngles, scale: float = 1.0) -> TriangleNode:
     """Root triangle with the given angles, longest side on the x-axis.
 
     Built by the law of sines with the longest side normalized to ``scale``
@@ -415,11 +361,8 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0,
     gamma vertex), so the apex carries the largest angle and sits above
     the base.
     """
-    vertices = _law_of_sines_root(float(base.alpha), float(base.beta),
-                                  float(base.gamma), scale)
-    if exact:
-        return TriangleNode(vertices, base.as_tuple())
-    return TriangleNode(vertices)
+    return TriangleNode(_law_of_sines_root(float(base.alpha), float(base.beta),
+                                           float(base.gamma), scale))
 
 
 def triangle_from_angles_deg(a1: float, a2: float, a3: float,
@@ -461,6 +404,6 @@ def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
 
 
 def smallest_angle_vertex(t: TriangleNode) -> int:
-    """Index of the vertex with the minimal angle (smallest index on ties)."""
-    vals = t.angle_units if t.angle_units is not None else t.angles_deg()
-    return vals.index(min(vals))
+    """Vertex index of the smallest numeric angle; ties go to the first."""
+    angs = t.angles_deg()
+    return angs.index(min(angs))

@@ -9,11 +9,11 @@ above minus its tolerance.
 Each check is declared once, as one ``@_check`` table entry with four parts:
 its name, its tolerance, a population (suite context -> JSON-ready input
 specs) and a margin function ((spec, runs) -> (margin, witness)), where
-``runs`` memoizes run statistics on (kind, base, depth) and parsed bases
-on their witness form.  A witness is a spec the same margin function
-accepts, so ``replay_margin`` is that function applied to a stored witness
-with an empty memo: it reproduces the margin bit for bit by construction,
-with no second copy of the check to keep in step.
+``runs`` memoizes the statistics of streaming runs on (kind, base or sides,
+depth) and parsed bases on their witness form.  A witness is a spec the
+same margin function accepts, so ``replay_margin`` is that function applied
+to a stored witness with an empty memo: it reproduces the margin bit for
+bit by construction, with no second copy of the check to keep in step.
 
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -40,12 +40,14 @@ from .exact import (
     jacobsthal,
 )
 from .engine import (
+    GenerationStats,
     ProcedureKind,
     RefinementResult,
     RefinementRun,
     RetainPolicy,
     SQRT3_2,
     refine,
+    split_units,
     track_carrier,
 )
 from .geometry import (
@@ -155,25 +157,28 @@ def _base_parse(items, runs: dict) -> BaseAngles:
     return base
 
 
-def _stats(runs: dict, kind: ProcedureKind, base: BaseAngles, depth: int):
-    """Statistics of a streaming run from ``base``, memoized in ``runs``."""
-    key = (kind, base, depth)
-    stats = runs.get(key)
-    if stats is None:
-        stats = refine(RefinementRun(kind=kind, depth=depth, base=base)).stats
-        runs[key] = stats
-    return stats
+def _refine(runs: dict, run: RefinementRun) -> RefinementResult:
+    """``refine(run)``, its statistics memoized in ``runs`` on the run, that
+    is on (kind, base or sides, depth).  Only statistics are kept: an exact
+    run's class keys would outweigh them tenfold."""
+    result = refine(run)
+    runs[run] = result.stats
+    return result
 
 
-def _run_from_spec(spec: dict, runs: dict,
-                   retain: str = RetainPolicy.STREAMING) -> RefinementResult:
-    kind = ProcedureKind(spec["kind"])
-    if spec.get("base") is not None:
-        return refine(RefinementRun(kind=kind, depth=spec["depth"],
-                                    base=_base_parse(spec["base"], runs),
-                                    retain=retain))
-    return refine(RefinementRun(kind=kind, depth=spec["depth"],
-                                sides=tuple(spec["sides"]), retain=retain))
+def _stats(runs: dict, run: RefinementRun) -> list[GenerationStats]:
+    """Statistics of a streaming ``run``: memoized, else ``_refine``d."""
+    stats = runs.get(run)
+    return _refine(runs, run).stats if stats is None else stats
+
+
+def _run_from_spec(spec: dict, runs: dict) -> RefinementRun:
+    """The streaming run a spec names by its kind, depth, and base or sides."""
+    base = spec.get("base")
+    return RefinementRun(
+        kind=ProcedureKind(spec["kind"]), depth=spec["depth"],
+        base=None if base is None else _base_parse(base, runs),
+        sides=None if base is not None else tuple(spec["sides"]))
 
 
 def _root_from_witness(w: dict) -> TriangleNode:
@@ -206,7 +211,7 @@ class _Context:
             (base, "".join(rng.choice("01") for _ in range(CARRIER_N_MAX)))
             for base in self.bases[:walk_count]
         ]
-        # The suite's memo: ``_stats`` on (kind, base, depth) and
+        # The suite's memo: ``_refine`` on a run and
         # ``_base_parse`` on a base's witness form.
         self.runs: dict = {}
 
@@ -297,7 +302,8 @@ def _per_stats(name: str, tolerance: float, kind: ProcedureKind | None,
         def pairs(spec: dict, runs: dict) -> Iterator[tuple[float, int]]:
             base = _base_parse(spec["base"], runs)
             run_kind = kind or ProcedureKind(spec["kind"])
-            return kernel(_stats(runs, run_kind, base, spec["depth"]), base)
+            run = RefinementRun(kind=run_kind, depth=spec["depth"], base=base)
+            return kernel(_stats(runs, run), base)
         _per_generation(name, tolerance, population)(pairs)
         return kernel
     return wrap
@@ -448,13 +454,17 @@ def _m_altitude_similarity(spec, runs):
         lambda ctx: [{"base": _base_json(base), "lineage": lineage}
                      for base, lineage in ctx.walks])
 def _m_symbolic_numeric(spec, runs):
-    node = triangle_from_angles(_base_parse(spec["base"], runs))
+    # Exact angles ride the lineage as in refine: integers at one scale.
+    base = _base_parse(spec["base"], runs)
+    node = triangle_from_angles(base)
+    units, scale = base.units(len(spec["lineage"]) + 1)
     worst = 0.0
     for bit in spec["lineage"]:
-        left, right = bisect(node, ProcedureKind.LARGEST_ANGLE)
-        node = right if bit == "1" else left
-        for value, numeric in zip(node.angles_exact, node.angles_deg()):
-            worst = max(worst, abs(float(value) - numeric))
+        ia = units.index(max(units))
+        node = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)[int(bit)]
+        units = split_units(units, ia)[int(bit)]
+        for u, numeric in zip(units, node.angles_deg()):
+            worst = max(worst, abs(u / scale - numeric))
     return -worst, spec
 
 
@@ -519,8 +529,9 @@ def _m_rho_monotone(stats, base):
         lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
                      if base.alpha <= 2 * base.gamma])
 def _m_flat_start_bound(spec, runs):
-    stats = refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
-                                 base=_base_parse(spec["base"], runs))).stats
+    stats = _stats(runs, RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                       depth=2,
+                                       base=_base_parse(spec["base"], runs)))
     return FLAT_START_ASPECT_BOUND - stats[2].max_aspect_ratio, spec
 
 
@@ -542,7 +553,8 @@ def _m_mesh_nonincreasing(stats, base):
 def _aspect_rises(ctx: _Context) -> list[dict]:
     population = []
     for base in ctx.bases:
-        stats = _stats(ctx.runs, ProcedureKind.LARGEST_ANGLE, base, ctx.depth)
+        stats = _stats(ctx.runs, RefinementRun(
+            kind=ProcedureKind.LARGEST_ANGLE, depth=ctx.depth, base=base))
         rise = 0.0
         rise_n = 0
         for n in range(len(stats) - 1):
@@ -604,7 +616,8 @@ def _m_major_collision(spec, runs):
         lambda ctx: [{"base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}])
 def _m_single_class(spec, runs):
     base = _base_parse(spec["base"], runs)
-    stats = _stats(runs, ProcedureKind.LARGEST_ANGLE, base, spec["depth"])
+    stats = _stats(runs, RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                       depth=spec["depth"], base=base))
     extra = max(row.cumulative_similarity_classes for row in stats) - 1
     return -float(extra), spec
 
@@ -629,28 +642,26 @@ def _altitude_specs(ctx: _Context) -> list[dict]:
 
 @_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
 def _m_altitude_classes(spec, runs):
-    result = _run_from_spec(spec, runs)
+    class_keys = _refine(runs, _run_from_spec(spec, runs)).class_keys
     union: set = set()
-    for n, keys in enumerate(result.class_keys[1:], start=1):
+    for n, keys in enumerate(class_keys[1:], start=1):
         union |= keys
         yield float(2 - len(union)), n
 
 
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
+    run = _run_from_spec(spec, runs)
     # The engine's root, built as ``refine`` builds it.
-    if spec.get("base") is not None:
-        root = triangle_from_angles(_base_parse(spec["base"], runs),
-                                    exact=False)
-    else:
-        root = triangle_from_sides(*spec["sides"])
-    result = _run_from_spec(spec, runs)
+    root = (triangle_from_angles(run.base) if run.base is not None
+            else triangle_from_sides(*run.sides))
+    stats = _stats(runs, run)
     subtrees = []
     for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):
         sides = sorted(child.sides(), reverse=True)
         z = sides[0]
         subtrees.append((z, sides[1] / z))
-    for row in result.stats[1:]:
+    for row in stats[1:]:
         bound = max(z * q ** (row.n - 1) for z, q in subtrees)
         yield (bound - row.mesh) / bound, row.n
 
@@ -729,10 +740,11 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 
 @_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
 def _m_mode_identity(spec, runs):
-    streamed = _run_from_spec(spec, runs, RetainPolicy.STREAMING)
-    retained = _run_from_spec(spec, runs, RetainPolicy.FINAL_GENERATION)
+    run = _run_from_spec(spec, runs)
+    streamed = _stats(runs, run)
+    retained = refine(replace(run, retain=RetainPolicy.FINAL_GENERATION)).stats
     worst = 0.0
-    for a, b in zip(streamed.stats, retained.stats):
+    for a, b in zip(streamed, retained):
         if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \
                 (b.n, b.triangle_count, b.cumulative_similarity_classes):
             return -1.0, spec

@@ -22,7 +22,6 @@ from trirefine.exact import (
 from trirefine.engine import (
     ProcedureKind,
     RefinementRun,
-    RunMode,
     SQRT3_2,
     refine,
     track_carrier,
@@ -58,12 +57,11 @@ def sweep_bases():
 
 @pytest.fixture(scope="module")
 def depth12_stats(sweep_bases):
-    """Depth-12 statistics for the sweep; mesh/aspect values are identical
-    between exact and numeric modes, so the cheaper numeric path serves the
-    mesh criteria."""
+    """Depth-12 statistics for the sweep, from the runs' default (exact)
+    mode."""
     return [
         refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=12,
-                             base=base, mode=RunMode.NUMERIC)).stats
+                             base=base)).stats
         for base in sweep_bases
     ]
 
@@ -249,7 +247,7 @@ def test_criterion_9_shortest_altitude():
             union |= keys
             if len(union) > 2:
                 classes_ok = False
-        root = (triangle_from_angles(run.base, exact=False)
+        root = (triangle_from_angles(run.base)
                 if run.base is not None else triangle_from_sides(*run.sides))
         subtrees = []
         for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):

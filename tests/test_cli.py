@@ -130,7 +130,8 @@ class TestInputErrors:
     def test_depth_over_limit(self, capsys):
         assert main(["refine", "--angles", "60,60,60",
                      "--iterations", "99"]) == 2
-        assert "exceeds" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: depth 99 exceeds the streaming limit of 40\n")
 
     def test_svg_depth_over_render_limit(self, tmp_path, capsys):
         # The library refuses the retaining run before any output is staged.

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_reference import ROOT_FORMS, exact_walk, reference_children
 from trirefine import svg
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
@@ -15,6 +16,7 @@ from trirefine.engine import (
     RunMode,
     SQRT3_2,
     refine,
+    split_units,
     track_carrier,
 )
 from trirefine.geometry import (
@@ -75,10 +77,12 @@ class TestRunValidation:
         assert r.mode == RunMode.NUMERIC
 
     def test_exact_mode_needs_largest_angle(self):
-        with pytest.raises(ValueError):
+        # The mode is derived, never given, so exact mode cannot be asked
+        # of another procedure or of side input.
+        with pytest.raises(TypeError):
             RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=2,
                           base=EQUILATERAL, mode=RunMode.EXACT_BASE)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                           sides=(3, 4, 5), mode=RunMode.EXACT_BASE)
 
@@ -167,9 +171,9 @@ class TestRefine:
                              ids=lambda kind: kind.value)
     @pytest.mark.parametrize("source", [
         {"base": EQUILATERAL},
-        # Numeric mode on ties: every angle choice goes through the tie
-        # window.
-        {"base": EQUILATERAL, "mode": RunMode.NUMERIC},
+        # The base's triangle in numeric mode, from its sides, on ties:
+        # every angle choice goes through the tie window.
+        {"sides": (1, 1, 1)},
         {"sides": (3, 4, 5)},
     ], ids=["base", "base-numeric", "sides"])
     def test_streaming_equals_full_tree(self, kind, source):
@@ -189,10 +193,14 @@ class TestRefine:
         assert len(lineages) == 8
 
     def test_numeric_mode_matches_exact_stats(self):
+        # The equilateral from angles runs exact, from sides numeric; the
+        # two roots differ only in rounding.
         exact = run_largest(EQUILATERAL, 6)
-        numeric = run_largest(EQUILATERAL, 6, mode=RunMode.NUMERIC)
+        numeric = refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                       depth=6, sides=(1, 1, 1)))
+        assert numeric.run.mode == RunMode.NUMERIC
         for re_, rn in zip(exact.stats, numeric.stats):
-            assert rn.mesh == re_.mesh  # same float geometry either way
+            assert rn.mesh == pytest.approx(re_.mesh, rel=1e-12)
             assert float(re_.min_angle_deg) == pytest.approx(
                 rn.min_angle_deg, abs=1e-9)
             assert rn.cumulative_similarity_classes == \
@@ -212,6 +220,18 @@ def bisect_walk(root, kind, depth):
     return generations
 
 
+def oracle_walk(result):
+    """The walk a run is checked against: the exact one, with each node's
+    reference angles, for an exact-base run (``None`` angles otherwise)."""
+    run = result.run
+    if run.mode == RunMode.EXACT_BASE:
+        return exact_walk(run.base, run.depth)
+    root = (triangle_from_angles(run.base) if run.base is not None
+            else triangle_from_sides(*run.sides))
+    return [[(node, None) for node in level]
+            for level in bisect_walk(root, run.kind, run.depth)]
+
+
 class TestRefineOracle:
     @pytest.mark.parametrize("kind", list(ProcedureKind),
                              ids=lambda kind: kind.value)
@@ -228,20 +248,19 @@ class TestRefineOracle:
     def test_matches_bisect_walk(self, kind, source):
         depth = 7
         result = refine(RefinementRun(kind=kind, depth=depth, **source))
-        # The angle root carries exact angles, so its largest-angle splits
-        # are chosen exactly, as in the engine's exact mode.
-        root = (triangle_from_angles(source["base"]) if "base" in source
-                else triangle_from_sides(*source["sides"]))
-        walk = bisect_walk(root, kind, depth)
+        # An exact-base run splits by exact angles: the oracle walk carries
+        # the reference algebra's and splits where it says.
+        walk = oracle_walk(result)
         assert len(result.stats) == len(walk)
-        for stats, nodes in zip(result.stats, walk):
+        for stats, level in zip(result.stats, walk):
+            nodes = [node for node, _ in level]
             assert stats.triangle_count == len(nodes)
             assert stats.mesh == max(max(node.sides()) for node in nodes)
             assert stats.max_aspect_ratio == max(map(aspect_ratio, nodes))
         if result.run.mode != RunMode.EXACT_BASE:
             return
-        for stats, keys, nodes in zip(result.stats, result.class_keys, walk):
-            angles = [node.angles_exact for node in nodes]
+        for stats, keys, level in zip(result.stats, result.class_keys, walk):
+            angles = [values for _, values in level]
             assert stats.min_angle_deg == min(min(a) for a in angles)
             assert stats.min_largest_angle_deg == min(max(a) for a in angles)
             assert keys == {tuple(sorted(x.as_integer_ratio() for x in a))
@@ -251,8 +270,9 @@ class TestRefineOracle:
                              ids=lambda kind: kind.value)
     @pytest.mark.parametrize("source", [
         {"base": BaseAngles(80, 60, 40)},
-        {"base": BaseAngles(80, 60, 40), "mode": RunMode.NUMERIC},
-        {"base": EQUILATERAL, "mode": RunMode.NUMERIC},
+        # Bases in numeric mode: the same triangles from their sides.
+        {"sides": tuple(math.sin(math.radians(a)) for a in (80, 60, 40))},
+        {"sides": (1, 1, 1)},
         {"sides": (2, 3, 4)},
     ], ids=["base", "base-numeric", "60-60-60-numeric", "sides"])
     def test_nodes_are_last_walk_generation(self, kind, source):
@@ -260,11 +280,7 @@ class TestRefineOracle:
         result = refine(RefinementRun(kind=kind, depth=depth,
                                       retain=RetainPolicy.FINAL_GENERATION,
                                       **source))
-        # The engine's root, with exact angles only where the run is exact.
-        exact = result.run.mode == RunMode.EXACT_BASE
-        root = (triangle_from_angles(source["base"], exact=exact)
-                if "base" in source else triangle_from_sides(*source["sides"]))
-        last = bisect_walk(root, kind, depth)[-1]
+        last = [node for node, _ in oracle_walk(result)[-1]]
         assert len(result.nodes) == len(last) == 2 ** depth
         for node, oracle in zip(result.nodes, last):
             # repr tells -0.0 from 0.0: bit for bit.
@@ -272,8 +288,6 @@ class TestRefineOracle:
             assert node.lineage == oracle.lineage
             assert repr(node.sides()) == repr(oracle.sides())
             assert node.generation == depth
-            assert node.angles_exact == oracle.angles_exact
-            assert (node.angle_units is None) == (not exact)
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +339,20 @@ class TestSimilarityClasses:
         base = BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
                           Fraction(73129, 2782))
         result = run_largest(base, 7)
-        walk = bisect_walk(triangle_from_angles(base),
-                           ProcedureKind.LARGEST_ANGLE, 7)
+        walk = exact_walk(base, 7)
         assert len(walk) == len(result.class_keys) == 8
-        for keys, nodes in zip(result.class_keys, walk):
+        for keys, level in zip(result.class_keys, walk):
             assert keys == {
-                tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
-                for node in nodes
+                tuple(sorted(a.as_integer_ratio() for a in values))
+                for _, values in level
             }
         retained = run_largest(base, 7, retain=RetainPolicy.FINAL_GENERATION)
         assert retained.class_keys == result.class_keys
 
     def test_node_units_are_engine_keys(self):
-        # Retained nodes carry their angles at the run's scale
-        # q * 2**(depth+1), the scale the engine keys them at, and a key
-        # packs the two smaller of them as lo * 180 * scale + mid.
+        # The engine keys the last generation at the run's scale
+        # q * 2**(depth+1): each node's reference angles are whole units of
+        # it, and a key packs the two smaller as lo * 180 * scale + mid.
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
         for g in range(9):
             result = run_largest(base, g, retain=RetainPolicy.FINAL_GENERATION)
@@ -347,9 +360,10 @@ class TestSimilarityClasses:
             assert result.key_scale == 4 << (g + 1)
             total = 180 * result.key_scale
             keys = result.key_sets[g]
-            for node in result.nodes:
-                assert node.angle_scale == result.key_scale
-                lo, mid, hi = sorted(node.angle_units)
+            for _, values in exact_walk(base, g)[-1]:
+                units = [value * result.key_scale for value in values]
+                assert all(u.denominator == 1 for u in units)
+                lo, mid, hi = sorted(units)
                 assert lo + mid + hi == total
                 assert lo * total + mid in keys
 
@@ -360,13 +374,12 @@ class TestSimilarityClasses:
                           Fraction(382648, 9999))
         result = run_largest(base, 10)
         assert result.key_scale == 9999 << 11
-        walk = bisect_walk(triangle_from_angles(base),
-                           ProcedureKind.LARGEST_ANGLE, 10)
+        walk = exact_walk(base, 10)
         assert len(walk) == len(result.class_keys) == 11
-        for keys, nodes in zip(result.class_keys, walk):
+        for keys, level in zip(result.class_keys, walk):
             assert keys == {
-                tuple(sorted(a.as_integer_ratio() for a in node.angles_exact))
-                for node in nodes
+                tuple(sorted(a.as_integer_ratio() for a in values))
+                for _, values in level
             }
 
     def test_altitude_pythagorean_at_most_two(self):
@@ -376,6 +389,34 @@ class TestSimilarityClasses:
         for keys in result.class_keys[1:]:
             union |= keys
             assert len(union) <= 2
+
+
+# ---------------------------------------------------------------------------
+# split_units: the exact split algebra on integers
+# ---------------------------------------------------------------------------
+
+class TestSplitUnits:
+    def test_refine_inlines_split_units(self):
+        # refine writes the algebra inline: its keys and minima are those
+        # of a walk by split_units at the run's scale.
+        depth = 8
+        for base in (EQUILATERAL, THIN, BaseAngles(100, 50, 30),
+                     BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
+                                Fraction(73129, 2782))):
+            result = run_largest(base, depth)
+            units, scale = base.units(depth + 1)
+            assert scale == result.key_scale
+            total = 180 * scale
+            level = [units]
+            for g in range(depth + 1):
+                assert result.key_sets[g] == {
+                    lo * total + mid for lo, mid, _ in map(sorted, level)}
+                assert result.stats[g].min_angle_deg == Fraction(
+                    min(map(min, level)), scale)
+                assert result.stats[g].min_largest_angle_deg == Fraction(
+                    min(map(max, level)), scale)
+                level = [child for u in level
+                         for child in split_units(u, u.index(max(u)))]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +441,31 @@ class TestCarrierTrack:
                 assert major == evaluate_angle_form(form_major, base)
                 assert minor == evaluate_angle_form(form_minor, base)
                 assert kept == base.gamma
+
+    def test_matches_reference_walk(self):
+        # The carrier followed by the reference algebra: split the first
+        # largest value, keep the child holding gamma (left gets the
+        # corner after the split vertex, right the one after that).
+        for base in (EQUILATERAL, THIN, BaseAngles(80, 60, 40),
+                     BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
+                                Fraction(73129, 2782))):
+            forms, values, i_gamma = ROOT_FORMS, base.as_tuple(), 2
+            expected = []
+            for _ in range(20):
+                ia = values.index(max(values))
+                left, right = reference_children(forms, values, ia)
+                if i_gamma == (ia + 1) % 3:
+                    (forms, values), i_gamma = left, 1
+                else:
+                    assert i_gamma == (ia + 2) % 3
+                    (forms, values), i_gamma = right, 2
+                assert values[i_gamma] == base.gamma
+                major, minor = sorted((values[0], values[3 - i_gamma]),
+                                      reverse=True)
+                expected.append((major, minor, base.gamma))
+            assert track_carrier(RefinementRun(
+                kind=ProcedureKind.LARGEST_ANGLE, depth=20,
+                base=base)) == expected
 
     def test_requires_exact_mode(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,18 @@ class TestBaseAngles:
         base = BaseAngles.from_unordered(40, 80, 60)
         assert base.as_tuple() == (Fraction(80), Fraction(60), Fraction(40))
 
+    def test_units(self):
+        # One scale for mixed denominators, the lcm of theirs; a shift
+        # doubles the scale and every integer with it.
+        base = BaseAngles(90, Fraction(91, 2), 44.5)
+        assert base.units(0) == ((180, 91, 89), 2)
+        assert base.units(3) == ((1440, 728, 712), 16)
+        base = BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
+                          Fraction(73129, 2782))
+        units, scale = base.units(5)
+        assert scale == 5564 << 5
+        assert tuple(Fraction(u, scale) for u in units) == base.as_tuple()
+
 
 # ---------------------------------------------------------------------------
 # evaluate_angle_form

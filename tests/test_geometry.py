@@ -9,15 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exact_reference import reference_walk
 from trirefine import geometry
-from trirefine.engine import RefinementRun
-from trirefine.exact import (
-    FORM_ALPHA,
-    FORM_BETA,
-    FORM_GAMMA,
-    BaseAngles,
-    evaluate_angle_form,
-)
+from trirefine.engine import RefinementRun, RunMode, split_units
+from trirefine.exact import BaseAngles, evaluate_angle_form
 from trirefine.geometry import (
     DegenerateTriangleError,
     Point2,
@@ -76,36 +71,9 @@ def side_order(t) -> list[int]:
     return sorted(range(3), key=lambda i: (-s[i], i))
 
 
-def reference_children(forms, values, ia):
-    """The exact algebra of a largest-angle split at vertex ``ia``, on
-    symbolic forms and on ``Fraction`` values: children's (forms, values),
-    left then right."""
-    ib, ic = (ia + 1) % 3, (ia + 2) % 3
-    half_form, half_value = forms[ia].halve(), values[ia] / 2
-    left = ((half_form, forms[ib], half_form + forms[ic]),
-            (half_value, values[ib], half_value + values[ic]))
-    right = ((half_form, half_form + forms[ib], forms[ic]),
-             (half_value, half_value + values[ib], values[ic]))
-    return left, right
-
-
-def reference_walk(base, lineage):
-    """Follow ``lineage`` (a sequence of 0/1) from the exact root of
-    ``base``.  At every split yields each child with its reference forms
-    and values, then descends into the child the lineage names.  The
-    reference splits the first vertex holding the largest reference value,
-    independently of the node."""
-    node = triangle_from_angles(base)
-    forms = (FORM_ALPHA, FORM_BETA, FORM_GAMMA)
-    values = base.as_tuple()
-    for bit in lineage:
-        ia = values.index(max(values))
-        children = bisect(node, ProcedureKind.LARGEST_ANGLE)
-        references = reference_children(forms, values, ia)
-        for child, (child_forms, child_values) in zip(children, references):
-            yield child, child_forms, child_values
-        node = children[bit]
-        forms, values = references[bit]
+def unit_angles(units, scale):
+    """Angles in units of 1/scale degrees as ``Fraction`` degrees."""
+    return tuple(Fraction(u, scale) for u in units)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +128,11 @@ class TestLargestAngleBisection:
         # children are 30-60-90 with sides (1, sqrt(3)/2, 1/2).
         root = triangle_from_angles(EQUILATERAL)
         left, right = bisect(root, ProcedureKind.LARGEST_ANGLE)
-        for child in (left, right):
-            assert sorted(child.angles_exact) == [30, 60, 90]
+        units, scale = EQUILATERAL.units(1)
+        for child, child_units in zip((left, right), split_units(units, 0)):
+            assert sorted(unit_angles(child_units, scale)) == [30, 60, 90]
+            assert sorted(child.angles_deg()) == pytest.approx(
+                [30.0, 60.0, 90.0], abs=1e-12)
             assert sorted_sides(child) == pytest.approx(
                 (1.0, SQRT3_2, 0.5), abs=1e-12)
         assert left.generation == 1 and left.lineage == "0"
@@ -171,21 +142,23 @@ class TestLargestAngleBisection:
         root = triangle_from_angles(RIGHT_ISOSCELES)
         left, right = bisect(root, ProcedureKind.LARGEST_ANGLE)
         parent_sides = sorted_sides(root)
-        for child in (left, right):
-            assert sorted(child.angles_exact) == [45, 45, 90]
+        units, scale = RIGHT_ISOSCELES.units(1)
+        for child, child_units in zip((left, right), split_units(units, 0)):
+            assert sorted(unit_angles(child_units, scale)) == [45, 45, 90]
             got = sorted_sides(child)
             for g, p in zip(got, parent_sides):
                 assert g == pytest.approx(p / math.sqrt(2), rel=1e-12)
 
     def test_exact_values_match_forms(self):
         base = BaseAngles(100, 50, 30)
-        for node, forms, _ in reference_walk(base, [0] * 6):
-            for form, value in zip(forms, node.angles_exact):
+        _, scale = base.units(7)
+        for _, forms, _, units in reference_walk(base, [0] * 6):
+            for form, value in zip(forms, unit_angles(units, scale)):
                 assert evaluate_angle_form(form, base) == value
 
     def test_forms_sum_to_unity(self):
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
-        for _, f, _ in reference_walk(base, [0] * 8):
+        for _, f, _, _ in reference_walk(base, [0] * 8):
             total = f[0] + f[1] + f[2]
             assert all(c == 1 for c in total.coefficients())
 
@@ -193,17 +166,21 @@ class TestLargestAngleBisection:
                                    min_size=10, max_size=10))
     @settings(max_examples=200, deadline=None)
     def test_exact_angles_match_reference_walk(self, base, lineage):
-        for node, forms, values in reference_walk(base, lineage):
-            exact = node.angles_exact
+        # split_units against the Fraction algebra: the walk's units are at
+        # one scale and keep a factor 2 for every split still to come.
+        shift = len(lineage) + 1
+        _, scale = base.units(shift)
+        for node, forms, values, units in reference_walk(base, lineage):
+            exact = unit_angles(units, scale)
             assert exact == values
             assert [a.as_integer_ratio() for a in exact] == [
                 v.as_integer_ratio() for v in values]
             assert tuple(evaluate_angle_form(f, base) for f in forms) == exact
             total = forms[0] + forms[1] + forms[2]
             assert all(c == 1 for c in total.coefficients())
-            assert sum(node.angle_units) == 180 * node.angle_scale
-            assert node.angle_scale == (
-                triangle_from_angles(base).angle_scale << node.generation)
+            assert sum(units) == 180 * scale
+            assert all(u % (1 << (shift - node.generation)) == 0
+                       for u in units)
 
     @given(angle_triples())
     @settings(max_examples=300)
@@ -237,11 +214,11 @@ class TestLargestAngleBisection:
 
     def test_symbolic_matches_numeric_along_deep_lineage(self):
         base = BaseAngles(Fraction(131, 2), Fraction(119, 2), 55)
-        node = triangle_from_angles(base)
-        for k in range(20):
-            left, right = bisect(node, ProcedureKind.LARGEST_ANGLE)
-            node = left if k % 3 else right
-            for value, numeric in zip(node.angles_exact, node.angles_deg()):
+        lineage = [0 if k % 3 else 1 for k in range(20)]
+        _, scale = base.units(len(lineage) + 1)
+        for node, _, _, units in reference_walk(base, lineage):
+            for value, numeric in zip(unit_angles(units, scale),
+                                      node.angles_deg()):
                 assert abs(float(value) - numeric) < 1e-7
 
 
@@ -253,7 +230,11 @@ class TestOtherProcedures:
     def test_longest_edge_equilateral_midpoint(self):
         root = triangle_from_angles(EQUILATERAL)
         left, right = bisect(root, ProcedureKind.LONGEST_EDGE)
-        assert left.angle_units is None and left.angles_exact is None
+        # Its feet leave the dyadic span of the base angles: a run of it
+        # from base angles is numeric.
+        run = RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=1,
+                            base=EQUILATERAL)
+        assert run.mode == RunMode.NUMERIC
         # Midpoint split of an equilateral gives 30-60-90 children.
         for child in (left, right):
             assert sorted(child.angles_deg()) == pytest.approx(
@@ -316,8 +297,8 @@ class TestBisectOracle:
                     assert ([c.vertices for c in given_index]
                             == [c.vertices for c in pair])
                 for child in pair:
-                    rebuilt = TriangleNode(child.vertices, child.angles_exact,
-                                           child.generation, child.lineage)
+                    rebuilt = TriangleNode(child.vertices, child.generation,
+                                           child.lineage)
                     assert child.sides() == rebuilt.sides()
                     # Bit for bit: the engine's longest-edge branch reads
                     # these angles from bisect-built children.
@@ -331,15 +312,16 @@ class TestBisectOracle:
                                    min_size=10, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_exact_children_match_public_constructor(self, base, lineage):
-        # The constructor takes the reference values and picks its own
-        # scale; angles and sides must match the bisect-built child.
-        for child, _, values in reference_walk(base, lineage):
-            rebuilt = TriangleNode(child.vertices, values, child.generation,
+        # Children of splits chosen by exact angles: their sides and angles
+        # are the constructor's, bit for bit, and the engine's units pick
+        # the largest and smallest vertex the reference values pick.
+        for child, _, values, units in reference_walk(base, lineage):
+            rebuilt = TriangleNode(child.vertices, child.generation,
                                    child.lineage)
-            assert rebuilt.angles_exact == child.angles_exact
-            assert largest_angle_vertex(rebuilt) == largest_angle_vertex(child)
-            assert smallest_angle_vertex(rebuilt) == smallest_angle_vertex(child)
             assert child.sides() == rebuilt.sides()
+            assert child.angles_deg() == rebuilt.angles_deg()
+            assert units.index(max(units)) == values.index(max(values))
+            assert units.index(min(units)) == values.index(min(values))
 
     def test_seeded_longest_edge_angles(self):
         # Longest-edge children carry the angles the engine reads, measured
@@ -584,27 +566,6 @@ class TestConstructors:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, math.inf)))
-
-    @pytest.mark.parametrize("angles", [
-        (Fraction(90), Fraction(45), Fraction(44)),
-        (Fraction(180), Fraction(0), Fraction(0)),
-        (Fraction(200), Fraction(-10), Fraction(-10)),
-        (Fraction(90), Fraction(90)),
-        (90, 45, 45, 0),
-        (90, "x", 45),
-        (math.nan, 90, 90),
-        90,
-    ])
-    def test_exact_angles_must_sum_to_180(self, angles):
-        with pytest.raises(ValueError):
-            TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, 1)),
-                         angles_exact=angles)
-
-    def test_exact_angles_converted_once(self):
-        t = TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, 1)),
-                         angles_exact=(Fraction(90), Fraction(91, 2), 44.5))
-        assert t.angle_units == (180, 91, 89) and t.angle_scale == 2
-        assert t.angles_exact == (90, Fraction(91, 2), Fraction(89, 2))
 
     def test_aspect_from_angles_helper(self):
         assert aspect_ratio_trig(

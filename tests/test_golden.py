@@ -1,10 +1,12 @@
 """Golden outputs: the bytes the command line writes, pinned by sha256 prefix.
 
-Every performance change promises byte-identical output.  These digests
-were taken from the command line as it stood before the split kernel was
-trimmed and exact class keys were packed, and they match under Python
-3.10, 3.11 and 3.12.  A change that moves any of them changes what the tool
-reports.
+Every performance change promises byte-identical output.  The refine and
+render digests and the first two verify reports were taken from the
+command line as it stood before the split kernel was trimmed and exact
+class keys were packed, and they match under Python 3.10, 3.11 and 3.12.
+The upsilon and classes digests and the default-parameter verify report
+were taken before nodes stopped carrying exact angles.  A change that moves
+any of them changes what the tool reports.
 """
 
 import hashlib
@@ -64,6 +66,7 @@ def test_render_limit_outputs(tmp_path, capsys):
 @pytest.mark.parametrize("depth, sweep, seed, expected", [
     ("5", "40", "1", "b0cf694b29abc7d5"),
     ("8", "20", "0", "e717f1d3da21bfbf"),
+    ("8", "1000", "0", "9478c1e00e87a56d"),
 ])
 def test_verify_report(tmp_path, capsys, depth, sweep, seed, expected):
     report = tmp_path / "report.json"
@@ -72,6 +75,25 @@ def test_verify_report(tmp_path, capsys, depth, sweep, seed, expected):
     capsys.readouterr()
     assert code == 0
     assert digest(report.read_bytes()) == expected
+
+
+# argv -> digests of stdout and --json.
+CARRIER_AND_CLASS_GOLDEN = {
+    ("upsilon", "--angles", "80,60,40", "--iterations", "20"): (
+        "557bb1a858a84e24", "ccecb31127934fc5"),
+    ("classes", "--angles", "80,60,40", "--iterations", "12"): (
+        "e2c807a1938d9655", "db47e801333e2524"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CARRIER_AND_CLASS_GOLDEN),
+                         ids=[argv[0] for argv in CARRIER_AND_CLASS_GOLDEN])
+def test_carrier_and_class_outputs(tmp_path, capsys, argv):
+    output = tmp_path / "out.json"
+    assert main([*argv, "--json", str(output)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (digest(stdout), digest(output.read_bytes()))
+    assert got == CARRIER_AND_CLASS_GOLDEN[argv]
 
 
 def test_thin_input_exit_message(capsys):
