@@ -193,13 +193,13 @@ def _stats_row(stats, exact: bool) -> dict:
     return row
 
 
-def _input_dict(run: RefinementRun, iterations: int) -> dict:
+def _input_dict(run: RefinementRun) -> dict:
     return {
         "angles": ([str(x) for x in run.base.as_tuple()]
                    if run.base is not None else None),
         "sides": list(run.sides) if run.sides is not None else None,
         "scale": run.scale,
-        "iterations": iterations,
+        "iterations": run.depth,
         "mode": run.mode,
     }
 
@@ -207,7 +207,7 @@ def _input_dict(run: RefinementRun, iterations: int) -> dict:
 def _result_json(result: RefinementResult) -> dict:
     exact = result.run.mode == RunMode.EXACT_BASE
     return {
-        "input": _input_dict(result.run, result.run.depth),
+        "input": _input_dict(result.run),
         "procedure": result.run.kind.value,
         "generations": [_stats_row(s, exact) for s in result.stats],
     }
@@ -307,7 +307,7 @@ def _cmd_classes(args) -> int:
             print(f"{s.n:>3} {s.cumulative_similarity_classes:>20}")
         if json_out:
             payload = {
-                "input": _input_dict(run, args.iterations),
+                "input": _input_dict(run),
                 "procedure": run.kind.value,
                 "quantization_deg": quantum,
                 "generations": [

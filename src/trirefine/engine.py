@@ -30,7 +30,7 @@ returns the 2**depth nodes of the last generation, the one an SVG draws,
 and drops every earlier node once it is split.  Both modes execute the
 identical per-node computation, so their statistics agree bit for bit.
 Aggregation uses only min/max/set-union, hence the result is independent
-of traversal or worker order.
+of traversal order.
 """
 
 from __future__ import annotations
@@ -124,6 +124,12 @@ class RefinementRun:
         if self.sides is not None:
             triangle_sides(self.sides)
 
+    def root(self) -> TriangleNode:
+        """The base angles' triangle with longest side ``scale``, or the sides'."""
+        if self.base is not None:
+            return triangle_from_angles(self.base, scale=self.scale)
+        return triangle_from_sides(*self.sides)
+
 
 @dataclass
 class GenerationStats:
@@ -206,10 +212,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     altitude = kind is ProcedureKind.SHORTEST_ALTITUDE
     retain = run.retain == RetainPolicy.FINAL_GENERATION
     exact = run.mode == RunMode.EXACT_BASE
-    if run.base is not None:
-        root = triangle_from_angles(run.base, scale=run.scale)
-    else:
-        root = triangle_from_sides(*run.sides)
+    root = run.root()
     if exact:
         (a0, a1, a2), scale = run.base.units(depth + 1)
         key_base = 180 * scale
@@ -325,15 +328,17 @@ def refine(run: RefinementRun) -> RefinementResult:
                             key_sets=key_sets, key_scale=scale)
 
 
-def split_units(units: tuple[int, int, int], ia: int
-                ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Exact angles of the children of a largest-angle split at vertex
-    ``ia``, in ``bisect``'s vertex order: (A, B, C) counted from ``ia``
-    become (A/2, B, A/2 + C) and (A/2, A/2 + B, C) at the parent's scale,
-    as in ``refine``; ``BaseAngles.units(depth + 1)`` allows depth splits."""
+def split_units(units: tuple[int, int, int]
+                ) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+    """(ia, left, right) for a largest-angle split of exact angles ``units``:
+    ``ia`` is the first vertex of the largest angle, as in ``refine`` with a
+    tie window of 0, and (A, B, C) counted from it become (A/2, B, A/2 + C)
+    and (A/2, A/2 + B, C) in ``bisect``'s vertex order, at the parent's
+    scale; ``BaseAngles.units(depth + 1)`` allows depth splits."""
+    ia = units.index(max(units))
     half = units[ia] >> 1
     vb, vc = units[(ia + 1) % 3], units[(ia + 2) % 3]
-    return (half, vb, half + vc), (half, half + vb, vc)
+    return ia, (half, vb, half + vc), (half, half + vb, vc)
 
 
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -343,28 +348,25 @@ def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction
     split; a triangle's largest angle is never the kept gamma corner, so
     the lineage is well defined.  Each entry is (major, minor, kept) in
     degrees, where major >= minor are the two mutable angles; they match
-    ``carrier_angle_forms(n)`` evaluated at the base.  The walk splits as
-    ``refine`` does in exact-base mode, on integers at the run's scale.
+    ``carrier_angle_forms(n)`` evaluated at the base.  The walk builds no
+    triangles, so a collinear float root is no obstacle: it splits integers
+    at the run's scale by ``split_units`` and follows gamma by index.
     """
     if run.mode != RunMode.EXACT_BASE:
         raise ValueError("carrier tracking requires exact-base mode")
-    node = triangle_from_angles(run.base, scale=run.scale)
     units, scale = run.base.units(run.depth + 1)
     out: list[tuple[Fraction, Fraction, Fraction]] = []
     kept = run.base.gamma
     i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
-    for _ in range(run.depth):
-        ia = units.index(max(units))
-        left, right = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
-        left_units, right_units = split_units(units, ia)
+    for n in range(1, run.depth + 1):
+        ia, left, right = split_units(units)
         # Left is (A, B, foot) and right is (A, foot, C).
         if i_gamma == (ia + 1) % 3:
-            node, units, i_gamma = left, left_units, 1
+            units, i_gamma = left, 1
         elif i_gamma == (ia + 2) % 3:
-            node, units, i_gamma = right, right_units, 2
+            units, i_gamma = right, 2
         else:
-            raise RuntimeError(
-                f"carrier lineage lost at generation {left.generation}")
+            raise RuntimeError(f"carrier lineage lost at generation {n}")
         major, minor = sorted((units[0], units[3 - i_gamma]), reverse=True)
         out.append((Fraction(major, scale), Fraction(minor, scale), kept))
     return out

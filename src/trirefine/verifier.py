@@ -459,10 +459,10 @@ def _m_symbolic_numeric(spec, runs):
     node = triangle_from_angles(base)
     units, scale = base.units(len(spec["lineage"]) + 1)
     worst = 0.0
-    for bit in spec["lineage"]:
-        ia = units.index(max(units))
-        node = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)[int(bit)]
-        units = split_units(units, ia)[int(bit)]
+    for bit in map(int, spec["lineage"]):
+        ia, *children = split_units(units)
+        node = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)[bit]
+        units = children[bit]
         for u, numeric in zip(units, node.angles_deg()):
             worst = max(worst, abs(u / scale - numeric))
     return -worst, spec
@@ -652,12 +652,9 @@ def _m_altitude_classes(spec, runs):
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
     run = _run_from_spec(spec, runs)
-    # The engine's root, built as ``refine`` builds it.
-    root = (triangle_from_angles(run.base) if run.base is not None
-            else triangle_from_sides(*run.sides))
     stats = _stats(runs, run)
     subtrees = []
-    for child in bisect(root, ProcedureKind.SHORTEST_ALTITUDE):
+    for child in bisect(run.root(), ProcedureKind.SHORTEST_ALTITUDE):
         sides = sorted(child.sides(), reverse=True)
         z = sides[0]
         subtrees.append((z, sides[1] / z))

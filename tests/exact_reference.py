@@ -3,7 +3,8 @@
 ``reference_children`` is the split algebra on symbolic forms and on
 ``Fraction`` values, written independently of the engine's integer units;
 the walks below split each node with the public ``bisect`` at the first
-vertex of its largest reference value.
+vertex of its largest angle, as ``split_units`` picks it in
+``reference_walk`` and by reference value in ``exact_walk``.
 """
 
 from trirefine.engine import split_units
@@ -29,19 +30,18 @@ def reference_children(forms, values, ia):
 def reference_walk(base, lineage):
     """Follow ``lineage`` (a sequence of 0/1) from the root of ``base``.
 
-    At every split yields each child with its reference forms and values
-    and its angles by ``split_units``, in units of 1/scale degrees where
-    ``base.units(len(lineage) + 1)`` gives the scale; then descends into
-    the child the lineage names.
+    At every split, at the vertex ``split_units`` picks, yields each child
+    with its reference forms and values and its angles by ``split_units``,
+    in units of 1/scale degrees where ``base.units(len(lineage) + 1)``
+    gives the scale; then descends into the child the lineage names.
     """
     node = triangle_from_angles(base)
     forms, values = ROOT_FORMS, base.as_tuple()
     units, _ = base.units(len(lineage) + 1)
     for bit in lineage:
-        ia = values.index(max(values))
+        ia, *children_units = split_units(units)
         children = bisect(node, ProcedureKind.LARGEST_ANGLE, ia)
         references = reference_children(forms, values, ia)
-        children_units = split_units(units, ia)
         for child, (child_forms, child_values), child_units in zip(
                 children, references, children_units):
             yield child, child_forms, child_values, child_units

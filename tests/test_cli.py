@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from trirefine.engine import (
     RetainPolicy,
     refine,
 )
-from trirefine.exact import BaseAngles
+from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.geometry import DegenerateTriangleError, Point2, TriangleNode
 from trirefine.svg import render_svg
 
@@ -259,6 +260,25 @@ class TestUpsilonCommand:
         assert rows[1]["major_exact"] == "75"
         assert rows[2]["major_exact"] == "165/2"
         assert rows[0]["kept_exact"] == "60"
+
+    def test_collinear_float_root(self, capsys):
+        # Valid exact angles whose float root is collinear: the carrier is
+        # tracked on exact angles alone, so its rows are the closed form.
+        angles = ("1799999999999999/10000000000000,"
+                  "1/20000000000000,1/20000000000000")
+        base = BaseAngles(*map(Fraction, angles.split(",")))
+        with pytest.raises(DegenerateTriangleError):
+            RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=3,
+                          base=base).root()
+        assert main(["upsilon", "--angles", angles, "--iterations", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for n, row in enumerate(rows, start=1):
+            major, minor = (evaluate_angle_form(form, base)
+                            for form in carrier_angle_forms(n))
+            index, got_major, _, got_minor, _, got_kept = row.split()
+            assert (index, got_major, got_minor, got_kept) == (
+                str(n), str(major), str(minor), str(base.gamma))
 
     def test_unsorted_labels_are_sorted(self, capsys):
         assert main(["upsilon", "--angles", "45,90,45", "--iterations", "2"]) == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import ROOT_FORMS, exact_walk, reference_children
-from trirefine import svg
+from trirefine import engine, svg
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
     MAX_RENDER_GENERATION,
@@ -75,6 +75,16 @@ class TestRunValidation:
         r = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                           sides=(3, 4, 5))
         assert r.mode == RunMode.NUMERIC
+
+    def test_root(self):
+        # Base angles at the run's scale, for every procedure; sides as given.
+        for kind in ProcedureKind:
+            r = RefinementRun(kind=kind, depth=2, base=BaseAngles(80, 60, 40),
+                              scale=2.5)
+            assert r.root().vertices == triangle_from_angles(
+                BaseAngles(80, 60, 40), scale=2.5).vertices
+            r = RefinementRun(kind=kind, depth=2, sides=(3, 5, 4))
+            assert r.root().vertices == triangle_from_sides(3, 5, 4).vertices
 
     def test_exact_mode_needs_largest_angle(self):
         # The mode is derived, never given, so exact mode cannot be asked
@@ -415,8 +425,43 @@ class TestSplitUnits:
                     min(map(min, level)), scale)
                 assert result.stats[g].min_largest_angle_deg == Fraction(
                     min(map(max, level)), scale)
-                level = [child for u in level
-                         for child in split_units(u, u.index(max(u)))]
+                level = [child for u in level for child in split_units(u)[1:]]
+
+    @pytest.mark.parametrize("base, max_tied", [
+        (EQUILATERAL, True),
+        (RIGHT_ISOSCELES, False),
+        (BaseAngles(72, 72, 36), True),
+    ], ids=["60-60-60", "90-45-45", "72-72-36"])
+    def test_tie_vertex_is_refines(self, base, max_tied):
+        # On a tied largest angle split_units picks the first vertex, as
+        # refine's compare chain does with a tie window of 0: a walk that
+        # bisects where split_units says draws refine's last generation
+        # vertex for vertex, and its keys are refine's.
+        depth = 6
+        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=depth,
+                            base=base, retain=RetainPolicy.FINAL_GENERATION)
+        result = refine(run)
+        units, scale = base.units(depth + 1)
+        assert scale == result.key_scale
+        total = 180 * scale
+        level = [(run.root(), units)]
+        ties = 0
+        for g in range(depth + 1):
+            assert result.key_sets[g] == {
+                lo * total + mid for lo, mid, _ in (sorted(u) for _, u in level)}
+            if g == depth:
+                break
+            children = []
+            for node, u in level:
+                ties += u.count(max(u)) > 1
+                ia, *children_units = split_units(u)
+                children += zip(bisect(node, ProcedureKind.LARGEST_ANGLE, ia),
+                                children_units)
+            level = children
+        assert (ties > 0) == max_tied
+        assert len(result.nodes) == len(level) == 2 ** depth
+        assert [n.vertices for n in result.nodes] == [
+            n.vertices for n, _ in level]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +511,19 @@ class TestCarrierTrack:
             assert track_carrier(RefinementRun(
                 kind=ProcedureKind.LARGEST_ANGLE, depth=20,
                 base=base)) == expected
+
+    def test_builds_no_triangles(self, monkeypatch):
+        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=20,
+                            base=BaseAngles(80, 60, 40))
+        expected = track_carrier(run)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("track_carrier built a triangle")
+
+        monkeypatch.setattr(engine, "bisect", refuse)
+        monkeypatch.setattr(engine, "triangle_from_angles", refuse)
+        assert track_carrier(run) == expected
+        assert len(expected) == 20
 
     def test_requires_exact_mode(self):
         with pytest.raises(ValueError):

@@ -129,7 +129,9 @@ class TestLargestAngleBisection:
         root = triangle_from_angles(EQUILATERAL)
         left, right = bisect(root, ProcedureKind.LARGEST_ANGLE)
         units, scale = EQUILATERAL.units(1)
-        for child, child_units in zip((left, right), split_units(units, 0)):
+        ia, *children_units = split_units(units)
+        assert ia == 0
+        for child, child_units in zip((left, right), children_units):
             assert sorted(unit_angles(child_units, scale)) == [30, 60, 90]
             assert sorted(child.angles_deg()) == pytest.approx(
                 [30.0, 60.0, 90.0], abs=1e-12)
@@ -143,7 +145,9 @@ class TestLargestAngleBisection:
         left, right = bisect(root, ProcedureKind.LARGEST_ANGLE)
         parent_sides = sorted_sides(root)
         units, scale = RIGHT_ISOSCELES.units(1)
-        for child, child_units in zip((left, right), split_units(units, 0)):
+        ia, *children_units = split_units(units)
+        assert ia == 0
+        for child, child_units in zip((left, right), children_units):
             assert sorted(unit_angles(child_units, scale)) == [45, 45, 90]
             got = sorted_sides(child)
             for g, p in zip(got, parent_sides):
