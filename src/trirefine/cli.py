@@ -8,6 +8,9 @@ Subcommands:
 * ``upsilon`` -- print the exact angles of the triangle that keeps the
   smallest starting angle through every generation.
 * ``classes`` -- print cumulative similarity-class counts per generation.
+* ``compare`` -- tabulate mesh decay under all three procedures against the
+  largest-angle envelope ``mesh(0) * rho0**(n // 2)`` and the longest-edge
+  bound ``mesh(0) * (sqrt(3)/2)**(n // 2)``, optionally as CSV.
 
 Exit codes: 0 success, 2 invalid input (including non-finite numbers and
 unwritable output paths), 3 degenerate geometry (including finite input
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -34,6 +38,8 @@ from typing import NamedTuple
 
 from .engine import (
     NUMERIC_KEY_QUANTUM_DEG,
+    SQRT3_2,
+    GenerationStats,
     ProcedureKind,
     RefinementResult,
     RefinementRun,
@@ -51,9 +57,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 
-STATS_FIELDS = ("n", "triangle_count", "mesh", "min_angle_deg",
-                "min_largest_angle_deg", "max_aspect_ratio", "rho",
-                "cumulative_similarity_classes")
+STATS_FIELDS = tuple(f.name for f in dataclasses.fields(GenerationStats))
+# The statistics that are Fractions in exact mode: written as floats, and
+# in exact mode also as "p/q" strings under "<name>_exact".
+_ANGLE_FIELDS = ("min_angle_deg", "min_largest_angle_deg")
 
 
 class InputError(ValueError):
@@ -176,20 +183,13 @@ def _write_json(out: _Output, payload: dict) -> None:
         handle.write("\n")
 
 
-def _stats_row(stats, exact: bool) -> dict:
-    row = {
-        "n": stats.n,
-        "triangle_count": stats.triangle_count,
-        "mesh": stats.mesh,
-        "min_angle_deg": float(stats.min_angle_deg),
-        "min_largest_angle_deg": float(stats.min_largest_angle_deg),
-        "max_aspect_ratio": stats.max_aspect_ratio,
-        "rho": stats.rho,
-        "cumulative_similarity_classes": stats.cumulative_similarity_classes,
-    }
+def _stats_row(stats: GenerationStats, exact: bool) -> dict:
+    row = {name: getattr(stats, name) for name in STATS_FIELDS}
+    for name in _ANGLE_FIELDS:
+        row[name] = float(row[name])
     if exact:
-        row["min_angle_deg_exact"] = str(stats.min_angle_deg)
-        row["min_largest_angle_deg_exact"] = str(stats.min_largest_angle_deg)
+        for name in _ANGLE_FIELDS:
+            row[f"{name}_exact"] = str(getattr(stats, name))
     return row
 
 
@@ -213,12 +213,12 @@ def _result_json(result: RefinementResult) -> dict:
     }
 
 
-def _write_csv(result: RefinementResult, out: _Output) -> None:
+def _write_csv(out: _Output, header, rows) -> None:
     with _writing(out.path), \
             open(out.temp, "w", newline="", encoding="ascii") as handle:
-        writer = csv.DictWriter(handle, STATS_FIELDS)
-        writer.writeheader()
-        writer.writerows(_stats_row(s, exact=False) for s in result.stats)
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_stats_table(result: RefinementResult) -> None:
@@ -245,7 +245,9 @@ def _cmd_refine(args) -> int:
         if json_out:
             _write_json(json_out, _result_json(result))
         if csv_out:
-            _write_csv(result, csv_out)
+            _write_csv(csv_out, STATS_FIELDS,
+                       (_stats_row(s, exact=False).values()
+                        for s in result.stats))
         if svg_out:
             with _writing(svg_out.path):
                 render_svg(result.nodes, svg_out.temp,
@@ -320,6 +322,43 @@ def _cmd_classes(args) -> int:
     return EXIT_OK
 
 
+def _cmd_compare(args) -> int:
+    run = _build_run(args, RetainPolicy.STREAMING)
+    with _outputs(args.csv) as (csv_out,):
+        la, le, sa = (refine(dataclasses.replace(run, kind=kind)).stats
+                      for kind in ProcedureKind)
+        m0, rho0 = la[0].mesh, la[0].rho
+        # rho0 needs generation 1, so a depth-0 run has none; its one bound
+        # is mesh(0) itself.
+        rho0_text = "n/a" if rho0 is None else f"{rho0:.9f}"
+        start = (f"angles {args.angles}" if args.angles is not None
+                 else f"sides {args.sides}")
+        print(f"start: {start}   depth {run.depth}   rho0 = {rho0_text}")
+        header = (f"{'n':>3} | {'LA mesh':>11} {'bound':>11} {'min ang':>8} "
+                  f"{'cls':>5} | {'LE mesh':>11} {'bound':>11} | {'SA mesh':>11}")
+        print(header)
+        print("-" * len(header))
+        rows = []
+        for n, (la_row, le_row, sa_row) in enumerate(zip(la, le, sa)):
+            la_bound = m0 if n == 0 else m0 * rho0 ** (n // 2)
+            le_bound = le_row.mesh if n == 0 else m0 * SQRT3_2 ** (n // 2)
+            print(f"{n:>3} | {la_row.mesh:11.8f} {la_bound:11.8f} "
+                  f"{float(la_row.min_angle_deg):8.4f} "
+                  f"{la_row.cumulative_similarity_classes:>5} | "
+                  f"{le_row.mesh:11.8f} {le_bound:11.8f} | {sa_row.mesh:11.8f}")
+            rows.append([n, la_row.mesh, la_bound, float(la_row.min_angle_deg),
+                         la_row.cumulative_similarity_classes, le_row.mesh,
+                         le_bound, sa_row.mesh])
+        if csv_out:
+            _write_csv(csv_out, ["n", "largest_angle_mesh", "largest_angle_bound",
+                                 "min_angle_deg", "cumulative_classes",
+                                 "longest_edge_mesh", "longest_edge_bound",
+                                 "shortest_altitude_mesh"], rows)
+    if args.csv:
+        print(f"wrote {args.csv}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trirefine",
@@ -375,25 +414,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_classes.add_argument("--json", metavar="PATH")
     p_classes.set_defaults(func=_cmd_classes)
 
+    p_compare = sub.add_parser(
+        "compare",
+        help="mesh decay of the three procedures against their bounds")
+    add_input_options(p_compare)
+    p_compare.add_argument("--csv", metavar="PATH", help="write the table as CSV")
+    p_compare.set_defaults(func=_cmd_compare,
+                           procedure=ProcedureKind.LARGEST_ANGLE.value)
+
     return parser
 
 
-def run_command(command, args) -> int:
-    """Run ``command(args)`` and return its exit code, reporting invalid
-    input (exit 2) and degenerate geometry (exit 3) on stderr."""
+def main(argv=None) -> int:
+    """Run a command and return its exit code, reporting invalid input
+    (exit 2) and degenerate geometry (exit 3) on stderr."""
+    args = build_parser().parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateTriangleError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

@@ -342,39 +342,33 @@ def _check_root_scale(longest: float) -> None:
             f"longest side {longest!r} is too small: squared lengths underflow")
 
 
-def _law_of_sines_root(big: float, mid: float, small: float,
-                       scale: float) -> tuple[Point2, Point2, Point2]:
-    """Vertices with angles (big, mid, small) degrees, longest side ``scale``
-    on the x-axis from the origin, apex above it."""
-    _check_root_scale(scale)
-    al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
-    c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
-    apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
-    return (apex, Point2(0.0, 0.0), Point2(scale, 0.0))
-
-
 def triangle_from_angles(base: BaseAngles, scale: float = 1.0) -> TriangleNode:
-    """Root triangle with the given angles, longest side on the x-axis.
-
-    Built by the law of sines with the longest side normalized to ``scale``
-    (the generation-0 mesh).  Vertex order is (alpha vertex, beta vertex,
-    gamma vertex), so the apex carries the largest angle and sits above
-    the base.
-    """
-    return TriangleNode(_law_of_sines_root(float(base.alpha), float(base.beta),
-                                           float(base.gamma), scale))
+    """Root triangle with the given exact angles, as ``triangle_from_angles_deg``
+    builds it.  The angles go in as ``Fraction``s, which pass its checks
+    exactly and become floats only inside the trigonometry."""
+    return triangle_from_angles_deg(*base.as_tuple(), scale=scale)
 
 
 def triangle_from_angles_deg(a1: float, a2: float, a3: float,
                              scale: float = 1.0) -> TriangleNode:
-    """Numeric-only root triangle from angles in degrees (any order); they
-    must be positive and sum to 180 within 1e-9 (float rounding)."""
+    """Root triangle from angles in degrees (any order); they must be
+    positive and sum to 180 within 1e-9 (float rounding).
+
+    Built by the law of sines with the longest side normalized to ``scale``
+    (the generation-0 mesh) on the x-axis from the origin.  Vertex order is
+    (largest, middle, smallest angle), so the apex carries the largest
+    angle and sits above the base.
+    """
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")
     if not abs(a1 + a2 + a3 - 180.0) <= 1e-9:
         raise ValueError(f"angles must sum to 180 degrees, got {(a1, a2, a3)}")
-    return TriangleNode(_law_of_sines_root(big, mid, small, scale))
+    _check_root_scale(scale)
+    al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
+    c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
+    apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
+    return TriangleNode((apex, Point2(0.0, 0.0), Point2(scale, 0.0)))
 
 
 def triangle_sides(sides: Sequence[float]) -> tuple[float, float, float]:

@@ -3,16 +3,14 @@
 import csv
 import json
 import math
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from trirefine import cli
 from trirefine.cli import main
 from trirefine.engine import (
+    SQRT3_2,
     ProcedureKind,
     RefinementRun,
     RetainPolicy,
@@ -23,8 +21,9 @@ from trirefine.geometry import DegenerateTriangleError, Point2, TriangleNode
 from trirefine.svg import render_svg
 
 R2_EQUILATERAL = math.sin(math.radians(52.5)) / math.cos(math.radians(7.5))
-MESH_DECAY_SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
-                     / "mesh_decay_comparison.py")
+# Valid exact angles whose float root is collinear.
+COLLINEAR_ROOT_ANGLES = ("1799999999999999/10000000000000,"
+                         "1/20000000000000,1/20000000000000")
 
 
 class TestRefineCommand:
@@ -174,6 +173,8 @@ class TestInputErrors:
         (["refine", "--sides", "1e-200,1e-200,1e-200", "--iterations", "2"],
          3, "geometry error: longest side 1e-200 is too small: squared "
          "lengths underflow\n"),
+        (["compare", "--angles", "60,60,60", "--iterations", "2",
+          "--csv", "{bad}"], 2, "error: cannot write {bad}"),
     ])
     def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):
@@ -228,6 +229,19 @@ class TestInputErrors:
             f"degenerate child at depth {iterations} (parent lineage "
             f"{lineage!r})\n")
 
+    @pytest.mark.parametrize("command", ["refine", "classes", "compare"])
+    def test_collinear_float_root_geometry_error(self, capsys, command):
+        # A documented limit (README, exit codes): these commands build the
+        # float root, which is collinear for this valid exact base, so they
+        # exit 3 although classes and angles are exact.  upsilon walks
+        # integers only and runs (TestUpsilonCommand).
+        code = main([command, "--angles", COLLINEAR_ROOT_ANGLES,
+                     "--iterations", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "geometry error: collinear vertices (lineage '')")
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -264,13 +278,12 @@ class TestUpsilonCommand:
     def test_collinear_float_root(self, capsys):
         # Valid exact angles whose float root is collinear: the carrier is
         # tracked on exact angles alone, so its rows are the closed form.
-        angles = ("1799999999999999/10000000000000,"
-                  "1/20000000000000,1/20000000000000")
-        base = BaseAngles(*map(Fraction, angles.split(",")))
+        base = BaseAngles(*map(Fraction, COLLINEAR_ROOT_ANGLES.split(",")))
         with pytest.raises(DegenerateTriangleError):
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=3,
                           base=base).root()
-        assert main(["upsilon", "--angles", angles, "--iterations", "3"]) == 0
+        assert main(["upsilon", "--angles", COLLINEAR_ROOT_ANGLES,
+                     "--iterations", "3"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3
         for n, row in enumerate(rows, start=1):
@@ -308,46 +321,80 @@ class TestClassesCommand:
 
 
 class TestMeshDecayScript:
-    """The script parses its input through ``cli`` and exits as ``main`` does."""
-
-    @staticmethod
-    def run_script(*argv):
-        return subprocess.run([sys.executable, str(MESH_DECAY_SCRIPT), *argv],
-                              capture_output=True, text=True, timeout=120)
+    """``compare`` parses its input as ``refine`` does and exits as it does."""
 
     @pytest.mark.parametrize("argv, code, err", [
-        (["--angles", "60,60"], 2, "error: expected three comma-separated "
-         "angles, e.g. 60/1,60/1,60/1\n"),
-        (["--sides", "1,1,5"], 2,
+        (["--angles", "60,60", "--iterations", "12"], 2,
+         "error: expected three comma-separated angles, e.g. 60/1,60/1,60/1\n"),
+        (["--sides", "1,1,5", "--iterations", "12"], 2,
          "error: sides (1.0, 1.0, 5.0) do not form a triangle\n"),
-        (["--angles", "60,60,60", "--depth", "-1"], 2,
+        (["--angles", "60,60,60", "--iterations", "-1"], 2,
          "error: depth must be non-negative\n"),
-        (["--sides", "3,4,inf"], 2,
+        (["--sides", "3,4,inf", "--iterations", "12"], 2,
          "error: sides must be positive finite numbers\n"),
-        (["--angles", "60,60,60", "--sides", "3,4,5"], 2,
+        (["--angles", "60,60,60", "--sides", "3,4,5", "--iterations", "12"], 2,
          "error: exactly one of base angles or sides must be given\n"),
-        (["--depth", "2"], 2,
+        (["--iterations", "2"], 2,
          "error: exactly one of base angles or sides must be given\n"),
         # The pinned shortest-altitude thin-input limit
         # (test_thin_input_geometry_error).
-        (["--angles", "178,1,1", "--depth", "12"], 3,
+        (["--angles", "178,1,1", "--iterations", "12"], 3,
          "geometry error: shortest-altitude bisection produced a degenerate "
          "child at depth 12 (parent lineage '00000010101')\n"),
     ])
-    def test_bad_input_exit_codes(self, argv, code, err):
-        proc = self.run_script(*argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    def test_bad_input_exit_codes(self, capsys, argv, code, err):
+        assert (main(["compare", *argv]), *capsys.readouterr()) == (code, "", err)
 
-    def test_table_and_csv(self, tmp_path):
+    def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
-        proc = self.run_script("--sides", "3,4,5", "--depth", "3",
-                               "--csv", str(out))
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+        assert main(["compare", "--sides", "3,4,5", "--iterations", "3",
+                     "--csv", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("start: sides 3,4,5   depth 3   rho0 = ")
         assert lines[-1] == f"wrote {out}"
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0][0] == "n" and len(rows) == 5
+
+    def test_depth_zero(self, capsys):
+        # rho0 needs generation 1: a depth-0 table has none to print.
+        assert main(["compare", "--angles", "60,60,60", "--iterations", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "start: angles 60,60,60   depth 0   rho0 = n/a"
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize("base, sides", [
+        (BaseAngles(80, 60, 40), None),
+        (None, (1.3, 1.7, 1.5)),
+    ])
+    def test_csv_rows_are_refine_stats(self, tmp_path, capsys, base, sides):
+        # Each row holds, per generation, the streaming refine statistics
+        # of the three procedures, and the envelopes hold.
+        source = (["--angles", "80,60,40"] if base is not None
+                  else ["--sides", "1.3,1.7,1.5"])
+        out = tmp_path / "decay.csv"
+        assert main(["compare", *source, "--iterations", "8",
+                     "--csv", str(out)]) == 0
+        capsys.readouterr()
+        la, le, sa = (refine(RefinementRun(kind=kind, depth=8, base=base,
+                                           sides=sides)).stats
+                      for kind in ProcedureKind)
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 9
+        for n, row in enumerate(rows):
+            assert int(row["n"]) == n
+            assert float(row["largest_angle_mesh"]) == la[n].mesh
+            assert float(row["min_angle_deg"]) == float(la[n].min_angle_deg)
+            assert (int(row["cumulative_classes"])
+                    == la[n].cumulative_similarity_classes)
+            assert float(row["longest_edge_mesh"]) == le[n].mesh
+            assert float(row["shortest_altitude_mesh"]) == sa[n].mesh
+            assert float(row["largest_angle_bound"]) == (
+                la[0].mesh * la[0].rho ** (n // 2))
+            assert float(row["longest_edge_bound"]) == (
+                la[0].mesh * SQRT3_2 ** (n // 2))
+            assert la[n].mesh <= float(row["largest_angle_bound"])
+            assert le[n].mesh <= float(row["longest_edge_bound"])
 
 
 # One row per input rule: (input options, depth, exit code, stderr).  The
@@ -383,7 +430,7 @@ BAD_INPUTS = {
 # upsilon takes --angles only, so it runs the rows that give angles alone.
 BAD_INPUT_CASES = [
     (front, row) for row, (options, *_) in BAD_INPUTS.items()
-    for front in ("refine", "classes", "upsilon", "script")
+    for front in ("refine", "classes", "upsilon", "compare")
     if front != "upsilon" or "--angles" in options and "--sides" not in options
 ]
 
@@ -392,12 +439,7 @@ BAD_INPUT_CASES = [
                          ids=[f"{front}-{row}" for front, row in BAD_INPUT_CASES])
 def test_bad_input_same_on_every_front_end(capsys, front, row):
     options, depth, code, err = BAD_INPUTS[row]
-    if front == "script":
-        proc = TestMeshDecayScript.run_script(*options, "--depth", depth)
-        got = (proc.returncode, proc.stdout, proc.stderr)
-    else:
-        got = (main([front, *options, "--iterations", depth]),
-               *capsys.readouterr())
+    got = (main([front, *options, "--iterations", depth]), *capsys.readouterr())
     assert got == (code, "", err)
 
 

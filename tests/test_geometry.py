@@ -563,6 +563,16 @@ class TestConstructors:
             assert type(info.value) is ValueError
             assert str(info.value) == "scale must be a positive finite number"
 
+    def test_angle_below_float_range_is_geometry_error(self):
+        # Exact angles reach the law of sines as Fractions, so a valid base
+        # whose smallest angle rounds to 0.0 as a float passes the angle
+        # checks and ends with a collinear root (exit 3), not as an invalid
+        # angle that no input rule explains.
+        tiny = Fraction(1, 10 ** 400)
+        base = BaseAngles(180 - 2 * tiny, tiny, tiny)
+        with pytest.raises(DegenerateTriangleError, match="collinear vertices"):
+            triangle_from_angles(base)
+
     def test_from_angles_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=2.5)
         assert sorted_sides(t)[0] == pytest.approx(2.5, rel=1e-12)

@@ -5,7 +5,8 @@ render digests and the first two verify reports were taken from the
 command line as it stood before the split kernel was trimmed and exact
 class keys were packed, and they match under Python 3.10, 3.11 and 3.12.
 The upsilon and classes digests and the default-parameter verify report
-were taken before nodes stopped carrying exact angles.  A change that moves
+were taken before nodes stopped carrying exact angles, and the compare
+digests from the script that command replaced.  A change that moves
 any of them changes what the tool reports.
 """
 
@@ -94,6 +95,29 @@ def test_carrier_and_class_outputs(tmp_path, capsys, argv):
     stdout = capsys.readouterr().out.encode()
     got = (digest(stdout), digest(output.read_bytes()))
     assert got == CARRIER_AND_CLASS_GOLDEN[argv]
+
+
+# compare argv -> digest of stdout, taken from the mesh-decay script that
+# ``compare`` replaced, whose --depth is compare's --iterations.
+COMPARE_GOLDEN = {
+    ("--angles", "60,60,60", "--iterations", "6"): "e557b236fbb41871",
+    ("--angles", "80,60,40", "--iterations", "12"): "9e789486df69d6f4",
+}
+
+
+@pytest.mark.parametrize("argv", list(COMPARE_GOLDEN),
+                         ids=[argv[1] for argv in COMPARE_GOLDEN])
+def test_compare_table(capsys, argv):
+    assert main(["compare", *argv]) == 0
+    assert digest(capsys.readouterr().out.encode()) == COMPARE_GOLDEN[argv]
+
+
+def test_compare_csv(tmp_path, capsys):
+    output = tmp_path / "decay.csv"
+    assert main(["compare", "--sides", "3,4,5", "--iterations", "10",
+                 "--csv", str(output)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {output}\n")
+    assert digest(output.read_bytes()) == "ad669041e8e72a7e"
 
 
 def test_thin_input_exit_message(capsys):
