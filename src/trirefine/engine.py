@@ -47,7 +47,6 @@ from .geometry import (
     TriangleNode,
     bisect,
     check_scale,
-    longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
     triangle_sides,
@@ -203,8 +202,14 @@ def refine(run: RefinementRun) -> RefinementResult:
       any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
       round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
 
+    Each node's sides are the ones ``bisect`` seeded, read from
+    ``_sides``; the side-based procedures split at the vertex opposite the
+    first longest side, found by the same compare chain as the mesh.
+
     Aborts with a ``DegenerateTriangleError`` naming the lineage path if a
-    split ever produces a numerically collinear child.
+    split ever produces a numerically collinear child, so a run that
+    returns has walked the whole tree and generation n's
+    ``triangle_count`` is ``2**n`` by construction.
     """
     depth = run.depth
     kind = run.kind
@@ -213,6 +218,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     retain = run.retain == RetainPolicy.FINAL_GENERATION
     exact = run.mode == RunMode.EXACT_BASE
     root = run.root()
+    root.sides()  # bisect seeds every child's; the loop reads ``_sides``
     if exact:
         (a0, a1, a2), scale = run.base.units(depth + 1)
         key_base = 180 * scale
@@ -223,7 +229,6 @@ def refine(run: RefinementRun) -> RefinementResult:
                       else map(float, run.base.as_tuple()))
         tie = ANGLE_TIE_TOL_DEG
 
-    counts = [0] * (depth + 1)
     mesh = [0.0] * (depth + 1)
     max_aspect = [0.0] * (depth + 1)
     min_angle: list = [math.inf] * (depth + 1)
@@ -236,7 +241,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     while stack:
         node, v0, v1, v2 = pop()
         g = node.generation
-        s0, s1, s2 = node.sides()
+        s0, s1, s2 = node._sides
         longest = s0 if s0 >= s1 else s1
         if s2 > longest:
             longest = s2
@@ -245,7 +250,6 @@ def refine(run: RefinementRun) -> RefinementResult:
         r = longest / (s0 + s1 + s2 - longest)
         if r > max_aspect[g]:
             max_aspect[g] = r
-        counts[g] += 1
         # The sorted angles by compare-swaps; rounding is monotone, so the
         # numeric key keeps their order.
         if v0 <= v1:
@@ -282,18 +286,20 @@ def refine(run: RefinementRun) -> RefinementResult:
                 push((right, half, half + vb, vc))
                 push((left, half, vb, half + vc))
             elif altitude:
-                ia = longest_side_vertex(node)
-                if ia == 0:
-                    vb, vc = v1, v2
-                elif ia == 1:
-                    vb, vc = v2, v0
+                # The vertex opposite the first longest side, the rule of
+                # ``longest_side_vertex``.
+                if s0 == longest:
+                    ia, vb, vc = 0, v1, v2
+                elif s1 == longest:
+                    ia, vb, vc = 1, v2, v0
                 else:
-                    vb, vc = v0, v1
+                    ia, vb, vc = 2, v0, v1
                 left, right = bisect(node, kind, ia)
                 push((right, 90.0 - vc, 90.0, vc))
                 push((left, 90.0 - vb, vb, 90.0))
             else:
-                left, right = bisect(node, kind)
+                left, right = bisect(node, kind, 0 if s0 == longest
+                                     else 1 if s1 == longest else 2)
                 push((right,) + right._split_angles)
                 push((left,) + left._split_angles)
         elif retain:
@@ -316,7 +322,7 @@ def refine(run: RefinementRun) -> RefinementResult:
                if n < depth else None)
         stats.append(GenerationStats(
             n=n,
-            triangle_count=counts[n],
+            triangle_count=2 ** n,
             mesh=mesh[n],
             min_angle_deg=min_angle[n],
             min_largest_angle_deg=min_largest[n],

@@ -59,10 +59,12 @@ class TriangleNode:
     side, squares written ``x * x`` (correctly rounded, unlike ``x ** 2``,
     which goes through libm ``pow``).  ``bisect`` makes children without
     it: it applies the same checks, with the same expressions, once per
-    split, and hands the children over with ``sides()`` already cached, the
-    node's one cache.  Longest-edge children also carry ``_split_angles``,
-    what ``angles_deg()`` returns for them, for the engine to read; the
-    slot is unset on other nodes.
+    split, and hands the children over with ``sides()`` already cached in
+    ``_sides``, the node's one cache.  The engine and ``bisect`` read that
+    slot directly; it is ``None`` only on a constructor-built node until
+    ``sides()`` is first called.  Longest-edge children also carry
+    ``_split_angles``, what ``angles_deg()`` returns for them, for the
+    engine to read; the slot is unset on other nodes.
     """
 
     __slots__ = ("vertices", "generation", "lineage", "_sides",
@@ -214,29 +216,38 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     and cross products formed here, so bit for bit what ``angles_deg()``
     returns.
 
-    ``split_index`` lets a caller that has already located the split
-    vertex skip the search: a walk that carries exact angles passes the
-    vertex of the largest one for the largest-angle procedure (where
+    ``split_index`` (0, 1 or 2) lets a caller that has already located the
+    split vertex skip the search: a walk that carries exact angles passes
+    the vertex of the largest one for the largest-angle procedure (where
     ``largest_angle_vertex(t)`` would decide numerically), and the
     side-based procedures take ``longest_side_vertex(t)``.
     """
-    v = t.vertices
-    s = t.sides()
+    s = t._sides
+    if s is None:
+        s = t.sides()
     ia = split_index
     if ia is None:
         # The other two procedures split the longest side, keeping the apex
         # opposite it; only their feet differ.
         ia = (largest_angle_vertex(t) if kind is _LARGEST_ANGLE
               else _longest_index(s))
-    ib = (ia + 1) % 3
-    ic = (ia + 2) % 3
-    A, B, C = v[ia], v[ib], v[ic]
+    # A is the split corner, B and C follow it cyclically; b = |AC| and
+    # c = |AB| are the sides opposite B and C.
+    if ia == 0:
+        A, B, C = t.vertices
+        _, b, c = s
+    elif ia == 1:
+        C, A, B = t.vertices
+        c, _, b = s
+    elif ia == 2:
+        B, C, A = t.vertices
+        b, c, _ = s
+    else:
+        raise ValueError(f"split_index must be 0, 1 or 2, got {ia!r}")
     ax, ay = A
     bx, by = B
     cx, cy = C
     if kind is _LARGEST_ANGLE:
-        b = s[ib]  # |AC|
-        c = s[ic]  # |AB|
         w = b + c
         fx = (b * bx + c * cx) / w
         fy = (b * by + c * cy) / w
@@ -293,12 +304,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     left.vertices = (A, B, foot)
     left.generation = gen
     left.lineage = lineage + "0"
-    left._sides = (math.hypot(bfx, bfy), af, s[ic])
+    left._sides = (math.hypot(bfx, bfy), af, c)
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
     right.generation = gen
     right.lineage = lineage + "1"
-    right._sides = (math.hypot(fcx, fcy), s[ib], af)
+    right._sides = (math.hypot(fcx, fcy), b, af)
     if kind is _LONGEST_EDGE:
         # angles_deg() of (A, B, F) and of (A, F, C): its edge vectors are
         # AB, AF, BF on the left and AF, AC, FC on the right.

@@ -10,10 +10,11 @@ Each check is declared once, as one ``@_check`` table entry with four parts:
 its name, its tolerance, a population (suite context -> JSON-ready input
 specs) and a margin function ((spec, runs) -> (margin, witness)), where
 ``runs`` memoizes the statistics of streaming runs on (kind, base or sides,
-depth) and parsed bases on their witness form.  A witness is a spec the
-same margin function accepts, so ``replay_margin`` is that function applied
-to a stored witness with an empty memo: it reproduces the margin bit for
-bit by construction, with no second copy of the check to keep in step.
+depth), and parsed bases and root triangles on their witness form.  A
+witness is a spec the same margin function accepts, so ``replay_margin`` is
+that function applied to a stored witness with an empty memo: it reproduces
+the margin bit for bit by construction, with no second copy of the check to
+keep in step.
 
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
@@ -157,6 +158,17 @@ def _base_parse(items, runs: dict) -> BaseAngles:
     return base
 
 
+def _angles_root(items, runs: dict) -> TriangleNode:
+    """The root of a witness-form spec's ``angles_deg``, built once per
+    ``runs`` memo and shared by the checks that read it."""
+    key = ("angles_deg", *items)
+    root = runs.get(key)
+    if root is None:
+        root = triangle_from_angles_deg(*items)
+        runs[key] = root
+    return root
+
+
 def _refine(runs: dict, run: RefinementRun) -> RefinementResult:
     """``refine(run)``, its statistics memoized in ``runs`` on the run, that
     is on (kind, base or sides, depth).  Only statistics are kept: an exact
@@ -211,8 +223,8 @@ class _Context:
             (base, "".join(rng.choice("01") for _ in range(CARRIER_N_MAX)))
             for base in self.bases[:walk_count]
         ]
-        # The suite's memo: ``_refine`` on a run and
-        # ``_base_parse`` on a base's witness form.
+        # The suite's memo: ``_refine`` on a run, ``_base_parse`` on a
+        # base's witness form and ``_angles_root`` on a triangle's.
         self.runs: dict = {}
 
 
@@ -314,7 +326,7 @@ def _per_triangle(name: str, tolerance: float):
     maps the root triangle of a spec to its margin."""
     def wrap(kernel: Callable[[TriangleNode], float]):
         def margin(spec: dict, runs: dict) -> tuple[float, dict]:
-            return kernel(triangle_from_angles_deg(*spec["angles_deg"])), spec
+            return kernel(_angles_root(spec["angles_deg"], runs)), spec
         _check(name, tolerance, _triangles)(margin)
         return kernel
     return wrap

@@ -22,6 +22,7 @@ from trirefine.engine import (
 from trirefine.geometry import (
     aspect_ratio,
     bisect,
+    longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
 )
@@ -253,8 +254,11 @@ class TestRefineOracle:
                             Fraction(166, 4))},
         {"sides": (3, 4, 5)},
         {"sides": (2, 3, 4)},
+        # The two longest sides tie exactly: the side-based procedures
+        # split at the first of them, as ``longest_side_vertex`` does.
+        {"sides": (2.0, 2.0, 1.0)},
     ], ids=["60-60-60", "178-1-1", "80-60-40", "dyadic", "sides-3-4-5",
-            "sides-2-3-4"])
+            "sides-2-3-4", "sides-2-2-1"])
     def test_matches_bisect_walk(self, kind, source):
         depth = 7
         result = refine(RefinementRun(kind=kind, depth=depth, **source))
@@ -284,7 +288,9 @@ class TestRefineOracle:
         {"sides": tuple(math.sin(math.radians(a)) for a in (80, 60, 40))},
         {"sides": (1, 1, 1)},
         {"sides": (2, 3, 4)},
-    ], ids=["base", "base-numeric", "60-60-60-numeric", "sides"])
+        {"sides": (2.0, 2.0, 1.0)},
+    ], ids=["base", "base-numeric", "60-60-60-numeric", "sides",
+            "sides-2-2-1"])
     def test_nodes_are_last_walk_generation(self, kind, source):
         depth = 7
         result = refine(RefinementRun(kind=kind, depth=depth,
@@ -298,6 +304,13 @@ class TestRefineOracle:
             assert node.lineage == oracle.lineage
             assert repr(node.sides()) == repr(oracle.sides())
             assert node.generation == depth
+
+    def test_tied_root_ties_exactly(self):
+        # The "sides-2-2-1" cases above pin the tie rule only if the root's
+        # two longest sides are equal floats.
+        root = triangle_from_sides(2.0, 2.0, 1.0)
+        assert root.sides() == (2.0, 2.0, 1.0)
+        assert longest_side_vertex(root) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,53 @@ class TestBisectOracle:
                     children.append(child)
             level = children
 
-    @given(exact_bases(), st.lists(st.integers(min_value=0, max_value=1),
+    @pytest.mark.parametrize("seeded", [True, False],
+                             ids=["seeded", "constructor-built"])
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("ia", [0, 1, 2])
+    def test_split_index_rotation(self, ia, kind, seeded):
+        # A scalene root split at each vertex: the children are the corner,
+        # then the two vertices after it cyclically with the foot between,
+        # and their seeded sides and angles are the constructor's, bit for
+        # bit.  An unseeded root makes bisect measure its sides itself.
+        root = TriangleNode((Point2(0.3, 2.9), Point2(-0.1, 0.2),
+                             Point2(3.7, 0.4)), 2, "01")
+        if seeded:
+            root.sides()
+        else:
+            assert root._sides is None
+        v = root.vertices
+        A, B, C = v[ia], v[(ia + 1) % 3], v[(ia + 2) % 3]
+        # The foot as each procedure defines it, with |AC| and |AB| taken
+        # from the constructor's sides by index.
+        s = TriangleNode(v).sides()
+        b, c = s[(ia + 1) % 3], s[(ia + 2) % 3]
+        if kind is ProcedureKind.LARGEST_ANGLE:
+            foot = ((b * B.x + c * C.x) / (b + c), (b * B.y + c * C.y) / (b + c))
+        elif kind is ProcedureKind.LONGEST_EDGE:
+            foot = ((B.x + C.x) / 2.0, (B.y + C.y) / 2.0)
+        else:
+            ex, ey = C.x - B.x, C.y - B.y
+            tau = ((A.x - B.x) * ex + (A.y - B.y) * ey) / (ex * ex + ey * ey)
+            foot = (B.x + tau * ex, B.y + tau * ey)
+        left, right = bisect(root, kind, ia)
+        assert repr(left.vertices) == repr((A, B, Point2(*foot)))
+        assert repr(right.vertices) == repr((A, Point2(*foot), C))
+        for child, lineage in ((left, "010"), (right, "011")):
+            assert (child.generation, child.lineage) == (3, lineage)
+            rebuilt = TriangleNode(child.vertices)
+            assert repr(child._sides) == repr(rebuilt.sides())
+            if kind is ProcedureKind.LONGEST_EDGE:
+                assert repr(child._split_angles) == repr(rebuilt.angles_deg())
+
+    @pytest.mark.parametrize("ia", [-1, 3])
+    def test_split_index_out_of_range(self, ia):
+        root = triangle_from_sides(3, 4, 5)
+        with pytest.raises(ValueError, match="split_index"):
+            bisect(root, ProcedureKind.LONGEST_EDGE, ia)
+
+    @given(exact_bases(),st.lists(st.integers(min_value=0, max_value=1),
                                    min_size=10, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_exact_children_match_public_constructor(self, base, lineage):
