@@ -347,24 +347,23 @@ def split_units(units: tuple[int, int, int]
     return ia, (half, vb, half + vc), (half, half + vb, vc)
 
 
-def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Angles of the carrier triangle for generations 1 .. depth, exactly.
+def carrier_units(base: BaseAngles, depth: int
+                  ) -> tuple[list[tuple[int, int, int]], int]:
+    """The carrier's angles for generations 1 .. depth as integers, and
+    their scale: ``base.units(depth + 1)``'s, a refine's of that depth.
 
     The carrier is the child that keeps the vertex labeled gamma at every
     split; a triangle's largest angle is never the kept gamma corner, so
-    the lineage is well defined.  Each entry is (major, minor, kept) in
-    degrees, where major >= minor are the two mutable angles; they match
-    ``carrier_angle_forms(n)`` evaluated at the base.  The walk builds no
-    triangles, so a collinear float root is no obstacle: it splits integers
-    at the run's scale by ``split_units`` and follows gamma by index.
+    the lineage is well defined.  Each row is (major, minor, kept) in units
+    of 1/scale degrees, where major >= minor are the two mutable angles and
+    kept is the angle the walk holds at the gamma corner.  The walk builds
+    no triangles, so a collinear float root is no obstacle: it splits
+    integers by ``split_units`` and follows gamma by index.
     """
-    if run.mode != RunMode.EXACT_BASE:
-        raise ValueError("carrier tracking requires exact-base mode")
-    units, scale = run.base.units(run.depth + 1)
-    out: list[tuple[Fraction, Fraction, Fraction]] = []
-    kept = run.base.gamma
+    units, scale = base.units(depth + 1)
+    rows: list[tuple[int, int, int]] = []
     i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
-    for n in range(1, run.depth + 1):
+    for n in range(1, depth + 1):
         ia, left, right = split_units(units)
         # Left is (A, B, foot) and right is (A, foot, C).
         if i_gamma == (ia + 1) % 3:
@@ -374,5 +373,15 @@ def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction
         else:
             raise RuntimeError(f"carrier lineage lost at generation {n}")
         major, minor = sorted((units[0], units[3 - i_gamma]), reverse=True)
-        out.append((Fraction(major, scale), Fraction(minor, scale), kept))
-    return out
+        rows.append((major, minor, units[i_gamma]))
+    return rows, scale
+
+
+def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """``carrier_units`` of an exact-base run, in degrees: per generation
+    1 .. depth, (major, minor, kept) exactly.  They match
+    ``carrier_angle_forms(n)`` evaluated at the base, and kept is gamma."""
+    if run.mode != RunMode.EXACT_BASE:
+        raise ValueError("carrier tracking requires exact-base mode")
+    rows, scale = carrier_units(run.base, run.depth)
+    return [tuple(Fraction(x, scale) for x in row) for row in rows]

@@ -4,9 +4,11 @@ Bisecting the largest angle of a triangle only ever halves an angle or
 adds a halved angle to an existing one, so every angle in the process is
 a combination ``c_a*alpha + c_b*beta + c_g*gamma`` whose coefficients are
 dyadic rationals (p / 2**k), which ``AngleForm`` holds as ``Fraction``s.
-The forms state the carrier closed form the verifier checks; the
-refinement carries the angles' values as integers over one scale
-(``BaseAngles.units``), exact at any depth.
+The forms state the carrier closed form the verifier checks.  Values are
+integers over one scale, the base's ``q * 2**shift`` (``BaseAngles.units``),
+exact at any depth: the refinement carries its angles that way, and
+``form_units`` evaluates a form that way, the one evaluator behind
+``evaluate_angle_form`` and ``first_major_angle_collision``.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.
@@ -110,16 +112,42 @@ class BaseAngles:
         """(alpha, beta, gamma) in units of 1/scale degrees, and the scale
         ``q << shift``, q the lcm of their denominators: each integer can
         be halved exactly ``shift`` times."""
-        q = math.lcm(self.alpha.denominator, self.beta.denominator,
-                     self.gamma.denominator)
-        return tuple(a.numerator * (q // a.denominator) << shift
-                     for a in self.as_tuple()), q << shift
+        return _scaled(self.as_tuple(), shift)
+
+
+def _scaled(values, shift: int) -> tuple[tuple[int, ...], int]:
+    """Rationals ``values`` as integers over one scale ``q << shift``, q the
+    lcm of their denominators, and that scale."""
+    q = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (q // v.denominator) << shift
+                 for v in values), q << shift
+
+
+def form_units(form: AngleForm, units: tuple[int, int, int], shift: int) -> int:
+    """The value of ``form`` at angles ``units`` from ``BaseAngles.units(shift)``,
+    in the same units of 1/(q * 2**shift) degrees.
+
+    A coefficient p/2**m contributes p * (u >> m), exact because every unit
+    u is a multiple of 2**shift; a coefficient with m > shift raises
+    ``ValueError``.
+    """
+    a, b, g = units
+    total = 0
+    for c, u in ((form.c_alpha, a), (form.c_beta, b), (form.c_gamma, g)):
+        p, d = c.as_integer_ratio()
+        if d >> shift > 1:
+            raise ValueError(
+                f"angle form coefficient {c} has a denominator above "
+                f"2**{shift}")
+        total += p * (u >> d.bit_length() - 1)
+    return total
 
 
 def evaluate_angle_form(form: AngleForm, base: BaseAngles) -> Fraction:
     """Instantiate a symbolic angle at concrete base angles, exactly, in degrees."""
-    return (form.c_alpha * base.alpha + form.c_beta * base.beta
-            + form.c_gamma * base.gamma)
+    shift = max(c.denominator for c in form.coefficients()).bit_length() - 1
+    units, scale = base.units(shift)
+    return Fraction(form_units(form, units, shift), scale)
 
 
 def jacobsthal(n: int) -> int:
@@ -164,18 +192,19 @@ def first_major_angle_collision(alpha: Fraction, beta: Fraction,
     """First (p, q), p < q <= n_max, with major(p) == major(q), or None.
 
     major(n) is the major form of ``carrier_angle_forms(n)``, evaluated
-    exactly at any positive (alpha, beta) in either order.  Equal values
-    occur only when alpha == 2*beta; then every major(n) is alpha.
+    exactly at any positive (alpha, beta) in either order, as an integer
+    at the scale ``q * 2**n_max``, q the lcm of their denominators.  Equal
+    values occur only when alpha == 2*beta; then every major(n) is alpha.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    seen: dict[Fraction, int] = {}
+    units, _ = _scaled((alpha, beta, 0), n_max)
+    seen: dict[int, int] = {}
     for n in range(1, n_max + 1):
-        major, _ = carrier_angle_forms(n)
-        value = major.c_alpha * alpha + major.c_beta * beta
+        value = form_units(carrier_angle_forms(n)[0], units, n_max)
         if value in seen:
             return (seen[value], n)
         seen[value] = n

@@ -36,8 +36,10 @@ from .exact import (
     FORM_GAMMA,
     carrier_angle_forms,
     check_major_angles_distinct,
+    # Unused here; bound so the benchmark tracer can wrap it by attribute.
     evaluate_angle_form,
     first_major_angle_collision,
+    form_units,
     jacobsthal,
 )
 from .engine import (
@@ -47,9 +49,9 @@ from .engine import (
     RefinementRun,
     RetainPolicy,
     SQRT3_2,
+    carrier_units,
     refine,
     split_units,
-    track_carrier,
 )
 from .geometry import (
     TriangleNode,
@@ -75,6 +77,9 @@ TOL_SYMBOLIC_NUMERIC = 1e-7
 FLAT_START_ASPECT_BOUND = math.sin(math.radians(54.0)) / math.cos(math.radians(7.5))
 
 CARRIER_N_MAX = 20
+# The carrier checks evaluate forms at ``base.units(CARRIER_SHIFT)``, the
+# scale of ``carrier_units`` at depth CARRIER_N_MAX.
+CARRIER_SHIFT = CARRIER_N_MAX + 1
 
 EQUILATERAL = BaseAngles(60, 60, 60)
 RIGHT_ISOSCELES = BaseAngles(90, 45, 45)
@@ -365,11 +370,14 @@ def _m_carrier_sum(spec, runs):
                  lambda ctx: [{"base": _base_json(base)} for base in ctx.bases])
 def _m_carrier_dominates(spec, runs):
     base = _base_parse(spec["base"], runs)
+    units, scale = base.units(CARRIER_SHIFT)
+    gamma = units[2]
     for n in range(1, CARRIER_N_MAX + 1):
         major, minor = carrier_angle_forms(n)
-        big = evaluate_angle_form(major, base)
-        small = evaluate_angle_form(minor, base)
-        yield float(min(big - small, big - base.gamma)), n
+        big = form_units(major, units, CARRIER_SHIFT)
+        small = form_units(minor, units, CARRIER_SHIFT)
+        # Integer true division rounds correctly, as float(Fraction) does.
+        yield min(big - small, big - gamma) / scale, n
 
 
 @_check("dyadic-halve-add-roundtrip", TOL_EXACT,
@@ -595,13 +603,13 @@ def _m_max_aspect_observed(spec, runs):
         lambda ctx: [{"base": _base_json(base)} for base, _ in ctx.walks])
 def _m_carrier_closed_form(spec, runs):
     base = _base_parse(spec["base"], runs)
-    track = track_carrier(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
-                                        depth=CARRIER_N_MAX, base=base))
+    track, _ = carrier_units(base, CARRIER_N_MAX)
+    units, _ = base.units(CARRIER_SHIFT)
     for n, (major, minor, kept) in enumerate(track, start=1):
         form_major, form_minor = carrier_angle_forms(n)
-        if (major != evaluate_angle_form(form_major, base)
-                or minor != evaluate_angle_form(form_minor, base)
-                or kept != base.gamma):
+        if (major != form_units(form_major, units, CARRIER_SHIFT)
+                or minor != form_units(form_minor, units, CARRIER_SHIFT)
+                or kept != units[2]):
             return -1.0, dict(spec, n=n)
     return 0.0, dict(spec, n=0)
 

@@ -5,10 +5,19 @@
 the walks below split each node with the public ``bisect`` at the first
 vertex of its largest angle, as ``split_units`` picks it in
 ``reference_walk`` and by reference value in ``exact_walk``.
+``reference_value`` evaluates a form as a ``Fraction`` sum, and
+``reference_major_collision`` compares the carrier's majors that way.
 """
 
+from fractions import Fraction
+
 from trirefine.engine import split_units
-from trirefine.exact import FORM_ALPHA, FORM_BETA, FORM_GAMMA
+from trirefine.exact import (
+    FORM_ALPHA,
+    FORM_BETA,
+    FORM_GAMMA,
+    carrier_angle_forms,
+)
 from trirefine.geometry import ProcedureKind, bisect, triangle_from_angles
 
 ROOT_FORMS = (FORM_ALPHA, FORM_BETA, FORM_GAMMA)
@@ -64,3 +73,21 @@ def exact_walk(base, depth):
         generations.append(level)
     return [[(node, values) for node, _, values in level]
             for level in generations]
+
+
+def reference_value(form, alpha, beta, gamma=0):
+    """c_alpha*alpha + c_beta*beta + c_gamma*gamma in ``Fraction``s."""
+    return form.c_alpha * alpha + form.c_beta * beta + form.c_gamma * gamma
+
+
+def reference_major_collision(alpha, beta, n_max):
+    """First (p, q), p < q <= n_max, with major(p) == major(q) at (alpha,
+    beta), or None, by ``reference_value``."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    seen = {}
+    for n in range(1, n_max + 1):
+        value = reference_value(carrier_angle_forms(n)[0], alpha, beta)
+        if value in seen:
+            return (seen[value], n)
+        seen[value] = n
+    return None

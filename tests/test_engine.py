@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import ROOT_FORMS, exact_walk, reference_children
-from trirefine import engine, svg
+from trirefine import engine, svg, verifier
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
     MAX_RENDER_GENERATION,
@@ -542,6 +542,33 @@ class TestCarrierTrack:
         with pytest.raises(ValueError):
             track_carrier(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
                                         depth=2, sides=(3, 4, 5)))
+
+    def test_kept_is_the_walked_angle(self, monkeypatch):
+        # A split that adds one unit to each child's kept corner (the one
+        # it shares with its parent) leaves major and minor alone; only
+        # the walked kept angle shows it, in the track and in the check.
+        base = BaseAngles(80, 60, 40)
+        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=20,
+                            base=base)
+        exact_track = track_carrier(run)
+        split = engine.split_units
+
+        def leaky_split(units):
+            ia, (l0, l1, l2), (r0, r1, r2) = split(units)
+            return ia, (l0, l1 + 1, l2), (r0, r1, r2 + 1)
+
+        monkeypatch.setattr(engine, "split_units", leaky_split)
+        track = track_carrier(run)
+        assert [row[:2] for row in track] == [row[:2] for row in exact_track]
+        _, scale = base.units(run.depth + 1)
+        assert [kept for _, _, kept in track] == [
+            base.gamma + Fraction(n, scale) for n in range(1, 21)]
+        spec = {"base": ["80", "60", "40"]}
+        check = verifier._CHECKS["carrier-track-matches-closed-form"]
+        assert check.margin(spec, {}) == (-1.0, {"base": ["80", "60", "40"],
+                                                 "n": 1})
+        assert verifier.replay_margin("carrier-track-matches-closed-form",
+                                      spec) == -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the exact angle arithmetic layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from exact_reference import reference_major_collision, reference_value
 from trirefine.exact import (
     AngleForm,
     BaseAngles,
@@ -15,8 +17,10 @@ from trirefine.exact import (
     check_major_angles_distinct,
     evaluate_angle_form,
     first_major_angle_collision,
+    form_units,
     jacobsthal,
 )
+from trirefine.verifier import ANGLE_FIXTURES, random_valid_base
 
 EQUILATERAL = BaseAngles(Fraction(60), Fraction(60), Fraction(60))
 RIGHT_ISOSCELES = BaseAngles(Fraction(90), Fraction(45), Fraction(45))
@@ -163,6 +167,55 @@ class TestEvaluate:
         assert evaluate_angle_form(major, EQUILATERAL) == 75
 
 
+def written_out(form: AngleForm, base: BaseAngles) -> Fraction:
+    return reference_value(form, *base.as_tuple())
+
+
+class TestFormUnits:
+    def bases(self):
+        rng = random.Random(16)
+        return list(ANGLE_FIXTURES) + [random_valid_base(rng) for _ in range(50)]
+
+    def test_matches_written_out_sum(self):
+        rng = random.Random(1908)
+
+        def coefficient():
+            return Fraction(rng.randint(0, 10**6), 1 << rng.randint(0, 40))
+
+        forms = [FORM_ALPHA, FORM_BETA, FORM_GAMMA]
+        forms += [f for n in range(1, 41) for f in carrier_angle_forms(n)]
+        forms += [AngleForm(coefficient(), coefficient(), coefficient())
+                  for _ in range(40)]
+        for base in self.bases():
+            for shift in (40, 41, 57):
+                units, scale = base.units(shift)
+                for form in forms:
+                    expected = written_out(form, base)
+                    assert Fraction(form_units(form, units, shift),
+                                    scale) == expected, (base, form, shift)
+        for base in self.bases()[:8]:
+            for form in forms:
+                assert evaluate_angle_form(form, base) == written_out(form, base)
+
+    def test_exact_at_the_coefficients_own_shift(self):
+        # major(n) has denominators up to 2**n: shift n is the least exact.
+        for base in self.bases():
+            for n in range(1, 41):
+                units, scale = base.units(n)
+                for form in carrier_angle_forms(n):
+                    assert Fraction(form_units(form, units, n),
+                                    scale) == written_out(form, base)
+
+    def test_shift_too_small_rejected(self):
+        units, _ = EQUILATERAL.units(3)
+        with pytest.raises(ValueError, match="denominator above 2\\*\\*3"):
+            form_units(carrier_angle_forms(4)[1], units, 3)
+        with pytest.raises(ValueError):
+            form_units(AngleForm(0, 0, Fraction(1, 16)), units, 3)
+        assert form_units(carrier_angle_forms(3)[0], units, 3) == \
+            written_out(carrier_angle_forms(3)[0], EQUILATERAL) * 8
+
+
 # ---------------------------------------------------------------------------
 # Carrier closed form
 # ---------------------------------------------------------------------------
@@ -269,6 +322,27 @@ class TestMajorAngleDistinctness:
         for alpha, beta in ((0, 40), (80, 0), (-80, 40)):
             with pytest.raises(ValueError, match="must be positive"):
                 first_major_angle_collision(Fraction(alpha), Fraction(beta), 5)
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2019)
+        pairs = [(Fraction(90), Fraction(45)), (Fraction(80), Fraction(40)),
+                 (Fraction(355, 4), Fraction(355, 8))]
+        for _ in range(15):
+            base = random_valid_base(rng)
+            pairs.append((base.alpha, base.beta))
+            pairs.append((2 * base.beta, base.beta))
+            pairs.append((rng.uniform(0.5, 179.0), rng.uniform(0.5, 90.0)))
+        for alpha, beta in pairs:
+            for a, b in ((alpha, beta), (beta, alpha)):
+                for n_max in range(1, 41):
+                    assert first_major_angle_collision(a, b, n_max) == \
+                        reference_major_collision(a, b, n_max), (a, b, n_max)
+
+    def test_float_input_collides_when_alpha_twice_beta(self):
+        assert first_major_angle_collision(90.0, 45.0, 5) == (1, 2)
+        assert first_major_angle_collision(0.7, 0.35, 40) == \
+            reference_major_collision(0.7, 0.35, 40) == (1, 2)
+        assert first_major_angle_collision(0.35, 0.7, 40) is None
 
     def test_recurrence_oracle_matches_carrier_forms(self):
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))

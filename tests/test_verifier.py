@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from exact_reference import (
+    ROOT_FORMS,
+    reference_children,
+    reference_major_collision,
+    reference_value,
+)
 from trirefine import verifier
+from trirefine.exact import carrier_angle_forms
 from trirefine.verifier import (
     check_names,
     random_valid_base,
@@ -192,6 +199,69 @@ class TestRunSuite:
         assert worst.worst_margin <= 1e-9
         a, b, c = worst.witness["angles_deg"]
         assert max(abs(a - 60), abs(b - 60), abs(c - 60)) < 15.0
+
+
+def reference_dominance(base):
+    """(margin, n) of carrier-major-dominates by Fraction arithmetic: the
+    first smallest min(major - minor, major - gamma) over n = 1..20."""
+    margins = []
+    for n in range(1, verifier.CARRIER_N_MAX + 1):
+        major, minor = (reference_value(f, *base.as_tuple())
+                        for f in carrier_angle_forms(n))
+        margins.append((float(min(major - minor, major - base.gamma)), n))
+    return min(margins, key=lambda pair: pair[0])
+
+
+def reference_track_mismatch(base):
+    """The first generation whose carrier, walked by the Fraction algebra
+    of ``reference_children``, differs from the closed form, else 0."""
+    forms, values, i_gamma = ROOT_FORMS, base.as_tuple(), 2
+    for n in range(1, verifier.CARRIER_N_MAX + 1):
+        ia = values.index(max(values))
+        left, right = reference_children(forms, values, ia)
+        if i_gamma == (ia + 1) % 3:
+            (forms, values), i_gamma = left, 1
+        else:
+            (forms, values), i_gamma = right, 2
+        walked = sorted((values[0], values[3 - i_gamma]), reverse=True)
+        closed = [reference_value(f, *base.as_tuple())
+                  for f in carrier_angle_forms(n)]
+        if walked != closed or values[i_gamma] != base.gamma:
+            return n
+    return 0
+
+
+def test_carrier_checks_match_fraction_reference():
+    """The three carrier checks, evaluated in integers, give the margins
+    and witnesses a Fraction evaluation gives, bit for bit, and replay."""
+    ctx = verifier._Context(depth=5, sweep_size=30, seed=3)
+    checks = {name: verifier._CHECKS[name] for name in (
+        "carrier-major-dominates", "carrier-track-matches-closed-form",
+        "major-angles-distinct")}
+    seen = {name: 0 for name in checks}
+    for name, check in checks.items():
+        for spec in check.population(ctx):
+            base = verifier._base_parse(spec["base"], {})
+            if name == "carrier-major-dominates":
+                margin, n = reference_dominance(base)
+                expected = (margin, dict(spec, n=n))
+            elif name == "carrier-track-matches-closed-form":
+                n = reference_track_mismatch(base)
+                expected = (-1.0 if n else 0.0, dict(spec, n=n))
+            else:
+                collision = reference_major_collision(
+                    base.alpha, base.beta, verifier.CARRIER_N_MAX)
+                expected = (0.0 if collision is None else -1.0, spec)
+            got = check.margin(spec, ctx.runs)
+            assert got == expected, (name, spec)
+            assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
+            assert replay_margin(name, json.loads(json.dumps(got[1]))) == got[0]
+            seen[name] += 1
+    # 30 sweep bases plus 4 fixtures; every carrier walk; no base of the
+    # sweep has alpha == 2*beta, but the right isosceles fixture does.
+    assert seen == {"carrier-major-dominates": 34,
+                    "carrier-track-matches-closed-form": 34,
+                    "major-angles-distinct": 33}
 
 
 @pytest.mark.slow
