@@ -54,11 +54,12 @@ from .geometry import (
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
-# Numeric-mode similarity keys quantize angles to this many degrees: far
-# below the angle separation of any supported run, far above accumulated
-# float error at the permitted depths.
-NUMERIC_KEY_QUANTUM_DEG = 1e-9
+# Numeric-mode similarity keys round each angle times _KEY_SCALE, that is
+# to NUMERIC_KEY_QUANTUM_DEG degrees: far below the angle separation of any
+# supported run, far above accumulated float error at the permitted depths.
+# 1 / 1e9 is the double 1e-9, while 1 / 1e-9 is not the double 1e9.
 _KEY_SCALE = 1e9
+NUMERIC_KEY_QUANTUM_DEG = 1 / _KEY_SCALE
 
 MAX_DEPTH_STREAMING = 40
 # A run that retains nodes keeps 2**depth of them: at most 2**14 = 16384
@@ -202,9 +203,10 @@ def refine(run: RefinementRun) -> RefinementResult:
       any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
       round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
 
-    Each node's sides are the ones ``bisect`` seeded, read from
-    ``_sides``; the side-based procedures split at the vertex opposite the
-    first longest side, found by the same compare chain as the mesh.
+    Each node's sides are read from ``_sides``, which every node carries
+    from the moment the constructor or ``bisect`` makes it; the side-based
+    procedures split at the vertex opposite the first longest side, found
+    by the same compare chain as the mesh.
 
     Aborts with a ``DegenerateTriangleError`` naming the lineage path if a
     split ever produces a numerically collinear child, so a run that
@@ -218,7 +220,6 @@ def refine(run: RefinementRun) -> RefinementResult:
     retain = run.retain == RetainPolicy.FINAL_GENERATION
     exact = run.mode == RunMode.EXACT_BASE
     root = run.root()
-    root.sides()  # bisect seeds every child's; the loop reads ``_sides``
     if exact:
         (a0, a1, a2), scale = run.base.units(depth + 1)
         key_base = 180 * scale

@@ -57,14 +57,13 @@ class TriangleNode:
     (numerically) collinear vertices.  The collinearity test compares twice
     the area with ``2 * DEGENERACY_REL_AREA`` times the longest squared
     side, squares written ``x * x`` (correctly rounded, unlike ``x ** 2``,
-    which goes through libm ``pow``).  ``bisect`` makes children without
-    it: it applies the same checks, with the same expressions, once per
-    split, and hands the children over with ``sides()`` already cached in
-    ``_sides``, the node's one cache.  The engine and ``bisect`` read that
-    slot directly; it is ``None`` only on a constructor-built node until
-    ``sides()`` is first called.  Longest-edge children also carry
-    ``_split_angles``, what ``angles_deg()`` returns for them, for the
-    engine to read; the slot is unset on other nodes.
+    which goes through libm ``pow``).  It keeps the sides it measures from
+    the test's difference vectors in ``_sides``, which ``sides()`` returns
+    and the engine and ``bisect`` read directly.  ``bisect`` makes children
+    without it, by the same checks and expressions once per split, so every
+    node carries its sides from the moment it is made.  Longest-edge
+    children also carry ``_split_angles``, what ``angles_deg()`` returns
+    for them, for the engine to read; the slot is unset on other nodes.
     """
 
     __slots__ = ("vertices", "generation", "lineage", "_sides",
@@ -88,20 +87,13 @@ class TriangleNode:
         self.vertices = vertices
         self.generation = generation
         self.lineage = lineage
-        self._sides = None
+        # hypot ignores the sign of an exactly negated difference.
+        self._sides = (math.hypot(bcx, bcy), math.hypot(acx, acy),
+                       math.hypot(abx, aby))
 
     def sides(self) -> tuple[float, float, float]:
         """Side lengths indexed by the opposite vertex."""
-        s = self._sides
-        if s is None:
-            (ax, ay), (bx, by), (cx, cy) = self.vertices
-            s = (
-                math.hypot(cx - bx, cy - by),
-                math.hypot(ax - cx, ay - cy),
-                math.hypot(bx - ax, by - ay),
-            )
-            self._sides = s
-        return s
+        return self._sides
 
     def angles_deg(self) -> tuple[float, float, float]:
         """Numeric angle at each vertex, in degrees, computed on each call."""
@@ -139,20 +131,16 @@ _LARGEST_ANGLE = ProcedureKind.LARGEST_ANGLE
 _LONGEST_EDGE = ProcedureKind.LONGEST_EDGE
 
 
-def _longest_index(s: tuple[float, float, float]) -> int:
-    s0, s1, s2 = s
-    if s0 >= s1:
-        return 0 if s0 >= s2 else 2
-    return 1 if s1 >= s2 else 2
-
-
 def longest_side_vertex(t: TriangleNode) -> int:
     """Index of the vertex opposite the longest side.
 
     Exact ties go to the smaller index.  This is the one longest-side rule:
     ``bisect`` and the engine split the side-based procedures by it.
     """
-    return _longest_index(t.sides())
+    s0, s1, s2 = t.sides()
+    if s0 >= s1:
+        return 0 if s0 >= s2 else 2
+    return 1 if s1 >= s2 else 2
 
 
 def largest_angle_vertex(t: TriangleNode) -> int:
@@ -207,9 +195,8 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     with the same expressions as ``TriangleNode.__init__`` (finite
     coordinates, then the relative-area degeneracy test in the child's own
     vertex order, squares written ``x * x``).  The children arrive with
-    their side lengths seeded: |AB| and |AC| come from the parent's
-    ``sides()``, the other three are measured here, bit for bit what
-    ``sides()`` would compute.
+    their sides measured as the constructor measures them: |AB| and |AC|
+    are the parent's, the other three come from the edge vectors here.
 
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
@@ -223,14 +210,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     side-based procedures take ``longest_side_vertex(t)``.
     """
     s = t._sides
-    if s is None:
-        s = t.sides()
     ia = split_index
     if ia is None:
         # The other two procedures split the longest side, keeping the apex
         # opposite it; only their feet differ.
         ia = (largest_angle_vertex(t) if kind is _LARGEST_ANGLE
-              else _longest_index(s))
+              else longest_side_vertex(t))
     # A is the split corner, B and C follow it cyclically; b = |AC| and
     # c = |AB| are the sides opposite B and C.
     if ia == 0:

@@ -163,14 +163,15 @@ def _base_parse(items, runs: dict) -> BaseAngles:
     return base
 
 
-def _angles_root(items, runs: dict) -> TriangleNode:
-    """The root of a witness-form spec's ``angles_deg``, built once per
-    ``runs`` memo and shared by the checks that read it."""
-    key = ("angles_deg", *items)
+def _root(spec: dict, runs: dict) -> TriangleNode:
+    """The root a spec names by its ``sides``, or else its ``angles_deg``,
+    built once per ``runs`` memo and shared by the checks that read it."""
+    name = "angles_deg" if spec.get("sides") is None else "sides"
+    key = (name, *spec[name])
     root = runs.get(key)
     if root is None:
-        root = triangle_from_angles_deg(*items)
-        runs[key] = root
+        root = runs[key] = (triangle_from_sides if name == "sides"
+                            else triangle_from_angles_deg)(*spec[name])
     return root
 
 
@@ -198,12 +199,6 @@ def _run_from_spec(spec: dict, runs: dict) -> RefinementRun:
         sides=None if base is not None else tuple(spec["sides"]))
 
 
-def _root_from_witness(w: dict) -> TriangleNode:
-    if w.get("sides") is not None:
-        return triangle_from_sides(*w["sides"])
-    return triangle_from_angles_deg(*w["angles_deg"])
-
-
 # ---------------------------------------------------------------------------
 # Suite context: fixtures, sweeps, shared runs
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ class _Context:
             for base in self.bases[:walk_count]
         ]
         # The suite's memo: ``_refine`` on a run, ``_base_parse`` on a
-        # base's witness form and ``_angles_root`` on a triangle's.
+        # base's witness form and ``_root`` on a triangle's.
         self.runs: dict = {}
 
 
@@ -331,7 +326,7 @@ def _per_triangle(name: str, tolerance: float):
     maps the root triangle of a spec to its margin."""
     def wrap(kernel: Callable[[TriangleNode], float]):
         def margin(spec: dict, runs: dict) -> tuple[float, dict]:
-            return kernel(_angles_root(spec["angles_deg"], runs)), spec
+            return kernel(_root(spec, runs)), spec
         _check(name, tolerance, _triangles)(margin)
         return kernel
     return wrap
@@ -401,11 +396,10 @@ def _m_child_areas(t: TriangleNode) -> float:
 
 @_per_triangle("bisector-foot-inside-segment", TOL_SINGLE_STEP)
 def _m_foot_inside(t: TriangleNode) -> float:
-    left, _ = bisect(t, ProcedureKind.LARGEST_ANGLE)
-    foot = left.vertices[2]
-    ia = largest_angle_vertex(t)
-    B = t.vertices[(ia + 1) % 3]
-    C = t.vertices[(ia + 2) % 3]
+    # Children keep the split corner A first: (A, B, foot) and (A, foot, C).
+    left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
+    _, B, foot = left.vertices
+    C = right.vertices[2]
     ex, ey = C.x - B.x, C.y - B.y
     s = ((foot.x - B.x) * ex + (foot.y - B.y) * ey) / (ex * ex + ey * ey)
     return min(s, 1.0 - s)
@@ -459,7 +453,7 @@ def _altitude_similarity_specs(ctx: _Context) -> list[dict]:
 @_check("altitude-children-similar-to-right-parent", TOL_MULTI_STEP,
         _altitude_similarity_specs)
 def _m_altitude_similarity(spec, runs):
-    node = _root_from_witness(spec)
+    node = _root(spec, runs)
     for index in spec.get("path", ()):
         node = bisect(node, ProcedureKind.SHORTEST_ALTITUDE)[index]
     parent_angles = sorted(node.angles_deg())

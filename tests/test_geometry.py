@@ -64,6 +64,14 @@ def sorted_sides(t: TriangleNode) -> tuple[float, float, float]:
     return tuple(sorted(t.sides(), reverse=True))
 
 
+def vertex_sides(t: TriangleNode) -> tuple[float, float, float]:
+    """Side lengths measured from the vertices, each opposite its vertex:
+    hypot of C - B, A - C and B - A."""
+    (ax, ay), (bx, by), (cx, cy) = t.vertices
+    return (math.hypot(cx - bx, cy - by), math.hypot(ax - cx, ay - cy),
+            math.hypot(bx - ax, by - ay))
+
+
 def side_order(t) -> list[int]:
     """Oracle: opposite-vertex indices by side length descending, exact ties
     to the smaller index, by sorting on (-length, index)."""
@@ -321,13 +329,14 @@ class TestBisectOracle:
         # A scalene root split at each vertex: the children are the corner,
         # then the two vertices after it cyclically with the foot between,
         # and their seeded sides and angles are the constructor's, bit for
-        # bit.  An unseeded root makes bisect measure its sides itself.
+        # bit.  The constructor measures the root's sides; reading them
+        # first through sides() changes nothing.
         root = TriangleNode((Point2(0.3, 2.9), Point2(-0.1, 0.2),
                              Point2(3.7, 0.4)), 2, "01")
         if seeded:
-            root.sides()
+            assert root.sides() is root._sides
         else:
-            assert root._sides is None
+            assert repr(root._sides) == repr(vertex_sides(root))
         v = root.vertices
         A, B, C = v[ia], v[(ia + 1) % 3], v[(ia + 2) % 3]
         # The foot as each procedure defines it, with |AC| and |AB| taken
@@ -377,18 +386,33 @@ class TestBisectOracle:
         # Longest-edge children carry the angles the engine reads, measured
         # from the split's own vectors; on a seeded sweep of roots, thin
         # ones included, they are angles_deg() of the child, bit for bit.
+        # Each root, and its shape rebuilt by every root constructor at
+        # scales 1, 1e-150 and 1e150, has the sides its vertices give.
+        scales = (1.0, 1e-150, 1e150)
         rng = random.Random(0)
         checked = 0
         for _ in range(150):
             if rng.random() < 0.5:
                 a, b = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
-                root = triangle_from_sides(
-                    a, b, rng.uniform(abs(a - b) + 1e-3, a + b - 1e-3))
+                c = rng.uniform(abs(a - b) + 1e-3, a + b - 1e-3)
+                root = triangle_from_sides(a, b, c)
+                rebuilt = [triangle_from_sides(a * k, b * k, c * k)
+                           for k in scales]
             else:
                 small = rng.uniform(0.5, 60.0)
                 mid = rng.uniform(small, (180.0 - small) / 2.0)
                 root = triangle_from_angles_deg(180.0 - small - mid, mid,
                                                 small, rng.uniform(0.1, 10.0))
+                q_small = Fraction(small).limit_denominator(10**6)
+                q_mid = Fraction(mid).limit_denominator(10**6)
+                base = BaseAngles.from_unordered(180 - q_small - q_mid,
+                                                 q_mid, q_small)
+                rebuilt = [triangle_from_angles(base, scale=k) for k in scales]
+                rebuilt += [triangle_from_angles_deg(180.0 - small - mid, mid,
+                                                     small, scale=k)
+                            for k in scales]
+            for t in [root] + rebuilt:
+                assert repr(t._sides) == repr(vertex_sides(t))
             level = [root]
             for _ in range(6):
                 level = [child for node in level

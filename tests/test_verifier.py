@@ -15,6 +15,11 @@ from exact_reference import (
 )
 from trirefine import verifier
 from trirefine.exact import carrier_angle_forms
+from trirefine.geometry import (
+    TriangleNode,
+    triangle_from_angles_deg,
+    triangle_from_sides,
+)
 from trirefine.verifier import (
     check_names,
     random_valid_base,
@@ -199,6 +204,37 @@ class TestRunSuite:
         assert worst.worst_margin <= 1e-9
         a, b, c = worst.witness["angles_deg"]
         assert max(abs(a - 60), abs(b - 60), abs(c - 60)) < 15.0
+
+
+def test_memoized_roots_are_shared_and_unchanged():
+    """Every check runs on one context through its memo, as in
+    ``run_suite``.  Each memoized root then equals a fresh build, so no
+    check wrote to a root it shares, and the per-triangle and
+    altitude-similarity checks share one root per triangle: the fixture
+    triangles both populations name are stored once."""
+    ctx = verifier._Context(depth=8, sweep_size=20, seed=0)
+    for check in verifier._CHECKS.values():
+        for spec in check.population(ctx):
+            check.margin(spec, ctx.runs)
+    roots = {key: root for key, root in ctx.runs.items()
+             if isinstance(root, TriangleNode)}
+    for key, root in roots.items():
+        name, *values = key
+        build = (triangle_from_sides if name == "sides"
+                 else triangle_from_angles_deg)
+        fresh = build(*values)
+        assert repr(root.vertices) == repr(fresh.vertices), key
+        assert repr(root._sides) == repr(fresh._sides), key
+        assert not hasattr(root, "_split_angles"), key
+    fixtures = [tuple(float(x) for x in base.as_tuple())
+                for base in verifier.ANGLE_FIXTURES]
+    for angles in fixtures:
+        assert [key for key in roots if tuple(key[1:]) == angles] == [
+            ("angles_deg", *angles)]
+    # One root per distinct float triangle, plus the altitude check's 3-4-5.
+    assert set(roots) == ({("angles_deg", *angles) for angles in ctx.triangles}
+                          | {("sides", *verifier.PYTHAGOREAN_SIDES)})
+    assert len(roots) == 10 * 20 + len(fixtures) + 1
 
 
 def reference_dominance(base):
