@@ -19,13 +19,11 @@ node carries geometry only).  In exact-base mode (largest-angle procedure
 from rational angles) they are integers at the run's scale q * 2**(depth+1)
 from ``BaseAngles.units``, as in ``track_carrier``, so angle statistics and
 similarity keys are exact; numeric mode carries floats and quantizes them
-to 1e-9 degrees for class counting.  An exact key is one packed int,
-``lo * M + mid``, where lo <= mid <= hi are the sorted angles at the run's
-scale and M = 180 * scale is their sum, so hi follows from the other two.
-Keys stay packed while the run counts classes (one run has one scale, so
-integer equality is rational equality); ``class_keys`` unpacks them to
-(numerator, denominator) pairs on first read.  Streaming mode keeps
-no nodes, so memory stays flat in the depth; final-generation mode also
+to 1e-9 degrees for class counting.  An exact key is one int packed at
+the run's scale (see ``RefinementResult``); one run has one scale, so
+integer equality is rational equality, and the keys are counted and
+returned in that one form.  Streaming mode keeps no nodes, so memory
+stays flat in the depth; final-generation mode also
 returns the 2**depth nodes of the last generation, the one an SVG draws,
 and drops every earlier node once it is split.  Both modes execute the
 identical per-node computation, so their statistics agree bit for bit.
@@ -38,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .exact import BaseAngles
 from .geometry import (
@@ -107,6 +104,10 @@ class RefinementRun:
         return RunMode.NUMERIC
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ProcedureKind):
+            raise ValueError(f"unknown procedure {self.kind!r}")
+        if not isinstance(self.depth, int):
+            raise ValueError(f"depth must be an int, got {self.depth!r}")
         if (self.base is None) == (self.sides is None):
             raise ValueError("exactly one of base angles or sides must be given")
         if self.retain == RetainPolicy.STREAMING:
@@ -152,35 +153,19 @@ class RefinementResult:
     ``nodes`` holds the 2**depth nodes of the last generation in lineage
     order for a final-generation run, and is ``None`` for a streaming run.
 
-    ``key_sets[g]`` holds generation g's similarity keys as the engine built
-    them: sorted triples of angles quantized to 1e-9 degrees in numeric
-    mode, or, in exact-base mode, one int per key: with the sorted angles
-    lo <= mid <= hi in units of 1/``key_scale`` degrees and
-    M = 180 * ``key_scale`` their sum, the key is ``lo * M + mid``.
-    ``class_keys`` is the public form, computed on first read and cached.
+    ``key_sets[g]`` holds generation g's similarity keys, the only form
+    they take.  In numeric mode a key is the sorted angle triple, each a
+    whole number of ``NUMERIC_KEY_QUANTUM_DEG``.  In exact-base mode it is
+    one int: with the run's scale ``run.base.units(run.depth + 1)[1]``,
+    the sorted angles lo <= mid <= hi in units of 1/scale degrees and
+    M = 180 * scale their sum, the key is ``lo * M + mid`` (hi is
+    M - lo - mid).
     """
 
     run: RefinementRun
     stats: list[GenerationStats]
     nodes: list[TriangleNode] | None
     key_sets: list[set] = field(repr=False)
-    key_scale: int | None = field(default=None, repr=False)
-
-    @cached_property
-    def class_keys(self) -> list[frozenset]:
-        """Per-generation similarity keys.  Exact keys are tuples of
-        (numerator, denominator) pairs, sorted as pairs (not by value)."""
-        scale = self.key_scale
-        if scale is None:
-            return [frozenset(keys) for keys in self.key_sets]
-        total = 180 * scale
-
-        def unpack(key: int) -> tuple:
-            lo, mid = divmod(key, total)
-            return tuple(sorted(Fraction(i, scale).as_integer_ratio()
-                                for i in (lo, mid, total - lo - mid)))
-
-        return [frozenset(map(unpack, keys)) for keys in self.key_sets]
 
 
 def refine(run: RefinementRun) -> RefinementResult:
@@ -225,7 +210,6 @@ def refine(run: RefinementRun) -> RefinementResult:
         key_base = 180 * scale
         tie = 0
     else:
-        scale = None
         a0, a1, a2 = (root.angles_deg() if run.base is None
                       else map(float, run.base.as_tuple()))
         tie = ANGLE_TIE_TOL_DEG
@@ -309,8 +293,8 @@ def refine(run: RefinementRun) -> RefinementResult:
             nodes.append(node)
 
     if exact:
-        # Only the angle aggregates become exact rational degrees here; the
-        # keys stay integers until ``class_keys`` is read.
+        # Only the angle aggregates become exact rational degrees; the keys
+        # stay packed ints.
         min_angle = [Fraction(x, scale) for x in min_angle]
         min_largest = [Fraction(x, scale) for x in min_largest]
     stats: list[GenerationStats] = []
@@ -332,7 +316,7 @@ def refine(run: RefinementRun) -> RefinementResult:
             cumulative_similarity_classes=cumulative,
         ))
     return RefinementResult(run=run, stats=stats, nodes=nodes,
-                            key_sets=key_sets, key_scale=scale)
+                            key_sets=key_sets)
 
 
 def split_units(units: tuple[int, int, int]

@@ -129,6 +129,7 @@ _new_node = object.__new__
 _new_point = tuple.__new__
 _LARGEST_ANGLE = ProcedureKind.LARGEST_ANGLE
 _LONGEST_EDGE = ProcedureKind.LONGEST_EDGE
+_SHORTEST_ALTITUDE = ProcedureKind.SHORTEST_ALTITUDE
 
 
 def longest_side_vertex(t: TriangleNode) -> int:
@@ -239,11 +240,13 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     elif kind is _LONGEST_EDGE:
         fx = (bx + cx) / 2.0
         fy = (by + cy) / 2.0
-    else:
+    elif kind is _SHORTEST_ALTITUDE:
         ex, ey = cx - bx, cy - by
         tau = ((ax - bx) * ex + (ay - by) * ey) / (ex * ex + ey * ey)
         fx = bx + tau * ex
         fy = by + tau * ey
+    else:
+        raise ValueError(f"unknown procedure {kind!r}")
     isfinite = math.isfinite
     if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)
             and isfinite(cx) and isfinite(cy) and isfinite(fx)

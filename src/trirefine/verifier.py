@@ -415,7 +415,7 @@ def _m_keeper_aspect(t: TriangleNode) -> float:
         angs = t.angles_deg()
         ib, ic = (ia + 1) % 3, (ia + 2) % 3
         ismall = ib if angs[ib] <= angs[ic] else ic
-    left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
+    left, right = bisect(t, ProcedureKind.LARGEST_ANGLE, ia)
     keeper = left if ismall == (ia + 1) % 3 else right
     other = right if keeper is left else left
     return aspect_ratio(keeper) - aspect_ratio(other)
@@ -656,9 +656,9 @@ def _altitude_specs(ctx: _Context) -> list[dict]:
 
 @_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
 def _m_altitude_classes(spec, runs):
-    class_keys = _refine(runs, _run_from_spec(spec, runs)).class_keys
+    key_sets = _refine(runs, _run_from_spec(spec, runs)).key_sets
     union: set = set()
-    for n, keys in enumerate(class_keys[1:], start=1):
+    for n, keys in enumerate(key_sets[1:], start=1):
         union |= keys
         yield float(2 - len(union)), n
 

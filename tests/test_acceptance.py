@@ -243,7 +243,7 @@ def test_criterion_9_shortest_altitude():
     for name, run in fixtures:
         result = refine(run)
         union: set = set()
-        for keys in result.class_keys[1:]:
+        for keys in result.key_sets[1:]:
             union |= keys
             if len(union) > 2:
                 classes_ok = False

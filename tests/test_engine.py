@@ -40,6 +40,31 @@ def run_largest(base, depth, **kw):
                                 depth=depth, base=base, **kw))
 
 
+def packed_keys(base, depth, levels):
+    """Each level's angle triples (degrees) packed as a depth-``depth`` run
+    of ``base`` packs its keys: at scale ``base.units(depth + 1)[1]``, the
+    sorted units lo <= mid <= hi give lo * 180 * scale + mid.  Every angle
+    must be a whole number of units."""
+    _, scale = base.units(depth + 1)
+    total = 180 * scale
+    packed = []
+    for level in levels:
+        keys = set()
+        for angles in level:
+            units = [Fraction(angle) * scale for angle in angles]
+            assert all(u.denominator == 1 for u in units)
+            lo, mid, hi = sorted(u.numerator for u in units)
+            assert lo + mid + hi == total
+            keys.add(lo * total + mid)
+        packed.append(keys)
+    return packed
+
+
+def walk_angles(walk):
+    """The reference angles of each generation of an ``exact_walk``."""
+    return [[values for _, values in level] for level in walk]
+
+
 # ---------------------------------------------------------------------------
 # RefinementRun validation
 # ---------------------------------------------------------------------------
@@ -97,6 +122,19 @@ class TestRunValidation:
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                           sides=(3, 4, 5), mode=RunMode.EXACT_BASE)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "largest-angle", "unknown procedure 'largest-angle'"),
+        ("depth", 2.5, "depth must be an int, got 2.5"),
+        ("retain", "full-tree", "unknown retain policy 'full-tree'"),
+    ], ids=["kind", "depth", "retain"])
+    def test_rejects_unknown_values(self, field, value, message):
+        # Refused when the run is made, not in the middle of refine.
+        config = dict(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
+                      base=EQUILATERAL)
+        config[field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RefinementRun(**config)
+
     def test_depth_limits(self):
         with pytest.raises(ValueError):
             RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=41,
@@ -141,11 +179,8 @@ class TestRefine:
         s = result.stats
         assert [row.triangle_count for row in s] == [1, 2, 4]
         # Generation 2 holds exactly the classes (30,45,105) and (45,60,75).
-        triples = {
-            tuple(sorted(Fraction(n, d) for n, d in key))
-            for key in result.class_keys[2]
-        }
-        assert triples == {(30, 45, 105), (45, 60, 75)}
+        assert [result.key_sets[2]] == packed_keys(
+            EQUILATERAL, 2, [[(30, 45, 105), (45, 60, 75)]])
         assert s[0].max_aspect_ratio == pytest.approx(0.5, abs=1e-12)
         assert s[1].max_aspect_ratio == pytest.approx(R1_EQUILATERAL, abs=1e-12)
         assert s[2].max_aspect_ratio == pytest.approx(R2_EQUILATERAL, abs=1e-9)
@@ -195,7 +230,7 @@ class TestRefine:
         assert a.nodes is None
         assert len(b.nodes) == 2 ** 6
         assert a.stats == b.stats  # bitwise: identical computations in both modes
-        assert a.class_keys == b.class_keys
+        assert a.key_sets == b.key_sets
 
     def test_full_tree_lineage_order(self):
         result = run_largest(EQUILATERAL, 3, retain=RetainPolicy.FINAL_GENERATION)
@@ -273,12 +308,11 @@ class TestRefineOracle:
             assert stats.max_aspect_ratio == max(map(aspect_ratio, nodes))
         if result.run.mode != RunMode.EXACT_BASE:
             return
-        for stats, keys, level in zip(result.stats, result.class_keys, walk):
-            angles = [values for _, values in level]
+        levels = walk_angles(walk)
+        for stats, angles in zip(result.stats, levels):
             assert stats.min_angle_deg == min(min(a) for a in angles)
             assert stats.min_largest_angle_deg == min(max(a) for a in angles)
-            assert keys == {tuple(sorted(x.as_integer_ratio() for x in a))
-                            for a in angles}
+        assert result.key_sets == packed_keys(result.run.base, depth, levels)
 
     @pytest.mark.parametrize("kind", list(ProcedureKind),
                              ids=lambda kind: kind.value)
@@ -356,21 +390,16 @@ class TestSimilarityClasses:
 
     def test_exact_key_form(self):
         # Mixed denominators make the run's scale differ from every angle's
-        # denominator, and many keys sort differently as (numerator,
-        # denominator) pairs than by value, so a wrong scale conversion or
-        # pair order both show.
+        # denominator, so a key built at any other scale, or from angles in
+        # any other order, shows.
         base = BaseAngles(Fraction(594323, 5564), Fraction(260939, 5564),
                           Fraction(73129, 2782))
         result = run_largest(base, 7)
         walk = exact_walk(base, 7)
-        assert len(walk) == len(result.class_keys) == 8
-        for keys, level in zip(result.class_keys, walk):
-            assert keys == {
-                tuple(sorted(a.as_integer_ratio() for a in values))
-                for _, values in level
-            }
+        assert len(walk) == len(result.key_sets) == 8
+        assert result.key_sets == packed_keys(base, 7, walk_angles(walk))
         retained = run_largest(base, 7, retain=RetainPolicy.FINAL_GENERATION)
-        assert retained.class_keys == result.class_keys
+        assert retained.key_sets == result.key_sets
 
     def test_node_units_are_engine_keys(self):
         # The engine keys the last generation at the run's scale
@@ -380,36 +409,27 @@ class TestSimilarityClasses:
         for g in range(9):
             result = run_largest(base, g, retain=RetainPolicy.FINAL_GENERATION)
             assert len(result.nodes) == 2 ** g
-            assert result.key_scale == 4 << (g + 1)
-            total = 180 * result.key_scale
-            keys = result.key_sets[g]
-            for _, values in exact_walk(base, g)[-1]:
-                units = [value * result.key_scale for value in values]
-                assert all(u.denominator == 1 for u in units)
-                lo, mid, hi = sorted(units)
-                assert lo + mid + hi == total
-                assert lo * total + mid in keys
+            assert base.units(g + 1)[1] == 4 << (g + 1)
+            assert result.key_sets == packed_keys(
+                base, g, walk_angles(exact_walk(base, g)))
 
-    def test_packed_keys_unpack_to_node_angles(self):
+    def test_packed_keys_match_node_angles(self):
         # q = 9999 from mixed denominators (9999, 3333, 9999): at depth 10
-        # a packed key is wider than a machine word.
+        # a packed key is over 60 bits wide.
         base = BaseAngles(Fraction(887543, 9999), Fraction(176543, 3333),
                           Fraction(382648, 9999))
         result = run_largest(base, 10)
-        assert result.key_scale == 9999 << 11
+        assert base.units(11)[1] == 9999 << 11
         walk = exact_walk(base, 10)
-        assert len(walk) == len(result.class_keys) == 11
-        for keys, level in zip(result.class_keys, walk):
-            assert keys == {
-                tuple(sorted(a.as_integer_ratio() for a in values))
-                for _, values in level
-            }
+        assert len(walk) == len(result.key_sets) == 11
+        assert result.key_sets == packed_keys(base, 10, walk_angles(walk))
+        assert max(map(max, result.key_sets)).bit_length() > 60
 
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,
                                       depth=5, sides=(3.0, 4.0, 5.0)))
         union = set()
-        for keys in result.class_keys[1:]:
+        for keys in result.key_sets[1:]:
             union |= keys
             assert len(union) <= 2
 
@@ -428,7 +448,6 @@ class TestSplitUnits:
                                 Fraction(73129, 2782))):
             result = run_largest(base, depth)
             units, scale = base.units(depth + 1)
-            assert scale == result.key_scale
             total = 180 * scale
             level = [units]
             for g in range(depth + 1):
@@ -455,7 +474,6 @@ class TestSplitUnits:
                             base=base, retain=RetainPolicy.FINAL_GENERATION)
         result = refine(run)
         units, scale = base.units(depth + 1)
-        assert scale == result.key_scale
         total = 180 * scale
         level = [(run.root(), units)]
         ties = 0
@@ -586,7 +604,7 @@ class TestGenerationStats:
         assert stats.max_aspect_ratio == pytest.approx(R1_EQUILATERAL, abs=1e-12)
         # Classes within generation 1 alone; the cumulative count also
         # includes the root.
-        assert len(result.class_keys[1]) == 1
+        assert len(result.key_sets[1]) == 1
 
     def test_root_generation(self):
         stats = run_largest(THIN, 0, scale=2.0).stats[0]

@@ -367,6 +367,14 @@ class TestBisectOracle:
         with pytest.raises(ValueError, match="split_index"):
             bisect(root, ProcedureKind.LONGEST_EDGE, ia)
 
+    def test_unknown_procedure(self):
+        # A procedure name is not a procedure: no split falls back to one.
+        root = triangle_from_sides(3, 4, 5)
+        for ia in (None, 0):
+            with pytest.raises(ValueError,
+                               match="^unknown procedure 'largest-angle'$"):
+                bisect(root, "largest-angle", ia)
+
     @given(exact_bases(),st.lists(st.integers(min_value=0, max_value=1),
                                    min_size=10, max_size=10))
     @settings(max_examples=100, deadline=None)

@@ -97,6 +97,29 @@ def test_carrier_and_class_outputs(tmp_path, capsys, argv):
     assert got == CARRIER_AND_CLASS_GOLDEN[argv]
 
 
+# argv -> digests of stdout and --json for the numeric key path: class
+# counts of numeric runs, one of them with a class per node, and a numeric
+# run started from angles.  Taken before class keys had a single form.
+NUMERIC_KEY_GOLDEN = {
+    ("classes", "--sides", "1.3,1.7,1.5", "--procedure", "longest-edge",
+     "--iterations", "12"): ("1a49cacfcbff22f2", "90c45624f588b38a"),
+    ("classes", "--sides", "1.3,1.7,1.5", "--procedure", "largest-angle",
+     "--iterations", "12"): ("9b5899d70aadd8a8", "db6ad72381801c93"),
+    ("refine", "--angles", "80,60,40", "--procedure", "shortest-altitude",
+     "--iterations", "8"): ("bdac07dcec2b5aff", "690dc3c204a80b42"),
+}
+
+
+@pytest.mark.parametrize("argv", list(NUMERIC_KEY_GOLDEN), ids=[
+    f"{argv[0]}-{argv[4]}" for argv in NUMERIC_KEY_GOLDEN])
+def test_numeric_key_outputs(tmp_path, capsys, argv):
+    output = tmp_path / "out.json"
+    assert main([*argv, "--json", str(output)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (digest(stdout), digest(output.read_bytes()))
+    assert got == NUMERIC_KEY_GOLDEN[argv]
+
+
 # compare argv -> digest of stdout, taken from the mesh-decay script that
 # ``compare`` replaced, whose --depth is compare's --iterations.
 COMPARE_GOLDEN = {
