@@ -51,7 +51,7 @@ from .engine import (
 from .exact import BaseAngles
 from .geometry import DegenerateTriangleError
 from .svg import render_svg
-from .verifier import report_as_dict, run_suite
+from .verifier import check_suite_args, report_as_dict, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,25 +67,15 @@ class InputError(ValueError):
     """Invalid command-line input (maps to exit code 2)."""
 
 
-def _parse_angles(text: str) -> BaseAngles:
+def _parse_three(text: str, noun: str, expected: str, convert) -> tuple:
+    """``text`` as three comma-separated numbers, each ``convert``ed."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise InputError("expected three comma-separated angles, e.g. 60/1,60/1,60/1")
+        raise InputError(f"expected three comma-separated {expected}")
     try:
-        values = [Fraction(p.strip()) for p in parts]
+        return tuple(convert(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse angles {text!r}: {exc}") from None
-    return BaseAngles.from_unordered(*values)
-
-
-def _parse_sides(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError("expected three comma-separated side lengths, e.g. 3,4,5")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"cannot parse sides {text!r}: {exc}") from None
+        raise InputError(f"cannot parse {noun} {text!r}: {exc}") from None
 
 
 def _build_run(args, retain: str) -> RefinementRun:
@@ -95,8 +85,11 @@ def _build_run(args, retain: str) -> RefinementRun:
     command line is that ``--scale`` goes with ``--angles``, since a run
     cannot tell a default scale of 1.0 from a given one."""
     try:
-        base = None if args.angles is None else _parse_angles(args.angles)
-        sides = None if args.sides is None else _parse_sides(args.sides)
+        base = None if args.angles is None else BaseAngles.from_unordered(
+            *_parse_three(args.angles, "angles", "angles, e.g. 60/1,60/1,60/1",
+                          lambda p: Fraction(p.strip())))
+        sides = None if args.sides is None else _parse_three(
+            args.sides, "sides", "side lengths, e.g. 3,4,5", float)
         run = RefinementRun(kind=ProcedureKind(args.procedure),
                             depth=args.iterations, base=base, sides=sides,
                             retain=retain,
@@ -256,12 +249,14 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Only the arguments are input; an error inside a check keeps its code.
+    try:
+        check_suite_args(args.depth, args.sweep)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     with _outputs(args.report) as (report_out,):
-        try:
-            reports = run_suite(depth=args.depth, sweep_size=args.sweep,
-                                seed=args.seed)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        reports = run_suite(depth=args.depth, sweep_size=args.sweep,
+                            seed=args.seed)
         payload = report_as_dict(reports, args.depth, args.sweep, args.seed)
         _write_json(report_out, payload)
     for r in reports:

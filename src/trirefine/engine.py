@@ -83,9 +83,9 @@ class RefinementRun:
     """Configuration of one refinement run.
 
     Exactly one of ``base`` (exact angles) or ``sides`` must be given;
-    ``sides`` must pass ``triangle_sides`` and are kept as given.  ``scale``
-    is the initial longest side for angle input; side input is used as
-    given.
+    ``sides`` must pass ``triangle_sides`` and are kept as a tuple in the
+    order given.  ``scale`` is the initial longest side for angle input;
+    side input is used as given.
     """
 
     kind: ProcedureKind
@@ -106,10 +106,12 @@ class RefinementRun:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ProcedureKind):
             raise ValueError(f"unknown procedure {self.kind!r}")
-        if not isinstance(self.depth, int):
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
             raise ValueError(f"depth must be an int, got {self.depth!r}")
         if (self.base is None) == (self.sides is None):
             raise ValueError("exactly one of base angles or sides must be given")
+        if self.base is not None and not isinstance(self.base, BaseAngles):
+            raise ValueError(f"base must be a BaseAngles, got {self.base!r}")
         if self.retain == RetainPolicy.STREAMING:
             limit = MAX_DEPTH_STREAMING
         elif self.retain == RetainPolicy.FINAL_GENERATION:
@@ -123,6 +125,7 @@ class RefinementRun:
                 f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
         check_scale(self.scale)
         if self.sides is not None:
+            object.__setattr__(self, "sides", tuple(self.sides))
             triangle_sides(self.sides)
 
     def root(self) -> TriangleNode:
@@ -270,7 +273,7 @@ def refine(run: RefinementRun) -> RefinementResult:
                 half = va >> 1 if exact else va / 2.0
                 push((right, half, half + vb, vc))
                 push((left, half, vb, half + vc))
-            elif altitude:
+            else:
                 # The vertex opposite the first longest side, the rule of
                 # ``longest_side_vertex``.
                 if s0 == longest:
@@ -280,13 +283,12 @@ def refine(run: RefinementRun) -> RefinementResult:
                 else:
                     ia, vb, vc = 2, v0, v1
                 left, right = bisect(node, kind, ia)
-                push((right, 90.0 - vc, 90.0, vc))
-                push((left, 90.0 - vb, vb, 90.0))
-            else:
-                left, right = bisect(node, kind, 0 if s0 == longest
-                                     else 1 if s1 == longest else 2)
-                push((right,) + right._split_angles)
-                push((left,) + left._split_angles)
+                if altitude:
+                    push((right, 90.0 - vc, 90.0, vc))
+                    push((left, 90.0 - vb, vb, 90.0))
+                else:
+                    push((right,) + right._split_angles)
+                    push((left,) + left._split_angles)
         elif retain:
             # Left children are popped first, so the last generation
             # arrives in lineage order.

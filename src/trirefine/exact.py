@@ -22,26 +22,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+@dataclass(frozen=True, slots=True)
 class AngleForm:
     """One triangle angle written as c_alpha*alpha + c_beta*beta + c_gamma*gamma.
 
     Coefficients are nonnegative ``Fraction``s whose denominators are powers
-    of two; the constructor rejects any other.  The three forms of any
-    triangle in the process sum coefficient-wise to (1, 1, 1), mirroring the
-    180-degree angle sum.
+    of two; the constructor rejects any other.  A form is immutable, and
+    equal forms hash equal.  The three forms of any triangle in the process
+    sum coefficient-wise to (1, 1, 1), mirroring the 180-degree angle sum.
     """
 
-    __slots__ = ("c_alpha", "c_beta", "c_gamma")
+    c_alpha: Fraction
+    c_beta: Fraction
+    c_gamma: Fraction
 
-    def __init__(self, c_alpha: Fraction | int, c_beta: Fraction | int,
-                 c_gamma: Fraction | int) -> None:
-        coefficients = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                             for c in (c_alpha, c_beta, c_gamma))
-        for c in coefficients:
+    def __post_init__(self) -> None:
+        for name in ("c_alpha", "c_beta", "c_gamma"):
+            c = getattr(self, name)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+                object.__setattr__(self, name, c)
             if c.numerator < 0 or c.denominator & (c.denominator - 1):
                 raise ValueError(
                     f"angle form coefficient {c} is not a nonnegative p/2**k")
-        self.c_alpha, self.c_beta, self.c_gamma = coefficients
 
     def halve(self) -> "AngleForm":
         return AngleForm(self.c_alpha / 2, self.c_beta / 2, self.c_gamma / 2)
@@ -57,14 +60,6 @@ class AngleForm:
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c_alpha, self.c_beta, self.c_gamma)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AngleForm):
-            return NotImplemented
-        return self.coefficients() == other.coefficients()
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients())
 
     def __repr__(self) -> str:
         return f"AngleForm({self.c_alpha}*a + {self.c_beta}*b + {self.c_gamma}*g)"
@@ -175,8 +170,7 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     for every valid base.
 
     The forms do not depend on the base, so they are built once per ``n``
-    (the last 64 are kept): every caller shares the returned objects and
-    must not assign to their coefficients.
+    (the last 64 are kept) and every caller shares the returned objects.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

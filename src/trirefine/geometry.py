@@ -16,6 +16,7 @@ Three splitting procedures are provided:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -317,9 +318,9 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
 
 
 def check_scale(scale: float) -> None:
-    """``ValueError`` unless ``scale`` is a positive finite number: the
-    rule for a run's scale and for a root's longest side."""
-    if not (scale > 0 and math.isfinite(scale)):
+    """``ValueError`` unless ``scale`` is a positive finite real number:
+    the rule for a run's scale and for a root's longest side."""
+    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
         raise ValueError("scale must be a positive finite number")
 
 

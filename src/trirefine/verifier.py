@@ -206,8 +206,6 @@ def _run_from_spec(spec: dict, runs: dict) -> RefinementRun:
 class _Context:
     def __init__(self, depth: int, sweep_size: int, seed: int) -> None:
         self.depth = depth
-        self.sweep_size = sweep_size
-        self.seed = seed
         rng = random.Random(seed)
         self.bases: list[BaseAngles] = list(ANGLE_FIXTURES)
         self.bases += [random_valid_base(rng) for _ in range(sweep_size)]
@@ -773,13 +771,21 @@ def _m_mode_identity(spec, runs):
 # Suite driver
 # ---------------------------------------------------------------------------
 
-def run_suite(depth: int = 8, sweep_size: int = 1000,
-              seed: int = 0) -> list[CheckReport]:
-    """Run every check; deterministic given the seed; sorted by check name."""
+def check_suite_args(depth: int, sweep_size: int) -> None:
+    """``ValueError`` unless ``run_suite`` accepts ``depth`` and
+    ``sweep_size``; the checks refine at ``depth``, so it must also pass
+    ``RefinementRun``'s streaming limit."""
     if depth < 4:
         raise ValueError("depth must be at least 4")
     if sweep_size < 1:
         raise ValueError("sweep_size must be at least 1")
+    RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=depth, base=EQUILATERAL)
+
+
+def run_suite(depth: int = 8, sweep_size: int = 1000,
+              seed: int = 0) -> list[CheckReport]:
+    """Run every check; deterministic given the seed; sorted by check name."""
+    check_suite_args(depth, sweep_size)
     ctx = _Context(depth, sweep_size, seed)
     reports = [
         _finish(name, check.tolerance,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from trirefine import cli
+from trirefine import cli, verifier
 from trirefine.cli import main
 from trirefine.engine import (
     SQRT3_2,
@@ -261,6 +261,34 @@ class TestVerifyCommand:
         assert main(["verify", "--depth", "2", "--sweep", "5",
                      "--report", "r.json"]) == 2
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--depth", "3"], "error: depth must be at least 4\n"),
+        (["--depth", "41", "--sweep", "1"],
+         "error: depth 41 exceeds the streaming limit of 40\n"),
+        (["--sweep", "0"], "error: sweep_size must be at least 1\n"),
+    ])
+    def test_bad_arguments(self, tmp_path, capsys, monkeypatch, argv, err):
+        # Refused as input before the report is staged or any check runs.
+        monkeypatch.setattr(cli, "run_suite", None)
+        report = tmp_path / "report.json"
+        assert main(["verify", *argv, "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_geometry_error_in_a_check_exit_code(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # A check that meets a degenerate triangle is a geometry error
+        # (exit 3), not invalid input, and leaves no report behind.
+        def boom(spec, runs):
+            raise DegenerateTriangleError("injected")
+        name, check = next(iter(verifier._CHECKS.items()))
+        monkeypatch.setitem(verifier._CHECKS, name, check._replace(margin=boom))
+        report = tmp_path / "report.json"
+        assert main(["verify", "--depth", "4", "--sweep", "1",
+                     "--report", str(report)]) == 3
+        assert capsys.readouterr().err == "geometry error: injected\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUpsilonCommand:
     def test_equilateral_track(self, tmp_path):
@@ -425,6 +453,16 @@ BAD_INPUTS = {
                       "given\n"),
     "negative-depth": (["--angles", "60,60,60"], "-1", 2,
                        "error: depth must be non-negative\n"),
+    "malformed-side": (["--sides", "1,x,2"], "1", 2,
+                       "error: cannot parse sides '1,x,2': could not convert "
+                       "string to float: 'x'\n"),
+    # The side text is converted as given: float's message keeps the space.
+    "spaced-malformed-side": (["--sides", "1, x,2"], "1", 2,
+                              "error: cannot parse sides '1, x,2': could not "
+                              "convert string to float: ' x'\n"),
+    "two-sides": (["--sides", "1,2"], "1", 2,
+                  "error: expected three comma-separated side lengths, "
+                  "e.g. 3,4,5\n"),
 }
 
 # upsilon takes --angles only, so it runs the rows that give angles alone.

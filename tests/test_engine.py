@@ -1,6 +1,7 @@
 """Tests for the refinement engine."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,14 +127,28 @@ class TestRunValidation:
         ("kind", "largest-angle", "unknown procedure 'largest-angle'"),
         ("depth", 2.5, "depth must be an int, got 2.5"),
         ("retain", "full-tree", "unknown retain policy 'full-tree'"),
-    ], ids=["kind", "depth", "retain"])
+        ("base", (60, 60, 60), "base must be a BaseAngles, got (60, 60, 60)"),
+        ("scale", "2", "scale must be a positive finite number"),
+        ("depth", True, "depth must be an int, got True"),
+    ], ids=["kind", "depth", "retain", "base", "scale", "bool-depth"])
     def test_rejects_unknown_values(self, field, value, message):
         # Refused when the run is made, not in the middle of refine.
         config = dict(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
                       base=EQUILATERAL)
         config[field] = value
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RefinementRun(**config)
+
+    def test_sides_kept_as_tuple_in_given_order(self):
+        # A run is a verifier memo key, so it must hash whatever sequence
+        # its sides came in.
+        run = RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=2,
+                            sides=[5, 3, 4])
+        same = RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=2,
+                             sides=(5, 3, 4))
+        assert run.sides == (5, 3, 4)
+        assert run == same and hash(run) == hash(same)
+        assert {run: 1}[same] == 1
 
     def test_depth_limits(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the exact angle arithmetic layer."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -81,6 +82,23 @@ class TestAngleForm:
     def test_repr(self):
         form = carrier_angle_forms(2)[0]
         assert repr(form) == "AngleForm(3/4*a + 1/2*b + 0*g)"
+
+    def test_cached_forms_are_frozen(self):
+        # carrier_angle_forms shares its forms with every caller, so none
+        # may change them.
+        major = carrier_angle_forms(3)[0]
+        before = major.coefficients()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            major.c_alpha = Fraction(0)
+        assert carrier_angle_forms(3)[0].coefficients() == before
+        assert before == (Fraction(5, 8), Fraction(3, 4), 0)
+
+    def test_value_semantics(self):
+        form = AngleForm(1, 0, 0)
+        assert form == FORM_ALPHA and hash(form) == hash(FORM_ALPHA)
+        assert all(type(c) is Fraction for c in form.coefficients())
+        assert form != (1, 0, 0) and (1, 0, 0) != form
+        assert len({form, FORM_ALPHA, FORM_BETA}) == 2
 
     @given(st.integers(-10**9, 10**9), st.integers(0, 60))
     def test_halve_add_roundtrip(self, num, k):

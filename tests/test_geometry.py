@@ -627,10 +627,13 @@ class TestConstructors:
         t = triangle_from_angles(EQUILATERAL, scale=1e-153)
         assert sorted_sides(t)[0] == pytest.approx(1e-153, rel=1e-12)
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, "1",
+                                       None])
     def test_one_scale_rule(self, scale):
         # A run's scale and a root's longest side obey one rule, with one
-        # message; it is a plain ValueError (exit 2), not a geometry error.
+        # message; it is a plain ValueError (exit 2), not a geometry error,
+        # and a scale that is not a real number is refused by it too, not
+        # by a TypeError from the comparison.
         for reject in (
                 lambda: check_scale(scale),
                 lambda: triangle_from_angles(EQUILATERAL, scale=scale),

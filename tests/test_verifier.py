@@ -196,6 +196,27 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             replay_margin("no-such-check", {})
 
+    @pytest.mark.parametrize("depth, sweep_size, message", [
+        (3, 10, "depth must be at least 4"),
+        (41, 1, "depth 41 exceeds the streaming limit of 40"),
+        (8, 0, "sweep_size must be at least 1"),
+    ])
+    def test_bad_arguments_refused_before_any_check(
+            self, monkeypatch, depth, sweep_size, message):
+        # The arguments are refused before any check is evaluated, even a
+        # depth that only the first refine of a check would refuse.
+        called = []
+
+        def record(spec, runs):
+            called.append(spec)
+            return 0.0, spec
+        for name, check in list(verifier._CHECKS.items()):
+            monkeypatch.setitem(verifier._CHECKS, name,
+                                check._replace(margin=record))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_suite(depth=depth, sweep_size=sweep_size, seed=0)
+        assert called == []
+
     def test_equilateral_attains_bisector_bound(self, reports):
         by_name = {r.name: r for r in reports}
         worst = by_name["bisector-length-bound"]
