@@ -323,8 +323,8 @@ def _cmd_compare(args) -> int:
         la, le, sa = (refine(dataclasses.replace(run, kind=kind)).stats
                       for kind in ProcedureKind)
         m0, rho0 = la[0].mesh, la[0].rho
-        # rho0 needs generation 1, so a depth-0 run has none; its one bound
-        # is mesh(0) itself.
+        # All runs share one root, so m0 is every mesh(0); rho0 needs
+        # generation 1, so at depth 0 the largest-angle bound is m0 itself.
         rho0_text = "n/a" if rho0 is None else f"{rho0:.9f}"
         start = (f"angles {args.angles}" if args.angles is not None
                  else f"sides {args.sides}")
@@ -336,7 +336,7 @@ def _cmd_compare(args) -> int:
         rows = []
         for n, (la_row, le_row, sa_row) in enumerate(zip(la, le, sa)):
             la_bound = m0 if n == 0 else m0 * rho0 ** (n // 2)
-            le_bound = le_row.mesh if n == 0 else m0 * SQRT3_2 ** (n // 2)
+            le_bound = m0 * SQRT3_2 ** (n // 2)
             print(f"{n:>3} | {la_row.mesh:11.8f} {la_bound:11.8f} "
                   f"{float(la_row.min_angle_deg):8.4f} "
                   f"{la_row.cumulative_similarity_classes:>5} | "

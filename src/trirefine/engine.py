@@ -83,9 +83,10 @@ class RefinementRun:
     """Configuration of one refinement run.
 
     Exactly one of ``base`` (exact angles) or ``sides`` must be given;
-    ``sides`` must pass ``triangle_sides`` and are kept as a tuple in the
-    order given.  ``scale`` is the initial longest side for angle input;
-    side input is used as given.
+    ``sides`` must pass ``triangle_sides`` and are kept as a tuple of
+    floats in the order given.  ``scale`` is the initial longest side for
+    angle input, kept as the float ``check_scale`` accepts; side input is
+    used as given.
     """
 
     kind: ProcedureKind
@@ -123,10 +124,11 @@ class RefinementRun:
         if self.depth > limit:
             raise ValueError(
                 f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
-        check_scale(self.scale)
+        object.__setattr__(self, "scale", check_scale(self.scale))
         if self.sides is not None:
-            object.__setattr__(self, "sides", tuple(self.sides))
-            triangle_sides(self.sides)
+            sides = tuple(self.sides)
+            triangle_sides(sides)
+            object.__setattr__(self, "sides", tuple(map(float, sides)))
 
     def root(self) -> TriangleNode:
         """The base angles' triangle with longest side ``scale``, or the sides'."""

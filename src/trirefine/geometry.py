@@ -317,29 +317,43 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     return left, right
 
 
-def check_scale(scale: float) -> None:
-    """``ValueError`` unless ``scale`` is a positive finite real number:
-    the rule for a run's scale and for a root's longest side."""
-    if not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
-        raise ValueError("scale must be a positive finite number")
+def _positive_float(x, message: str) -> float:
+    """``x`` as a float; ``ValueError(message)`` unless ``x`` is a real
+    number whose float is positive and finite."""
+    if isinstance(x, numbers.Real):
+        try:
+            value = float(x)
+        except OverflowError:  # an int or Fraction beyond the float range
+            value = math.inf
+        if 0 < value < math.inf:
+            return value
+    raise ValueError(message)
 
 
-def _check_root_scale(longest: float) -> None:
+def check_scale(scale: float) -> float:
+    """``scale`` as a float; ``ValueError`` unless it is a positive finite
+    real number: the rule for a run's scale and for a root's longest side."""
+    return _positive_float(scale, "scale must be a positive finite number")
+
+
+def _check_root_scale(longest: float) -> float:
     """Reject a root whose longest side fails ``check_scale``, or is so long
     that squared lengths overflow, or so short that they underflow.
 
     Every coordinate and side length in the tree is at most the root's
     longest side, so the overflow check at the root covers every product
     that ``TriangleNode`` and ``bisect`` form at any depth.  Without the
-    underflow check a tiny root would be reported as collinear.
+    underflow check a tiny root would be reported as collinear.  Returns
+    ``longest`` as the float ``check_scale`` accepts.
     """
-    check_scale(longest)
+    longest = check_scale(longest)
     if not math.isfinite(2.0 * longest * longest):
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too large: squared lengths overflow")
     if longest * longest < sys.float_info.min:
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too small: squared lengths underflow")
+    return longest
 
 
 def triangle_from_angles(base: BaseAngles, scale: float = 1.0) -> TriangleNode:
@@ -364,7 +378,7 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
         raise ValueError("angles must be positive")
     if not abs(a1 + a2 + a3 - 180.0) <= 1e-9:
         raise ValueError(f"angles must sum to 180 degrees, got {(a1, a2, a3)}")
-    _check_root_scale(scale)
+    scale = _check_root_scale(scale)
     al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
     c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
     apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
@@ -373,11 +387,10 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
 
 def triangle_sides(sides: Sequence[float]) -> tuple[float, float, float]:
     """Three side lengths as floats, sorted longest first; ``ValueError``
-    unless they are positive, finite and satisfy the strict triangle
-    inequality."""
-    values = tuple(float(s) for s in sides)
-    if not all(s > 0 and math.isfinite(s) for s in values):
-        raise ValueError("sides must be positive finite numbers")
+    unless they are real numbers whose floats are positive and finite, and
+    satisfy the strict triangle inequality."""
+    values = tuple(_positive_float(s, "sides must be positive finite numbers")
+                   for s in sides)
     a, b, c = sorted(values, reverse=True)
     if b + c <= a:
         raise ValueError(f"sides {values} do not form a triangle")

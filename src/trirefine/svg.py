@@ -1,7 +1,8 @@
 """Render one generation of a refinement tree as a standalone SVG file.
 
-The drawing is deterministic: polygons appear in lineage order, floats are
-written with shortest round-trip repr, and the same input always produces a
+The drawing is deterministic: polygons appear in the order given (``refine``
+hands over the drawn generation in lineage order), floats are written with
+shortest round-trip repr, and the same input always produces a
 byte-identical file.  The y axis is flipped so the apex points up, matching
 the mathematical orientation of the construction.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import MAX_RENDER_GENERATION
 from .geometry import TriangleNode
 
 _MARGIN_FRACTION = 0.02
@@ -18,31 +18,22 @@ _STROKE_FRACTION = 0.002
 
 
 def render_svg(nodes: Sequence[TriangleNode], path: str,
-               stroke_reference: float | None = None) -> None:
-    """Write the triangles (one generation, all the same depth) to ``path``.
+               stroke_reference: float) -> None:
+    """Write the triangles (one generation) to ``path``, one polygon each
+    in the order given.
 
     The viewBox fits the union of the triangles (the initial triangle, which
     the generation tiles) with a 2% margin.  Stroke width is 0.2% of
-    ``stroke_reference`` (the initial longest side); when omitted, the
-    longest side among the given triangles is used.
+    ``stroke_reference`` (the initial longest side).
     """
     if not nodes:
         raise ValueError("nothing to render: empty generation")
-    generation = nodes[0].generation
-    if generation > MAX_RENDER_GENERATION:
-        raise ValueError(
-            f"generation {generation} exceeds the render limit of "
-            f"{MAX_RENDER_GENERATION} (2**{MAX_RENDER_GENERATION} polygons)")
-    ordered = sorted(nodes, key=lambda n: n.lineage)
-
-    xs = [p.x for n in ordered for p in n.vertices]
-    ys = [p.y for n in ordered for p in n.vertices]
+    xs = [p.x for n in nodes for p in n.vertices]
+    ys = [p.y for n in nodes for p in n.vertices]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin)
     margin = _MARGIN_FRACTION * span
-    if stroke_reference is None:
-        stroke_reference = max(max(n.sides()) for n in ordered)
     stroke = _STROKE_FRACTION * stroke_reference
 
     # Flip y inside the bounding box so screen-down SVG shows apex-up.
@@ -66,7 +57,7 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
         write('<svg xmlns="http://www.w3.org/2000/svg" '
               f'viewBox="{xmin - margin!r} {ymin - margin!r} '
               f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">\n')
-        for node in ordered:
+        for node in nodes:
             a, b, c = node.vertices
             write(f'<polygon points="{point(a)} {point(b)} {point(c)}{tail}')
         write("</svg>\n")

@@ -184,19 +184,25 @@ def _refine(runs: dict, run: RefinementRun) -> RefinementResult:
     return result
 
 
-def _stats(runs: dict, run: RefinementRun) -> list[GenerationStats]:
-    """Statistics of a streaming ``run``: memoized, else ``_refine``d."""
-    stats = runs.get(run)
-    return _refine(runs, run).stats if stats is None else stats
-
-
-def _run_from_spec(spec: dict, runs: dict) -> RefinementRun:
-    """The streaming run a spec names by its kind, depth, and base or sides."""
+def _run(spec: dict, runs: dict, kind: ProcedureKind | None = None,
+         depth: int | None = None) -> RefinementRun:
+    """The streaming run a spec names by its base or sides, with the
+    spec's kind and depth unless ``kind`` or ``depth`` is given."""
     base = spec.get("base")
     return RefinementRun(
-        kind=ProcedureKind(spec["kind"]), depth=spec["depth"],
+        kind=kind or ProcedureKind(spec["kind"]),
+        depth=spec["depth"] if depth is None else depth,
         base=None if base is None else _base_parse(base, runs),
-        sides=None if base is not None else tuple(spec["sides"]))
+        sides=spec.get("sides"))
+
+
+def _stats(spec: dict, runs: dict, kind: ProcedureKind | None = None,
+           depth: int | None = None) -> list[GenerationStats]:
+    """Statistics of ``_run(spec, runs, kind, depth)``: memoized, else
+    ``_refine``d."""
+    run = _run(spec, runs, kind, depth)
+    stats = runs.get(run)
+    return _refine(runs, run).stats if stats is None else stats
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +316,8 @@ def _per_stats(name: str, tolerance: float, kind: ProcedureKind | None,
     ``kind`` ``None`` reads the procedure from the spec."""
     def wrap(kernel: Callable[..., Iterator[tuple[float, int]]]):
         def pairs(spec: dict, runs: dict) -> Iterator[tuple[float, int]]:
-            base = _base_parse(spec["base"], runs)
-            run_kind = kind or ProcedureKind(spec["kind"])
-            run = RefinementRun(kind=run_kind, depth=spec["depth"], base=base)
-            return kernel(_stats(runs, run), base)
+            return kernel(_stats(spec, runs, kind),
+                          _base_parse(spec["base"], runs))
         _per_generation(name, tolerance, population)(pairs)
         return kernel
     return wrap
@@ -541,9 +545,7 @@ def _m_rho_monotone(stats, base):
         lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
                      if base.alpha <= 2 * base.gamma])
 def _m_flat_start_bound(spec, runs):
-    stats = _stats(runs, RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
-                                       depth=2,
-                                       base=_base_parse(spec["base"], runs)))
+    stats = _stats(spec, runs, ProcedureKind.LARGEST_ANGLE, 2)
     return FLAT_START_ASPECT_BOUND - stats[2].max_aspect_ratio, spec
 
 
@@ -564,16 +566,15 @@ def _m_mesh_nonincreasing(stats, base):
 
 def _aspect_rises(ctx: _Context) -> list[dict]:
     population = []
-    for base in ctx.bases:
-        stats = _stats(ctx.runs, RefinementRun(
-            kind=ProcedureKind.LARGEST_ANGLE, depth=ctx.depth, base=base))
+    for spec in _bases(ctx):
+        stats = _stats(spec, ctx.runs, ProcedureKind.LARGEST_ANGLE)
         rise = 0.0
         rise_n = 0
         for n in range(len(stats) - 1):
             d = stats[n + 1].max_aspect_ratio - stats[n].max_aspect_ratio
             if d > rise:
                 rise, rise_n = d, n
-        population.append({"base": _base_json(base), "largest_rise": rise,
+        population.append({"base": spec["base"], "largest_rise": rise,
                            "after_generation": rise_n})
     return population
 
@@ -627,9 +628,7 @@ def _m_major_collision(spec, runs):
 @_check("right-isosceles-single-class", TOL_EXACT,
         lambda ctx: [{"base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}])
 def _m_single_class(spec, runs):
-    base = _base_parse(spec["base"], runs)
-    stats = _stats(runs, RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
-                                       depth=spec["depth"], base=base))
+    stats = _stats(spec, runs, ProcedureKind.LARGEST_ANGLE)
     extra = max(row.cumulative_similarity_classes for row in stats) - 1
     return -float(extra), spec
 
@@ -654,7 +653,7 @@ def _altitude_specs(ctx: _Context) -> list[dict]:
 
 @_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
 def _m_altitude_classes(spec, runs):
-    key_sets = _refine(runs, _run_from_spec(spec, runs)).key_sets
+    key_sets = _refine(runs, _run(spec, runs)).key_sets
     union: set = set()
     for n, keys in enumerate(key_sets[1:], start=1):
         union |= keys
@@ -663,8 +662,8 @@ def _m_altitude_classes(spec, runs):
 
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
-    run = _run_from_spec(spec, runs)
-    stats = _stats(runs, run)
+    run = _run(spec, runs)
+    stats = _stats(spec, runs)
     subtrees = []
     for child in bisect(run.root(), ProcedureKind.SHORTEST_ALTITUDE):
         sides = sorted(child.sides(), reverse=True)
@@ -749,8 +748,8 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 
 @_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
 def _m_mode_identity(spec, runs):
-    run = _run_from_spec(spec, runs)
-    streamed = _stats(runs, run)
+    run = _run(spec, runs)
+    streamed = _stats(spec, runs)
     retained = refine(replace(run, retain=RetainPolicy.FINAL_GENERATION)).stats
     worst = 0.0
     for a, b in zip(streamed, retained):

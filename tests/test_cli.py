@@ -390,6 +390,29 @@ class TestMeshDecayScript:
         assert lines[0] == "start: angles 60,60,60   depth 0   rho0 = n/a"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("depth", [0, 5])
+    @pytest.mark.parametrize("source, run_input", [
+        (["--angles", "80,60,40", "--scale", "3.7"],
+         dict(base=BaseAngles(80, 60, 40), scale=3.7)),
+        (["--sides", "1.3,1.7,1.5"], dict(sides=(1.3, 1.7, 1.5))),
+    ], ids=["angles-scale", "sides"])
+    def test_longest_edge_bound_starts_at_its_mesh(self, tmp_path, capsys,
+                                                   source, run_input, depth):
+        # The longest-edge bound scales the largest-angle run's mesh(0).
+        # Every procedure builds the same root, so at generation 0 the
+        # bound is the longest-edge mesh itself.
+        out = tmp_path / "decay.csv"
+        assert main(["compare", *source, "--iterations", str(depth),
+                     "--csv", str(out)]) == 0
+        capsys.readouterr()
+        with out.open(newline="") as handle:
+            row = next(csv.DictReader(handle))
+        le = refine(RefinementRun(kind=ProcedureKind.LONGEST_EDGE,
+                                  depth=depth, **run_input)).stats
+        assert row["n"] == "0"
+        assert row["longest_edge_bound"] == row["longest_edge_mesh"]
+        assert float(row["longest_edge_mesh"]) == le[0].mesh
+
     @pytest.mark.parametrize("base, sides", [
         (BaseAngles(80, 60, 40), None),
         (None, (1.3, 1.7, 1.5)),
@@ -518,13 +541,13 @@ class TestRenderSvg:
     def test_single_polygon_at_depth_zero(self, tmp_path):
         result = self.run_retained(0)
         out = tmp_path / "root.svg"
-        render_svg(result.nodes, str(out))
+        render_svg(result.nodes, str(out), result.stats[0].mesh)
         assert out.read_text().count("<polygon") == 1
 
     def test_eight_polygons_at_depth_three(self, tmp_path):
         result = self.run_retained(3)
         out = tmp_path / "g3.svg"
-        render_svg(result.nodes, str(out))
+        render_svg(result.nodes, str(out), result.stats[0].mesh)
         assert out.read_text().count("<polygon") == 8
 
     def test_viewbox_margin_and_stroke(self, tmp_path):
@@ -538,22 +561,41 @@ class TestRenderSvg:
         assert 'stroke-width="0.002"' in text
         assert 'fill="none"' in text
 
-    def test_render_limit(self, tmp_path):
-        result = self.run_retained(3)
-        node = result.nodes[0]
-        node.generation = 15
-        with pytest.raises(ValueError):
-            render_svg([node], str(tmp_path / "x.svg"))
+    def test_render_limit(self, tmp_path, monkeypatch):
+        # The limit belongs to the run: a retaining run deeper than an SVG
+        # draws is refused before anything is drawn.
+        drawn = []
+        monkeypatch.setattr(cli, "render_svg",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="final-generation limit of 14"):
+            self.run_retained(15)
+        svg = tmp_path / "x.svg"
+        assert main(["refine", "--angles", "60,60,60", "--iterations", "15",
+                     "--svg", str(svg)]) == 2
+        assert drawn == [] and not svg.exists()
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            render_svg([], str(tmp_path / "x.svg"))
+            render_svg([], str(tmp_path / "x.svg"), 1.0)
+
+    def test_polygons_in_given_order(self, tmp_path):
+        # No sort: reversed nodes give reversed polygon lines under the same
+        # header.
+        nodes = self.run_retained(3).nodes
+        forward, backward = tmp_path / "forward.svg", tmp_path / "backward.svg"
+        render_svg(nodes, str(forward), 1.0)
+        render_svg(nodes[::-1], str(backward), 1.0)
+        head, *polygons, tail = forward.read_text().splitlines()
+        assert len(polygons) == 8 and len(set(polygons)) == 8
+        assert backward.read_text().splitlines() == [head, *polygons[::-1], tail]
 
     @pytest.mark.parametrize("kind", list(ProcedureKind))
     def test_matches_join_writer(self, tmp_path, kind):
         result = refine(RefinementRun(kind=kind, depth=8, sides=(1.3, 1.7, 1.5),
                                       retain=RetainPolicy.FINAL_GENERATION))
-        for stroke_reference in (None, result.stats[0].mesh):
+        # The root mesh, and the longest side of the drawn triangles.
+        for stroke_reference in (max(max(n.sides()) for n in result.nodes),
+                                 result.stats[0].mesh):
             render_svg(result.nodes, str(tmp_path / "new.svg"),
                        stroke_reference=stroke_reference)
             join_render_svg(result.nodes, str(tmp_path / "old.svg"),
@@ -571,8 +613,8 @@ class TestRenderSvg:
 
         nodes = [node(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), "0"),
                  node(((-0.0, 0.0), (0.0, 1.0), (-1.0, 0.5)), "1")]
-        render_svg(nodes, str(tmp_path / "new.svg"))
-        join_render_svg(nodes, str(tmp_path / "old.svg"))
+        render_svg(nodes, str(tmp_path / "new.svg"), 1.0)
+        join_render_svg(nodes, str(tmp_path / "old.svg"), 1.0)
         text = (tmp_path / "new.svg").read_text()
         assert text == (tmp_path / "old.svg").read_text()
         assert 'points="-0.0,' in text

@@ -1,5 +1,6 @@
 """Tests for the refinement engine."""
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from exact_reference import ROOT_FORMS, exact_walk, reference_children
-from trirefine import engine, svg, verifier
+from trirefine import engine, verifier
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
     MAX_RENDER_GENERATION,
@@ -130,11 +131,12 @@ class TestRunValidation:
         ("base", (60, 60, 60), "base must be a BaseAngles, got (60, 60, 60)"),
         ("scale", "2", "scale must be a positive finite number"),
         ("depth", True, "depth must be an int, got True"),
-    ], ids=["kind", "depth", "retain", "base", "scale", "bool-depth"])
+        ("sides", "345", "sides must be positive finite numbers"),
+    ], ids=["kind", "depth", "retain", "base", "scale", "bool-depth", "sides"])
     def test_rejects_unknown_values(self, field, value, message):
         # Refused when the run is made, not in the middle of refine.
         config = dict(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
-                      base=EQUILATERAL)
+                      base=None if field == "sides" else EQUILATERAL)
         config[field] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RefinementRun(**config)
@@ -147,8 +149,18 @@ class TestRunValidation:
         same = RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=2,
                              sides=(5, 3, 4))
         assert run.sides == (5, 3, 4)
+        assert all(type(side) is float for side in run.sides)
         assert run == same and hash(run) == hash(same)
         assert {run: 1}[same] == 1
+
+    def test_scale_kept_as_float(self):
+        # ``--json`` writes the run's scale, so it is kept as the float the
+        # scale rule accepts, whatever real number it was given as.
+        for scale in (Fraction(5, 2), 2.5, 2):
+            run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=1,
+                                base=EQUILATERAL, scale=scale)
+            assert type(run.scale) is float and run.scale == scale
+            assert json.loads(json.dumps(run.scale)) == scale
 
     def test_depth_limits(self):
         with pytest.raises(ValueError):
@@ -161,7 +173,7 @@ class TestRunValidation:
     def test_retaining_run_limited_to_render_generation(self):
         # A retaining run keeps 2**depth nodes, at most what an SVG draws;
         # a deeper one is refused before it starts.
-        assert svg.MAX_RENDER_GENERATION == MAX_RENDER_GENERATION == 14
+        assert MAX_RENDER_GENERATION == 14
         for kind in ProcedureKind:
             RefinementRun(kind=kind, depth=14, sides=(3, 4, 5),
                           retain=RetainPolicy.FINAL_GENERATION)
