@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import TriangleNode
+from .geometry import Point2, TriangleNode
 
 _MARGIN_FRACTION = 0.02
 _STROKE_FRACTION = 0.002
@@ -40,16 +40,19 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
     flip = ymin + ymax
 
     tail = f'" fill="none" stroke="black" stroke-width="{stroke!r}"/>\n'
-    # Neighbouring triangles share vertex objects, so each is formatted
-    # once.  The cache is keyed by identity, not value: 0.0 == -0.0, but
-    # their reprs differ.  The nodes keep every vertex alive meanwhile, so
-    # no id is reused.
-    points: dict[int, str] = {}
+    # Each distinct vertex is formatted once: neighbouring triangles share
+    # vertices, as one object or as equal values.  A vertex with a zero
+    # coordinate is not cached, because 0.0 == -0.0 (and they hash alike)
+    # while their reprs differ; equal nonzero floats print alike.
+    points: dict[Point2, str] = {}
 
     def point(p) -> str:
-        text = points.get(id(p))
+        text = points.get(p)
         if text is None:
-            text = points[id(p)] = f"{p.x!r},{flip - p.y!r}"
+            x, y = p
+            text = f"{x!r},{flip - y!r}"
+            if x and y:
+                points[p] = text
         return text
 
     with open(path, "w", encoding="ascii") as handle:

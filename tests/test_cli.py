@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the SVG renderer."""
 
 import csv
+import gc
 import json
 import math
 from fractions import Fraction
@@ -618,3 +619,81 @@ class TestRenderSvg:
         text = (tmp_path / "new.svg").read_text()
         assert text == (tmp_path / "old.svg").read_text()
         assert 'points="-0.0,' in text
+
+    def test_equal_values_share_text_but_signed_zeros_do_not(self, tmp_path):
+        # Distinct vertex objects: some with equal nonzero values, which may
+        # share one formatted text, and pairs that differ only in the sign
+        # of a zero coordinate, which must not.
+        def node(vertices, lineage):
+            t = TriangleNode(tuple(Point2(x, y) for x, y in vertices))
+            t.generation, t.lineage = 1, lineage
+            return t
+
+        nodes = [node(((0.0, 2.0), (1.5, 2.0), (1.5, 0.0)), "00"),
+                 node(((-0.0, 2.0), (1.5, -0.0), (3.0, 1.0)), "01"),
+                 node(((1.5, 2.0), (3.0, 1.0), (2.5, 3.0)), "10"),
+                 node(((1.5, 0.0), (3.0, 1.0), (2.5, 3.0)), "11")]
+        assert len({id(p) for n in nodes for p in n.vertices}) == 12
+        render_svg(nodes, str(tmp_path / "new.svg"), 1.0)
+        join_render_svg(nodes, str(tmp_path / "old.svg"), 1.0)
+        text = (tmp_path / "new.svg").read_text()
+        assert text == (tmp_path / "old.svg").read_text()
+        assert 'points="0.0,' in text and 'points="-0.0,' in text
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic garbage collector for the command and puts
+    it back as the caller had it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def enabled(self, request):
+        """The caller's setting, put back after the test."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["refine", "--angles", "60,60,60", "--iterations", "4"], 0),
+        (["refine", "--angles", "90,46,45", "--iterations", "4"], 2),
+        (["refine", "--angles", "178,1,1", "--procedure", "shortest-altitude",
+          "--iterations", "10"], 3),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_restored_after_exit_code(self, capsys, enabled, argv, code):
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    def test_restored_after_exception(self, monkeypatch, enabled):
+        seen = []
+
+        def boom(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_refine", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["refine", "--angles", "60,60,60", "--iterations", "1"])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    # The premise of the pause: a command leaves the same cyclic garbage
+    # whatever its size, so pausing cannot let memory grow with the work.
+    # The count itself depends on argparse and the Python version, so only
+    # the two sizes are compared.
+    @pytest.mark.parametrize("enabled", [False], indirect=True,
+                             ids=["disabled"])
+    @pytest.mark.parametrize("command, sizes", [
+        (["refine", "--sides", "1.3,1.7,1.5", "--procedure", "longest-edge",
+          "--svg", "f.svg", "--json", "g.json", "--iterations"], (2, 12)),
+        (["verify", "--depth", "4", "--report", "report.json", "--sweep"],
+         (1, 20)),
+    ], ids=["refine-depth", "verify-sweep"])
+    def test_garbage_does_not_grow_with_size(self, tmp_path, monkeypatch,
+                                             capsys, enabled, command, sizes):
+        monkeypatch.chdir(tmp_path)
+        counts = []
+        for size in sizes:
+            gc.collect()
+            assert main([*command, str(size)]) == 0
+            counts.append(gc.collect())
+        assert counts[0] == counts[1]
