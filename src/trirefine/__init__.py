@@ -23,7 +23,6 @@ from .engine import (
     GenerationStats,
     RefinementResult,
     RefinementRun,
-    RetainPolicy,
     RunMode,
     refine,
     track_carrier,
@@ -61,7 +60,6 @@ __all__ = [
     "ProcedureKind",
     "RefinementResult",
     "RefinementRun",
-    "RetainPolicy",
     "RunMode",
     "TriangleNode",
     "aspect_ratio",

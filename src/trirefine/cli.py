@@ -47,7 +47,6 @@ from .engine import (
     ProcedureKind,
     RefinementResult,
     RefinementRun,
-    RetainPolicy,
     RunMode,
     refine,
     track_carrier,
@@ -82,7 +81,7 @@ def _parse_three(text: str, noun: str, expected: str, convert) -> tuple:
         raise InputError(f"cannot parse {noun} {text!r}: {exc}") from None
 
 
-def _build_run(args, retain: str) -> RefinementRun:
+def _build_run(args, retain: bool = False) -> RefinementRun:
     """The run the input options describe.  Only the text is parsed here:
     ``BaseAngles`` and ``RefinementRun`` check the values, and their
     ``ValueError`` becomes an ``InputError``.  The one rule left to the
@@ -233,9 +232,7 @@ def _print_stats_table(result: RefinementResult) -> None:
 
 
 def _cmd_refine(args) -> int:
-    retain = (RetainPolicy.FINAL_GENERATION if args.svg
-              else RetainPolicy.STREAMING)
-    run = _build_run(args, retain)
+    run = _build_run(args, retain=args.svg is not None)
     with _outputs(args.json, args.csv, args.svg) as (json_out, csv_out, svg_out):
         result = refine(run)
         _print_stats_table(result)
@@ -272,7 +269,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_upsilon(args) -> int:
-    run = _build_run(args, RetainPolicy.STREAMING)
+    run = _build_run(args)
     with _outputs(args.json) as (json_out,):
         track = track_carrier(run)
         rows = []
@@ -296,7 +293,7 @@ def _cmd_upsilon(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    run = _build_run(args, RetainPolicy.STREAMING)
+    run = _build_run(args)
     with _outputs(args.json) as (json_out,):
         result = refine(run)
         exact = run.mode == RunMode.EXACT_BASE
@@ -322,7 +319,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    run = _build_run(args, RetainPolicy.STREAMING)
+    run = _build_run(args)
     with _outputs(args.csv) as (csv_out,):
         la, le, sa = (refine(dataclasses.replace(run, kind=kind)).stats
                       for kind in ProcedureKind)

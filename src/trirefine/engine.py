@@ -14,21 +14,21 @@ aggregate statistics per generation:
   generations 0..n.
 
 One depth-first loop in ``refine`` walks the tree for every procedure and
-both modes, carrying each node's three angles beside it on the stack (a
-node carries geometry only).  In exact-base mode (largest-angle procedure
-from rational angles) they are integers at the run's scale q * 2**(depth+1)
-from ``BaseAngles.units``, as in ``track_carrier``, so angle statistics and
-similarity keys are exact; numeric mode carries floats and quantizes them
-to 1e-9 degrees for class counting.  An exact key is one int packed at
-the run's scale (see ``RefinementResult``); one run has one scale, so
-integer equality is rational equality, and the keys are counted and
-returned in that one form.  Streaming mode keeps no nodes, so memory
-stays flat in the depth; final-generation mode also
-returns the 2**depth nodes of the last generation, the one an SVG draws,
-and drops every earlier node once it is split.  Both modes execute the
-identical per-node computation, so their statistics agree bit for bit.
-Aggregation uses only min/max/set-union, hence the result is independent
-of traversal order.
+both modes, carrying each node's generation and three angles beside it on
+the stack (a node carries geometry only).  In exact-base mode
+(largest-angle procedure from rational angles) the angles are integers at
+the run's scale q * 2**(depth+1) from ``BaseAngles.units``, as in
+``track_carrier``, so angle statistics and similarity keys are exact;
+numeric mode carries floats and quantizes them to 1e-9 degrees for class
+counting.  An exact key is one int packed at the run's scale (see
+``RefinementResult``); one run has one scale, so integer equality is
+rational equality, and the keys are counted and returned in that one
+form.  A streaming run keeps no nodes, so memory stays flat in the depth;
+a run with ``retain`` set also returns the 2**depth nodes of the last
+generation, the one an SVG draws, and drops every earlier node once it is
+split.  Both execute the identical per-node computation, so their
+statistics agree bit for bit.  Aggregation uses only min/max/set-union,
+hence the result is independent of traversal order.
 """
 
 from __future__ import annotations
@@ -69,15 +69,6 @@ class RunMode:
     NUMERIC = "numeric"
 
 
-class RetainPolicy:
-    """What a run keeps besides its statistics: nothing (``STREAMING``), or
-    the nodes of its last generation (``FINAL_GENERATION``), for rendering,
-    up to depth ``MAX_RENDER_GENERATION``."""
-
-    STREAMING = "streaming"
-    FINAL_GENERATION = "final-generation"
-
-
 @dataclass(frozen=True)
 class RefinementRun:
     """Configuration of one refinement run.
@@ -86,14 +77,15 @@ class RefinementRun:
     ``sides`` must pass ``triangle_sides`` and are kept as a tuple of
     floats in the order given.  ``scale`` is the initial longest side for
     angle input, kept as the float ``check_scale`` accepts; side input is
-    used as given.
+    used as given.  ``retain`` keeps the last generation's nodes (depth at
+    most ``MAX_RENDER_GENERATION``; ``MAX_DEPTH_STREAMING`` without it).
     """
 
     kind: ProcedureKind
     depth: int
     base: BaseAngles | None = None
     sides: tuple[float, float, float] | None = None
-    retain: str = RetainPolicy.STREAMING
+    retain: bool = False
     scale: float = 1.0
 
     @property
@@ -113,17 +105,15 @@ class RefinementRun:
             raise ValueError("exactly one of base angles or sides must be given")
         if self.base is not None and not isinstance(self.base, BaseAngles):
             raise ValueError(f"base must be a BaseAngles, got {self.base!r}")
-        if self.retain == RetainPolicy.STREAMING:
-            limit = MAX_DEPTH_STREAMING
-        elif self.retain == RetainPolicy.FINAL_GENERATION:
-            limit = MAX_RENDER_GENERATION
-        else:
-            raise ValueError(f"unknown retain policy {self.retain!r}")
+        if not isinstance(self.retain, bool):
+            raise ValueError(f"retain must be a bool, got {self.retain!r}")
+        limit, name = ((MAX_RENDER_GENERATION, "final-generation")
+                       if self.retain else (MAX_DEPTH_STREAMING, "streaming"))
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
         if self.depth > limit:
             raise ValueError(
-                f"depth {self.depth} exceeds the {self.retain} limit of {limit}")
+                f"depth {self.depth} exceeds the {name} limit of {limit}")
         object.__setattr__(self, "scale", check_scale(self.scale))
         if self.sides is not None:
             sides = tuple(self.sides)
@@ -156,7 +146,7 @@ class RefinementResult:
     """Statistics of one run, plus the last generation's nodes if retained.
 
     ``nodes`` holds the 2**depth nodes of the last generation in lineage
-    order for a final-generation run, and is ``None`` for a streaming run.
+    order for a retaining run, and is ``None`` for a streaming run.
 
     ``key_sets[g]`` holds generation g's similarity keys, the only form
     they take.  In numeric mode a key is the sorted angle triple, each a
@@ -177,12 +167,12 @@ def refine(run: RefinementRun) -> RefinementResult:
     """Run the refinement and collect per-generation statistics.
 
     One depth-first loop serves every procedure and both modes.  A stack
-    entry is a node and its angles in vertex order.  Children get theirs
-    from the procedure's angle algebra, not from their coordinates: an
-    angle bisection gives (A/2, B, A/2+C), an altitude split (90, B, 90-B).
-    Only the longest-edge split, whose foot angles are genuinely new,
-    measures them: ``bisect`` hands them over, measured from the vectors
-    it has already formed.  The modes differ in values fixed once per run:
+    entry is a node, its generation and its angles in vertex order; the
+    children's angles come from the procedure's angle algebra, not from
+    coordinates: an angle bisection gives (A/2, B, A/2+C), an altitude
+    split (90, B, 90-B).  Only the longest-edge split, whose foot angles
+    are new, measures them: ``bisect`` hands over those measured from the
+    vectors it formed.  The modes differ in values fixed once per run:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
@@ -207,7 +197,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     kind = run.kind
     largest = kind is ProcedureKind.LARGEST_ANGLE
     altitude = kind is ProcedureKind.SHORTEST_ALTITUDE
-    retain = run.retain == RetainPolicy.FINAL_GENERATION
+    retain = run.retain
     exact = run.mode == RunMode.EXACT_BASE
     root = run.root()
     if exact:
@@ -225,12 +215,11 @@ def refine(run: RefinementRun) -> RefinementResult:
     min_largest: list = [math.inf] * (depth + 1)
     key_sets: list[set] = [set() for _ in range(depth + 1)]
     nodes: list[TriangleNode] | None = [] if retain else None
-    stack = [(root, a0, a1, a2)]
+    stack = [(root, 0, a0, a1, a2)]
     push = stack.append
     pop = stack.pop
     while stack:
-        node, v0, v1, v2 = pop()
-        g = node.generation
+        node, g, v0, v1, v2 = pop()
         s0, s1, s2 = node._sides
         longest = s0 if s0 >= s1 else s1
         if s2 > longest:
@@ -262,6 +251,7 @@ def refine(run: RefinementRun) -> RefinementResult:
             key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
                              round(hi * _KEY_SCALE)))
         if g < depth:
+            g += 1  # the children's generation
             if largest:
                 # Split the first vertex within the tie window of the
                 # largest angle.
@@ -273,8 +263,8 @@ def refine(run: RefinementRun) -> RefinementResult:
                     ia, va, vb, vc = 2, v2, v0, v1
                 left, right = bisect(node, kind, ia)
                 half = va >> 1 if exact else va / 2.0
-                push((right, half, half + vb, vc))
-                push((left, half, vb, half + vc))
+                push((right, g, half, half + vb, vc))
+                push((left, g, half, vb, half + vc))
             else:
                 # The vertex opposite the first longest side, the rule of
                 # ``longest_side_vertex``.
@@ -286,11 +276,11 @@ def refine(run: RefinementRun) -> RefinementResult:
                     ia, vb, vc = 2, v0, v1
                 left, right = bisect(node, kind, ia)
                 if altitude:
-                    push((right, 90.0 - vc, 90.0, vc))
-                    push((left, 90.0 - vb, vb, 90.0))
+                    push((right, g, 90.0 - vc, 90.0, vc))
+                    push((left, g, 90.0 - vb, vb, 90.0))
                 else:
-                    push((right,) + right._split_angles)
-                    push((left,) + left._split_angles)
+                    push((right, g) + right._split_angles)
+                    push((left, g) + left._split_angles)
         elif retain:
             # Left children are popped first, so the last generation
             # arrives in lineage order.
@@ -329,8 +319,12 @@ def split_units(units: tuple[int, int, int]
     ``ia`` is the first vertex of the largest angle, as in ``refine`` with a
     tie window of 0, and (A, B, C) counted from it become (A/2, B, A/2 + C)
     and (A/2, A/2 + B, C) in ``bisect``'s vertex order, at the parent's
-    scale; ``BaseAngles.units(depth + 1)`` allows depth splits."""
+    scale; ``BaseAngles.units(depth + 1)`` allows depth splits.  An odd
+    largest angle is refused: halving it would need a finer scale."""
     ia = units.index(max(units))
+    if units[ia] & 1:
+        raise ValueError(f"largest angle {units[ia]} is odd: the units "
+                         "allow no further split")
     half = units[ia] >> 1
     vb, vc = units[(ia + 1) % 3], units[(ia + 2) % 3]
     return ia, (half, vb, half + vc), (half, half + vb, vc)

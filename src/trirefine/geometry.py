@@ -1,9 +1,9 @@
 """Numeric triangle geometry and the three bisection procedures.
 
 Coordinates are IEEE-754 doubles.  A triangle node carries geometry only:
-its vertices and its position in the bisection tree (generation index and
-a left/right lineage bit string).  Exact angles, where a run has them, ride
-beside the nodes in the walk that needs them (``engine``).
+its vertices and its lineage, the left/right bit string of its path from
+the root (its generation is the string's length).  Exact angles ride
+beside the nodes in the walk that has them (``engine``).
 
 Three splitting procedures are provided:
 
@@ -50,8 +50,8 @@ class Point2(NamedTuple):
 
 
 class TriangleNode:
-    """One triangle of the refinement tree: its vertices, generation and
-    ``lineage``, the bit string of left(0)/right(1) choices from the root.
+    """One triangle of the refinement tree: its vertices and ``lineage``,
+    the left(0)/right(1) choices from the root, one per ``generation``.
 
     The constructor is the one public, validating way to make a node, for
     roots and user-built triangles: it rejects non-finite coordinates and
@@ -67,11 +67,10 @@ class TriangleNode:
     for them, for the engine to read; the slot is unset on other nodes.
     """
 
-    __slots__ = ("vertices", "generation", "lineage", "_sides",
-                 "_split_angles")
+    __slots__ = ("vertices", "lineage", "_sides", "_split_angles")
 
-    def __init__(self, vertices: tuple[Point2, Point2, Point2],
-                 generation: int = 0, lineage: str = "") -> None:
+    def __init__(self, vertices: tuple[Point2, Point2, Point2], *,
+                 lineage: str = "") -> None:
         (ax, ay), (bx, by), (cx, cy) = vertices
         if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(bx)
                 and math.isfinite(by) and math.isfinite(cx) and math.isfinite(cy)):
@@ -86,11 +85,15 @@ class TriangleNode:
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): {vertices}")
         self.vertices = vertices
-        self.generation = generation
         self.lineage = lineage
         # hypot ignores the sign of an exactly negated difference.
         self._sides = (math.hypot(bcx, bcy), math.hypot(acx, acy),
                        math.hypot(abx, aby))
+
+    @property
+    def generation(self) -> int:
+        """The number of splits from the root: the lineage's length."""
+        return len(self.lineage)
 
     def sides(self) -> tuple[float, float, float]:
         """Side lengths indexed by the opposite vertex."""
@@ -188,8 +191,8 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     Children keep the parent's vertex at the split corner first, so the
     left child is (corner, B, foot) and the right child is (corner, foot, C)
     where B, C follow the corner in the parent's cyclic vertex order.
-    Generation increases by one and the lineage gains a 0 (left) or 1
-    (right) bit.
+    The lineage gains a 0 (left) or 1 (right) bit, and with it the
+    generation goes up by one.
 
     The children are built in one pass over the split's five edges: AB and
     AC from the parent, AF, BF and FC through the foot F.  Each edge's
@@ -276,7 +279,6 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         right_sq = sq
     if af_sq > right_sq:
         right_sq = af_sq
-    gen = t.generation + 1
     # Twice each child's area, as TriangleNode.__init__ and angles_deg()
     # form it in the child's own vertex order; left checked first.
     left_cross = abs(abx * afy - aby * afx)
@@ -285,18 +287,16 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
             or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
         raise DegenerateTriangleError(
             f"{kind.value} bisection produced a degenerate child at depth "
-            f"{gen} (parent lineage {t.lineage!r})")
+            f"{len(t.lineage) + 1} (parent lineage {t.lineage!r})")
     af = math.hypot(afx, afy)
     foot = _new_point(Point2, (fx, fy))
     lineage = t.lineage
     left = _new_node(TriangleNode)
     left.vertices = (A, B, foot)
-    left.generation = gen
     left.lineage = lineage + "0"
     left._sides = (math.hypot(bfx, bfy), af, c)
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
-    right.generation = gen
     right.lineage = lineage + "1"
     right._sides = (math.hypot(fcx, fcy), b, af)
     if kind is _LONGEST_EDGE:
@@ -317,7 +317,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     return left, right
 
 
-def _positive_float(x, message: str) -> float:
+def positive_float(x, message: str) -> float:
     """``x`` as a float; ``ValueError(message)`` unless ``x`` is a real
     number whose float is positive and finite."""
     if isinstance(x, numbers.Real):
@@ -333,7 +333,7 @@ def _positive_float(x, message: str) -> float:
 def check_scale(scale: float) -> float:
     """``scale`` as a float; ``ValueError`` unless it is a positive finite
     real number: the rule for a run's scale and for a root's longest side."""
-    return _positive_float(scale, "scale must be a positive finite number")
+    return positive_float(scale, "scale must be a positive finite number")
 
 
 def _check_root_scale(longest: float) -> float:
@@ -389,7 +389,7 @@ def triangle_sides(sides: Sequence[float]) -> tuple[float, float, float]:
     """Three side lengths as floats, sorted longest first; ``ValueError``
     unless they are real numbers whose floats are positive and finite, and
     satisfy the strict triangle inequality."""
-    values = tuple(_positive_float(s, "sides must be positive finite numbers")
+    values = tuple(positive_float(s, "sides must be positive finite numbers")
                    for s in sides)
     a, b, c = sorted(values, reverse=True)
     if b + c <= a:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import Point2, TriangleNode
+from .geometry import Point2, TriangleNode, positive_float
 
 _MARGIN_FRACTION = 0.02
 _STROKE_FRACTION = 0.002
@@ -24,17 +24,19 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
 
     The viewBox fits the union of the triangles (the initial triangle, which
     the generation tiles) with a 2% margin.  Stroke width is 0.2% of
-    ``stroke_reference`` (the initial longest side).
+    ``stroke_reference`` (the initial longest side), which must be a
+    positive finite real number.
     """
     if not nodes:
         raise ValueError("nothing to render: empty generation")
+    stroke = _STROKE_FRACTION * positive_float(
+        stroke_reference, "stroke_reference must be a positive finite number")
     xs = [p.x for n in nodes for p in n.vertices]
     ys = [p.y for n in nodes for p in n.vertices]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin)
     margin = _MARGIN_FRACTION * span
-    stroke = _STROKE_FRACTION * stroke_reference
 
     # Flip y inside the bounding box so screen-down SVG shows apex-up.
     flip = ymin + ymax

@@ -47,7 +47,6 @@ from .engine import (
     ProcedureKind,
     RefinementResult,
     RefinementRun,
-    RetainPolicy,
     SQRT3_2,
     carrier_units,
     refine,
@@ -750,7 +749,7 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 def _m_mode_identity(spec, runs):
     run = _run(spec, runs)
     streamed = _stats(spec, runs)
-    retained = refine(replace(run, retain=RetainPolicy.FINAL_GENERATION)).stats
+    retained = refine(replace(run, retain=True)).stats
     worst = 0.0
     for a, b in zip(streamed, retained):
         if (a.n, a.triangle_count, a.cumulative_similarity_classes) != \
@@ -774,6 +773,9 @@ def check_suite_args(depth: int, sweep_size: int) -> None:
     """``ValueError`` unless ``run_suite`` accepts ``depth`` and
     ``sweep_size``; the checks refine at ``depth``, so it must also pass
     ``RefinementRun``'s streaming limit."""
+    for name, value in (("depth", depth), ("sweep_size", sweep_size)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if depth < 4:
         raise ValueError("depth must be at least 4")
     if sweep_size < 1:

@@ -14,7 +14,6 @@ from trirefine.engine import (
     SQRT3_2,
     ProcedureKind,
     RefinementRun,
-    RetainPolicy,
     refine,
 )
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
@@ -537,7 +536,7 @@ class TestRenderSvg:
     def run_retained(self, depth):
         return refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
                                     depth=depth, base=BaseAngles(60, 60, 60),
-                                    retain=RetainPolicy.FINAL_GENERATION))
+                                    retain=True))
 
     def test_single_polygon_at_depth_zero(self, tmp_path):
         result = self.run_retained(0)
@@ -579,6 +578,17 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             render_svg([], str(tmp_path / "x.svg"), 1.0)
 
+    @pytest.mark.parametrize("stroke_reference",
+                             [-1.0, 0.0, math.inf, math.nan, "1", None])
+    def test_bad_stroke_reference_rejected(self, tmp_path, stroke_reference):
+        # Refused before the file is opened, by the geometry's rule for a
+        # positive finite real number.
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="^stroke_reference must be a "
+                           "positive finite number$"):
+            render_svg(self.run_retained(1).nodes, str(out), stroke_reference)
+        assert not out.exists()
+
     def test_polygons_in_given_order(self, tmp_path):
         # No sort: reversed nodes give reversed polygon lines under the same
         # header.
@@ -593,7 +603,7 @@ class TestRenderSvg:
     @pytest.mark.parametrize("kind", list(ProcedureKind))
     def test_matches_join_writer(self, tmp_path, kind):
         result = refine(RefinementRun(kind=kind, depth=8, sides=(1.3, 1.7, 1.5),
-                                      retain=RetainPolicy.FINAL_GENERATION))
+                                      retain=True))
         # The root mesh, and the longest side of the drawn triangles.
         for stroke_reference in (max(max(n.sides()) for n in result.nodes),
                                  result.stats[0].mesh):
@@ -608,9 +618,8 @@ class TestRenderSvg:
         # 0.0 == -0.0 and they hash alike, but they print differently: a
         # vertex cache keyed by value would write one for the other.
         def node(vertices, lineage):
-            t = TriangleNode(tuple(Point2(x, y) for x, y in vertices))
-            t.generation, t.lineage = 1, lineage
-            return t
+            return TriangleNode(tuple(Point2(x, y) for x, y in vertices),
+                                lineage=lineage)
 
         nodes = [node(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), "0"),
                  node(((-0.0, 0.0), (0.0, 1.0), (-1.0, 0.5)), "1")]
@@ -625,9 +634,8 @@ class TestRenderSvg:
         # share one formatted text, and pairs that differ only in the sign
         # of a zero coordinate, which must not.
         def node(vertices, lineage):
-            t = TriangleNode(tuple(Point2(x, y) for x, y in vertices))
-            t.generation, t.lineage = 1, lineage
-            return t
+            return TriangleNode(tuple(Point2(x, y) for x, y in vertices),
+                                lineage=lineage)
 
         nodes = [node(((0.0, 2.0), (1.5, 2.0), (1.5, 0.0)), "00"),
                  node(((-0.0, 2.0), (1.5, -0.0), (3.0, 1.0)), "01"),

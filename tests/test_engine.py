@@ -14,7 +14,6 @@ from trirefine.engine import (
     MAX_RENDER_GENERATION,
     ProcedureKind,
     RefinementRun,
-    RetainPolicy,
     RunMode,
     SQRT3_2,
     refine,
@@ -127,12 +126,15 @@ class TestRunValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("kind", "largest-angle", "unknown procedure 'largest-angle'"),
         ("depth", 2.5, "depth must be an int, got 2.5"),
-        ("retain", "full-tree", "unknown retain policy 'full-tree'"),
+        ("retain", "final-generation",
+         "retain must be a bool, got 'final-generation'"),
+        ("retain", 1, "retain must be a bool, got 1"),
         ("base", (60, 60, 60), "base must be a BaseAngles, got (60, 60, 60)"),
         ("scale", "2", "scale must be a positive finite number"),
         ("depth", True, "depth must be an int, got True"),
         ("sides", "345", "sides must be positive finite numbers"),
-    ], ids=["kind", "depth", "retain", "base", "scale", "bool-depth", "sides"])
+    ], ids=["kind", "depth", "retain", "int-retain", "base", "scale",
+            "bool-depth", "sides"])
     def test_rejects_unknown_values(self, field, value, message):
         # Refused when the run is made, not in the middle of refine.
         config = dict(kind=ProcedureKind.LARGEST_ANGLE, depth=2,
@@ -176,11 +178,11 @@ class TestRunValidation:
         assert MAX_RENDER_GENERATION == 14
         for kind in ProcedureKind:
             RefinementRun(kind=kind, depth=14, sides=(3, 4, 5),
-                          retain=RetainPolicy.FINAL_GENERATION)
+                          retain=True)
             with pytest.raises(ValueError, match="^depth 15 exceeds the "
                                "final-generation limit of 14$"):
                 RefinementRun(kind=kind, depth=15, sides=(3, 4, 5),
-                              retain=RetainPolicy.FINAL_GENERATION)
+                              retain=True)
         # A streaming run keeps no nodes and is not held to it.
         RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=15,
                       sides=(3, 4, 5))
@@ -251,16 +253,16 @@ class TestRefine:
     ], ids=["base", "base-numeric", "sides"])
     def test_streaming_equals_full_tree(self, kind, source):
         a = refine(RefinementRun(kind=kind, depth=6,
-                                 retain=RetainPolicy.STREAMING, **source))
+                                 retain=False, **source))
         b = refine(RefinementRun(kind=kind, depth=6,
-                                 retain=RetainPolicy.FINAL_GENERATION, **source))
+                                 retain=True, **source))
         assert a.nodes is None
         assert len(b.nodes) == 2 ** 6
         assert a.stats == b.stats  # bitwise: identical computations in both modes
         assert a.key_sets == b.key_sets
 
     def test_full_tree_lineage_order(self):
-        result = run_largest(EQUILATERAL, 3, retain=RetainPolicy.FINAL_GENERATION)
+        result = run_largest(EQUILATERAL, 3, retain=True)
         lineages = [node.lineage for node in result.nodes]
         assert lineages == sorted(lineages)
         assert len(lineages) == 8
@@ -355,7 +357,7 @@ class TestRefineOracle:
     def test_nodes_are_last_walk_generation(self, kind, source):
         depth = 7
         result = refine(RefinementRun(kind=kind, depth=depth,
-                                      retain=RetainPolicy.FINAL_GENERATION,
+                                      retain=True,
                                       **source))
         last = [node for node, _ in oracle_walk(result)[-1]]
         assert len(result.nodes) == len(last) == 2 ** depth
@@ -364,7 +366,7 @@ class TestRefineOracle:
             assert repr(node.vertices) == repr(oracle.vertices)
             assert node.lineage == oracle.lineage
             assert repr(node.sides()) == repr(oracle.sides())
-            assert node.generation == depth
+            assert node.generation == len(node.lineage) == depth
 
     def test_tied_root_ties_exactly(self):
         # The "sides-2-2-1" cases above pin the tie rule only if the root's
@@ -425,7 +427,7 @@ class TestSimilarityClasses:
         walk = exact_walk(base, 7)
         assert len(walk) == len(result.key_sets) == 8
         assert result.key_sets == packed_keys(base, 7, walk_angles(walk))
-        retained = run_largest(base, 7, retain=RetainPolicy.FINAL_GENERATION)
+        retained = run_largest(base, 7, retain=True)
         assert retained.key_sets == result.key_sets
 
     def test_node_units_are_engine_keys(self):
@@ -434,7 +436,7 @@ class TestSimilarityClasses:
         # it, and a key packs the two smaller as lo * 180 * scale + mid.
         base = BaseAngles(Fraction(355, 4), Fraction(199, 4), Fraction(166, 4))
         for g in range(9):
-            result = run_largest(base, g, retain=RetainPolicy.FINAL_GENERATION)
+            result = run_largest(base, g, retain=True)
             assert len(result.nodes) == 2 ** g
             assert base.units(g + 1)[1] == 4 << (g + 1)
             assert result.key_sets == packed_keys(
@@ -498,7 +500,7 @@ class TestSplitUnits:
         # vertex for vertex, and its keys are refine's.
         depth = 6
         run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=depth,
-                            base=base, retain=RetainPolicy.FINAL_GENERATION)
+                            base=base, retain=True)
         result = refine(run)
         units, scale = base.units(depth + 1)
         total = 180 * scale
@@ -520,6 +522,14 @@ class TestSplitUnits:
         assert len(result.nodes) == len(level) == 2 ** depth
         assert [n.vertices for n in result.nodes] == [
             n.vertices for n, _ in level]
+
+    @pytest.mark.parametrize("units", [(61, 60, 59), (60, 61, 59),
+                                       (59, 60, 61)])
+    def test_odd_largest_angle_refused(self, units):
+        # Halving an odd angle would floor it, and the children's angles
+        # would no longer sum to 180 degrees at the units' scale.
+        with pytest.raises(ValueError, match="^largest angle 61 is odd"):
+            split_units(units)
 
 
 # ---------------------------------------------------------------------------

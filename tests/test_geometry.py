@@ -309,8 +309,8 @@ class TestBisectOracle:
                     assert ([c.vertices for c in given_index]
                             == [c.vertices for c in pair])
                 for child in pair:
-                    rebuilt = TriangleNode(child.vertices, child.generation,
-                                           child.lineage)
+                    rebuilt = TriangleNode(child.vertices,
+                                           lineage=child.lineage)
                     assert child.sides() == rebuilt.sides()
                     # Bit for bit: the engine's longest-edge branch reads
                     # these angles from bisect-built children.
@@ -332,7 +332,7 @@ class TestBisectOracle:
         # bit.  The constructor measures the root's sides; reading them
         # first through sides() changes nothing.
         root = TriangleNode((Point2(0.3, 2.9), Point2(-0.1, 0.2),
-                             Point2(3.7, 0.4)), 2, "01")
+                             Point2(3.7, 0.4)), lineage="01")
         if seeded:
             assert root.sides() is root._sides
         else:
@@ -383,8 +383,7 @@ class TestBisectOracle:
         # are the constructor's, bit for bit, and the engine's units pick
         # the largest and smallest vertex the reference values pick.
         for child, _, values, units in reference_walk(base, lineage):
-            rebuilt = TriangleNode(child.vertices, child.generation,
-                                   child.lineage)
+            rebuilt = TriangleNode(child.vertices, lineage=child.lineage)
             assert child.sides() == rebuilt.sides()
             assert child.angles_deg() == rebuilt.angles_deg()
             assert units.index(max(units)) == values.index(max(values))
@@ -670,6 +669,30 @@ class TestConstructors:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, math.inf)))
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    def test_generation_is_lineage_length(self, kind):
+        # One source: a user-built node at lineage "01" is in generation 2,
+        # and its children in generation 3, whatever the procedure.
+        t = TriangleNode((Point2(0.3, 2.9), Point2(-0.1, 0.2),
+                          Point2(3.7, 0.4)), lineage="01")
+        assert t.generation == 2
+        left, right = bisect(t, kind)
+        assert (left.generation, left.lineage) == (3, "010")
+        assert (right.generation, right.lineage) == (3, "011")
+        assert "generation" not in TriangleNode.__slots__
+        with pytest.raises(AttributeError):
+            t.generation = 5
+
+    def test_generation_is_not_an_argument(self):
+        # The lineage is keyword-only: an old positional generation fails
+        # instead of becoming a lineage.
+        vertices = (Point2(0, 0), Point2(1, 0), Point2(0, 1))
+        with pytest.raises(TypeError):
+            TriangleNode(vertices, 2)
+        with pytest.raises(TypeError):
+            TriangleNode(vertices, generation=2)
 
     def test_aspect_from_angles_helper(self):
         assert aspect_ratio_trig(

@@ -67,15 +67,15 @@ def test_render_limit_outputs(tmp_path, capsys):
 @pytest.mark.parametrize("depth, sweep, seed, expected", [
     ("5", "40", "1", "b0cf694b29abc7d5"),
     ("8", "20", "0", "e717f1d3da21bfbf"),
-    ("8", "1000", "0", "9478c1e00e87a56d"),
+    # The default parameters: one run, shared with the verifier's test
+    # that every check passes there.
+    pytest.param("8", "1000", "0", "9478c1e00e87a56d",
+                 marks=pytest.mark.slow),
 ])
-def test_verify_report(tmp_path, capsys, depth, sweep, seed, expected):
-    report = tmp_path / "report.json"
-    code = main(["verify", "--depth", depth, "--sweep", sweep,
-                 "--seed", seed, "--report", str(report)])
-    capsys.readouterr()
+def test_verify_report(verify_report, depth, sweep, seed, expected):
+    code, report = verify_report(depth, sweep, seed)
     assert code == 0
-    assert digest(report.read_bytes()) == expected
+    assert digest(report) == expected
 
 
 # argv -> digests of stdout and --json.

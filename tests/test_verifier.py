@@ -200,6 +200,11 @@ class TestRunSuite:
         (3, 10, "depth must be at least 4"),
         (41, 1, "depth 41 exceeds the streaming limit of 40"),
         (8, 0, "sweep_size must be at least 1"),
+        (2.5, 10, "depth must be an int, got 2.5"),
+        ("8", 1, "depth must be an int, got '8'"),
+        (True, 10, "depth must be an int, got True"),
+        (8, 2.5, "sweep_size must be an int, got 2.5"),
+        (8, True, "sweep_size must be an int, got True"),
     ])
     def test_bad_arguments_refused_before_any_check(
             self, monkeypatch, depth, sweep_size, message):
@@ -322,8 +327,10 @@ def test_carrier_checks_match_fraction_reference():
 
 
 @pytest.mark.slow
-def test_default_parameters_suite_passes():
-    """The headline configuration: depth 8, sweep 1000, seed 0."""
-    reports = run_suite(depth=8, sweep_size=1000, seed=0)
-    failures = [r.name for r in reports if not r.passed]
-    assert failures == []
+def test_default_parameters_suite_passes(verify_report):
+    """The headline configuration: depth 8, sweep 1000, seed 0, run once
+    per session through ``verify`` (the golden report hash reads it too)."""
+    code, report = verify_report("8", "1000", "0")
+    failures = [c["name"] for c in json.loads(report)["checks"]
+                if not c["pass"]]
+    assert failures == [] and code == 0
