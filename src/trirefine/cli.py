@@ -252,7 +252,7 @@ def _cmd_refine(args) -> int:
 def _cmd_verify(args) -> int:
     # Only the arguments are input; an error inside a check keeps its code.
     try:
-        check_suite_args(args.depth, args.sweep)
+        check_suite_args(args.depth, args.sweep, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     with _outputs(args.report) as (report_out,):

@@ -188,6 +188,12 @@ def refine(run: RefinementRun) -> RefinementResult:
     procedures split at the vertex opposite the first longest side, found
     by the same compare chain as the mesh.
 
+    The class keys are a streaming run's memory, so generation n's new
+    classes are counted without a union of every key: a generation that
+    shares no key with any earlier one (each ``isdisjoint`` test allocates
+    nothing) adds its size, and only one that repeats a key is copied to
+    take the set difference.
+
     Aborts with a ``DegenerateTriangleError`` naming the lineage path if a
     split ever produces a numerically collinear child, so a run that
     returns has walked the whole tree and generation n's
@@ -295,8 +301,14 @@ def refine(run: RefinementRun) -> RefinementResult:
     cumulative = 0
     for n in range(depth + 1):
         # The keys new in generation n; a union of every key would be a
-        # second copy of key_sets.
-        cumulative += len(key_sets[n].difference(*key_sets[:n]))
+        # second copy of key_sets.  A generation disjoint from every
+        # earlier one, as every generation of a generic exact base is, is
+        # all new, and ``isdisjoint`` allocates nothing.
+        keys = key_sets[n]
+        if all(map(keys.isdisjoint, key_sets[:n])):
+            cumulative += len(keys)
+        else:
+            cumulative += len(keys.difference(*key_sets[:n]))
         rho = (max(max_aspect[n], max_aspect[n + 1], SQRT3_2)
                if n < depth else None)
         stats.append(GenerationStats(

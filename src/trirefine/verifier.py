@@ -769,11 +769,12 @@ def _m_mode_identity(spec, runs):
 # Suite driver
 # ---------------------------------------------------------------------------
 
-def check_suite_args(depth: int, sweep_size: int) -> None:
-    """``ValueError`` unless ``run_suite`` accepts ``depth`` and
-    ``sweep_size``; the checks refine at ``depth``, so it must also pass
+def check_suite_args(depth: int, sweep_size: int, seed: int) -> None:
+    """``ValueError`` unless ``run_suite`` accepts ``depth``, ``sweep_size``
+    and ``seed``; the checks refine at ``depth``, so it must also pass
     ``RefinementRun``'s streaming limit."""
-    for name, value in (("depth", depth), ("sweep_size", sweep_size)):
+    for name, value in (("depth", depth), ("sweep_size", sweep_size),
+                        ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if depth < 4:
@@ -786,7 +787,7 @@ def check_suite_args(depth: int, sweep_size: int) -> None:
 def run_suite(depth: int = 8, sweep_size: int = 1000,
               seed: int = 0) -> list[CheckReport]:
     """Run every check; deterministic given the seed; sorted by check name."""
-    check_suite_args(depth, sweep_size)
+    check_suite_args(depth, sweep_size, seed)
     ctx = _Context(depth, sweep_size, seed)
     reports = [
         _finish(name, check.tolerance,

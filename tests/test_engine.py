@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -453,6 +454,55 @@ class TestSimilarityClasses:
         assert len(walk) == len(result.key_sets) == 11
         assert result.key_sets == packed_keys(base, 10, walk_angles(walk))
         assert max(map(max, result.key_sets)).bit_length() > 60
+
+    @staticmethod
+    def assert_cumulative_is_union(result):
+        for n, s in enumerate(result.stats):
+            assert s.cumulative_similarity_classes == len(
+                set().union(*result.key_sets[:n + 1]))
+
+    @staticmethod
+    def disjoint_generations(result):
+        """Which generations share no key with any earlier one."""
+        return [all(keys.isdisjoint(earlier) for earlier in result.key_sets[:n])
+                for n, keys in enumerate(result.key_sets)]
+
+    def test_cumulative_counts_disjoint_generations(self):
+        # A generic exact base makes every generation new: the counts come
+        # from the branch that copies no set.
+        rng = random.Random(23)
+        for _ in range(6):
+            result = run_largest(verifier.random_valid_base(rng), 9)
+            assert all(self.disjoint_generations(result))
+            self.assert_cumulative_is_union(result)
+
+    @pytest.mark.parametrize("run", [
+        RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=12,
+                      base=BaseAngles(80, 60, 40)),
+        RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=12,
+                      base=BaseAngles(72, 72, 36)),
+        RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=12,
+                      base=RIGHT_ISOSCELES),
+        RefinementRun(kind=ProcedureKind.LONGEST_EDGE, depth=12,
+                      sides=(1.3, 1.7, 1.5)),
+        RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE, depth=12,
+                      sides=(3.0, 4.0, 5.0)),
+    ], ids=["80-60-40", "72-72-36", "90-45-45", "longest-edge", "altitude"])
+    def test_cumulative_counts_repeating_generations(self, run):
+        # These runs repeat earlier keys, so most generations take the
+        # branch that counts the set difference.
+        result = refine(run)
+        assert not all(self.disjoint_generations(result))
+        self.assert_cumulative_is_union(result)
+
+    def test_generic_base_every_node_its_own_class(self):
+        # The paper's unbounded-classes claim at its strongest: no two
+        # nodes of the first 17 generations are similar.
+        base = BaseAngles(Fraction(71867, 962), Fraction(31350, 481),
+                          Fraction(38593, 962))
+        result = run_largest(base, 16)
+        assert [s.cumulative_similarity_classes for s in result.stats] == [
+            2 ** (n + 1) - 1 for n in range(17)]
 
     def test_altitude_pythagorean_at_most_two(self):
         result = refine(RefinementRun(kind=ProcedureKind.SHORTEST_ALTITUDE,

@@ -196,18 +196,21 @@ class TestRunSuite:
         with pytest.raises(KeyError):
             replay_margin("no-such-check", {})
 
-    @pytest.mark.parametrize("depth, sweep_size, message", [
-        (3, 10, "depth must be at least 4"),
-        (41, 1, "depth 41 exceeds the streaming limit of 40"),
-        (8, 0, "sweep_size must be at least 1"),
-        (2.5, 10, "depth must be an int, got 2.5"),
-        ("8", 1, "depth must be an int, got '8'"),
-        (True, 10, "depth must be an int, got True"),
-        (8, 2.5, "sweep_size must be an int, got 2.5"),
-        (8, True, "sweep_size must be an int, got True"),
+    @pytest.mark.parametrize("depth, sweep_size, message, seed", [
+        (3, 10, "depth must be at least 4", 0),
+        (41, 1, "depth 41 exceeds the streaming limit of 40", 0),
+        (8, 0, "sweep_size must be at least 1", 0),
+        (2.5, 10, "depth must be an int, got 2.5", 0),
+        ("8", 1, "depth must be an int, got '8'", 0),
+        (True, 10, "depth must be an int, got True", 0),
+        (8, 2.5, "sweep_size must be an int, got 2.5", 0),
+        (8, True, "sweep_size must be an int, got True", 0),
+        (4, 2, "seed must be an int, got '0'", "0"),
+        (4, 2, "seed must be an int, got 1.5", 1.5),
+        (4, 2, "seed must be an int, got True", True),
     ])
     def test_bad_arguments_refused_before_any_check(
-            self, monkeypatch, depth, sweep_size, message):
+            self, monkeypatch, depth, sweep_size, message, seed):
         # The arguments are refused before any check is evaluated, even a
         # depth that only the first refine of a check would refuse.
         called = []
@@ -219,7 +222,7 @@ class TestRunSuite:
             monkeypatch.setitem(verifier._CHECKS, name,
                                 check._replace(margin=record))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_suite(depth=depth, sweep_size=sweep_size, seed=0)
+            run_suite(depth=depth, sweep_size=sweep_size, seed=seed)
         assert called == []
 
     def test_equilateral_attains_bisector_bound(self, reports):
