@@ -319,8 +319,8 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
 
 def positive_float(x, message: str) -> float:
     """``x`` as a float; ``ValueError(message)`` unless ``x`` is a real
-    number whose float is positive and finite."""
-    if isinstance(x, numbers.Real):
+    number, not a ``bool``, whose float is positive and finite."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
         try:
             value = float(x)
         except OverflowError:  # an int or Fraction beyond the float range

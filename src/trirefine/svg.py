@@ -4,17 +4,29 @@ The drawing is deterministic: polygons appear in the order given (``refine``
 hands over the drawn generation in lineage order), floats are written with
 shortest round-trip repr, and the same input always produces a
 byte-identical file.  The y axis is flipped so the apex points up, matching
-the mathematical orientation of the construction.
+the mathematical orientation of the construction.  Each distinct printed
+coordinate value is formatted once, whichever vertices and axes share it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import Point2, TriangleNode, positive_float
+from .geometry import TriangleNode, positive_float
 
 _MARGIN_FRACTION = 0.02
 _STROKE_FRACTION = 0.002
+
+
+class _FloatText(dict):
+    """float -> its repr, formatted on first use.  A zero is not stored:
+    0.0 == -0.0 and they hash alike, but they print differently."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
 
 
 def render_svg(nodes: Sequence[TriangleNode], path: str,
@@ -31,8 +43,9 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
         raise ValueError("nothing to render: empty generation")
     stroke = _STROKE_FRACTION * positive_float(
         stroke_reference, "stroke_reference must be a positive finite number")
-    xs = [p.x for n in nodes for p in n.vertices]
-    ys = [p.y for n in nodes for p in n.vertices]
+    # Of two points that differ only in a zero's sign the set keeps one;
+    # the text below is the same, as the span, so the margin, is positive.
+    xs, ys = zip(*{p for n in nodes for p in n.vertices})
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin)
@@ -42,20 +55,9 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
     flip = ymin + ymax
 
     tail = f'" fill="none" stroke="black" stroke-width="{stroke!r}"/>\n'
-    # Each distinct vertex is formatted once: neighbouring triangles share
-    # vertices, as one object or as equal values.  A vertex with a zero
-    # coordinate is not cached, because 0.0 == -0.0 (and they hash alike)
-    # while their reprs differ; equal nonzero floats print alike.
-    points: dict[Point2, str] = {}
-
-    def point(p) -> str:
-        text = points.get(p)
-        if text is None:
-            x, y = p
-            text = f"{x!r},{flip - y!r}"
-            if x and y:
-                points[p] = text
-        return text
+    # Keyed by the printed value, x or flip - y: neighbouring triangles
+    # share vertices, and vertices share coordinates.
+    text = _FloatText()
 
     with open(path, "w", encoding="ascii") as handle:
         write = handle.write
@@ -63,6 +65,8 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
               f'viewBox="{xmin - margin!r} {ymin - margin!r} '
               f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">\n')
         for node in nodes:
-            a, b, c = node.vertices
-            write(f'<polygon points="{point(a)} {point(b)} {point(c)}{tail}')
+            (ax, ay), (bx, by), (cx, cy) = node.vertices
+            write(f'<polygon points="{text[ax]},{text[flip - ay]} '
+                  f'{text[bx]},{text[flip - by]} '
+                  f'{text[cx]},{text[flip - cy]}{tail}')
         write("</svg>\n")

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -579,7 +580,7 @@ class TestRenderSvg:
             render_svg([], str(tmp_path / "x.svg"), 1.0)
 
     @pytest.mark.parametrize("stroke_reference",
-                             [-1.0, 0.0, math.inf, math.nan, "1", None])
+                             [-1.0, 0.0, math.inf, math.nan, "1", None, True])
     def test_bad_stroke_reference_rejected(self, tmp_path, stroke_reference):
         # Refused before the file is opened, by the geometry's rule for a
         # positive finite real number.
@@ -647,6 +648,34 @@ class TestRenderSvg:
         text = (tmp_path / "new.svg").read_text()
         assert text == (tmp_path / "old.svg").read_text()
         assert 'points="0.0,' in text and 'points="-0.0,' in text
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_join_writer_on_shared_coordinates(self, tmp_path, seed):
+        # Random triangles on a small grid of values: distinct points share
+        # x or y values, 0.0 and -0.0 occur on both axes, and some vertices
+        # are the previous triangle's own objects.  The first triangle fixes
+        # y from -1.0 to 3.0, so a vertex at y == 2.0 == ymin + ymax prints
+        # its flipped y as 0.0.
+        rng = random.Random(seed)
+        pool = (0.0, -0.0, 0.5, -1.0, 1.25, 2.0, 3.0, 1 / 3)
+        nodes = [TriangleNode((Point2(0.5, -1.0), Point2(1.25, 3.0),
+                               Point2(-0.0, 2.0)), lineage=f"{0:08b}")]
+        while len(nodes) < 64:
+            vertices = tuple(
+                rng.choice(nodes[-1].vertices) if rng.random() < 0.3
+                else Point2(rng.choice(pool), rng.choice(pool))
+                for _ in range(3))
+            try:
+                nodes.append(TriangleNode(vertices,
+                                          lineage=f"{len(nodes):08b}"))
+            except DegenerateTriangleError:
+                continue
+        render_svg(nodes, str(tmp_path / "new.svg"), 1.0)
+        join_render_svg(nodes, str(tmp_path / "old.svg"), 1.0)
+        text = (tmp_path / "new.svg").read_bytes()
+        assert text == (tmp_path / "old.svg").read_bytes()
+        assert b'points="0.0,' in text and b'points="-0.0,' in text
+        assert b",0.0 " in text or b',0.0"' in text
 
 
 class TestCollectorPause:

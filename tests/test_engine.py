@@ -85,6 +85,7 @@ class TestRunValidation:
         ((math.nan, 1, 1), "sides must be positive finite numbers"),
         ((0, 1, 1), "sides must be positive finite numbers"),
         ((math.inf, 1, 1), "sides must be positive finite numbers"),
+        ((True, True, True), "sides must be positive finite numbers"),
     ])
     def test_sides_must_form_a_triangle(self, sides, message):
         # Rejected before the run starts, by the rule triangle_from_sides

@@ -611,9 +611,10 @@ class TestConstructors:
             triangle_sides((1, 1, 5))
         with pytest.raises(ValueError, match="positive finite"):
             triangle_sides((1, math.nan, 1))
-        # Items that are not real numbers, or whose floats overflow, are
-        # refused by the same rule, not converted.
-        for bad in (("3", "4", "5"), (10 ** 400, 10 ** 400, 10 ** 400)):
+        # Items that are not real numbers, bools, or ints whose floats
+        # overflow are refused by the same rule, not converted.
+        for bad in (("3", "4", "5"), (True, True, True),
+                    (10 ** 400, 10 ** 400, 10 ** 400)):
             with pytest.raises(ValueError, match="^sides must be positive "
                                "finite numbers$"):
                 triangle_from_sides(*bad)
@@ -633,14 +634,14 @@ class TestConstructors:
         assert sorted_sides(t)[0] == pytest.approx(1e-153, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [
-        0.0, -1.0, math.nan, math.inf, "1", None,
+        0.0, -1.0, math.nan, math.inf, "1", None, True,
         pytest.param(10 ** 400, id="int-beyond-float")])
     def test_one_scale_rule(self, scale):
         # A run's scale and a root's longest side obey one rule, with one
         # message; it is a plain ValueError (exit 2), not a geometry error,
         # and a scale that is not a real number is refused by it too, not
         # by a TypeError from the comparison, nor an int too large for a
-        # float by an OverflowError.
+        # float by an OverflowError.  A bool is refused, not run as 1.0.
         for reject in (
                 lambda: check_scale(scale),
                 lambda: triangle_from_angles(EQUILATERAL, scale=scale),

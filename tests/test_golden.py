@@ -49,19 +49,34 @@ def test_refine_outputs(tmp_path, capsys, source, procedure):
     assert got == REFINE_GOLDEN[(source, procedure)]
 
 
-def test_render_limit_outputs(tmp_path, capsys):
-    # At the render limit, 2**14 polygons: digests taken when a retaining
-    # run still kept every generation of the tree.
+# (input, procedure) -> digests of stdout, --json, --csv and --svg at the
+# render limit, 2**14 polygons: the longest-edge digests were taken when a
+# retaining run still kept every generation of the tree, the other two
+# before SVG coordinates were formatted once per distinct value.
+RENDER_LIMIT_GOLDEN = {
+    (("--sides", "1.3,1.7,1.5"), "longest-edge"): (
+        "3addfc6993aad894", "2325a66bebf8ba69", "b4467918c6d36120",
+        "8ed442365e81c77d"),
+    (("--sides", "1.3,1.7,1.5"), "shortest-altitude"): (
+        "aebc0a918611a695", "1ae989de82e5a408", "b7fb873e44ec7dab",
+        "faf80e5ff454d406"),
+    (("--angles", "90,45,45"), "largest-angle"): (
+        "4b757e22558d0dd4", "bc3f295efdf42905", "6895f2f8519f458f",
+        "9666e3b69aaefee7"),
+}
+
+
+@pytest.mark.parametrize("source, procedure", list(RENDER_LIMIT_GOLDEN),
+                         ids=[p for _, p in RENDER_LIMIT_GOLDEN])
+def test_render_limit_outputs(tmp_path, capsys, source, procedure):
     outputs = [tmp_path / f"out.{ext}" for ext in ("json", "csv", "svg")]
-    code = main(["refine", "--sides", "1.3,1.7,1.5",
-                 "--procedure", "longest-edge", "--iterations", "14",
-                 "--json", str(outputs[0]), "--csv", str(outputs[1]),
-                 "--svg", str(outputs[2])])
+    code = main(["refine", *source, "--procedure", procedure,
+                 "--iterations", "14", "--json", str(outputs[0]),
+                 "--csv", str(outputs[1]), "--svg", str(outputs[2])])
     assert code == 0
     stdout = capsys.readouterr().out.encode()
     got = (digest(stdout), *(digest(p.read_bytes()) for p in outputs))
-    assert got == ("3addfc6993aad894", "2325a66bebf8ba69", "b4467918c6d36120",
-                   "8ed442365e81c77d")
+    assert got == RENDER_LIMIT_GOLDEN[(source, procedure)]
 
 
 @pytest.mark.parametrize("depth, sweep, seed, expected", [
