@@ -27,9 +27,9 @@ class AngleForm:
     """One triangle angle written as c_alpha*alpha + c_beta*beta + c_gamma*gamma.
 
     Coefficients are nonnegative ``Fraction``s whose denominators are powers
-    of two; the constructor rejects any other.  A form is immutable, and
-    equal forms hash equal.  The three forms of any triangle in the process
-    sum coefficient-wise to (1, 1, 1), mirroring the 180-degree angle sum.
+    of two; the constructor rejects any other value, a ``bool`` too.  A form
+    is immutable, and equal forms hash equal.  The three forms of any
+    triangle sum coefficient-wise to (1, 1, 1), mirroring the 180-degree sum.
     """
 
     c_alpha: Fraction
@@ -39,6 +39,8 @@ class AngleForm:
     def __post_init__(self) -> None:
         for name in ("c_alpha", "c_beta", "c_gamma"):
             c = getattr(self, name)
+            if isinstance(c, bool):  # Fraction would read it as 0 or 1
+                raise ValueError(f"angle form coefficient {c} is not a number")
             if not isinstance(c, Fraction):
                 c = Fraction(c)
                 object.__setattr__(self, name, c)
@@ -81,6 +83,8 @@ class BaseAngles:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
+            if isinstance(value, bool):  # Fraction would read it as 0 or 1
+                raise ValueError(f"angle {value} is not a number")
             if not isinstance(value, Fraction):
                 object.__setattr__(self, name, Fraction(value))
         if self.alpha + self.beta + self.gamma != 180:
@@ -97,8 +101,7 @@ class BaseAngles:
     @classmethod
     def from_unordered(cls, a, b, c) -> "BaseAngles":
         """Build from three positive rationals in any order (labels sorted descending)."""
-        vals = sorted((Fraction(a), Fraction(b), Fraction(c)), reverse=True)
-        return cls(*vals)
+        return cls(*sorted((a, b, c), key=Fraction, reverse=True))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)

@@ -61,10 +61,11 @@ class TriangleNode:
     which goes through libm ``pow``).  It keeps the sides it measures from
     the test's difference vectors in ``_sides``, which ``sides()`` returns
     and the engine and ``bisect`` read directly.  ``bisect`` makes children
-    without it, by the same checks and expressions once per split, so every
-    node carries its sides from the moment it is made.  Longest-edge
-    children also carry ``_split_angles``, what ``angles_deg()`` returns
-    for them, for the engine to read; the slot is unset on other nodes.
+    without it, by the same checks and expressions once per split (finite
+    coordinates for the new vertex only), so every node carries its sides
+    from the moment it is made.  Longest-edge children also carry
+    ``_split_angles``, what ``angles_deg()`` returns for them, for the
+    engine to read; the slot is unset on other nodes.
     """
 
     __slots__ = ("vertices", "lineage", "_sides", "_split_angles")
@@ -197,9 +198,10 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     The children are built in one pass over the split's five edges: AB and
     AC from the parent, AF, BF and FC through the foot F.  Each edge's
     difference vector is formed once, and both children are checked once,
-    with the same expressions as ``TriangleNode.__init__`` (finite
-    coordinates, then the relative-area degeneracy test in the child's own
-    vertex order, squares written ``x * x``).  The children arrive with
+    with the same expressions as ``TriangleNode.__init__``: F's coordinates
+    must be finite (A, B and C are the parent's, checked when it was made),
+    then the relative-area degeneracy test runs in the child's own vertex
+    order, squares written ``x * x``.  The children arrive with
     their sides measured as the constructor measures them: |AB| and |AC|
     are the parent's, the other three come from the edge vectors here.
 
@@ -251,10 +253,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         fy = by + tau * ey
     else:
         raise ValueError(f"unknown procedure {kind!r}")
-    isfinite = math.isfinite
-    if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)
-            and isfinite(cx) and isfinite(cy) and isfinite(fx)
-            and isfinite(fy)):
+    if not (math.isfinite(fx) and math.isfinite(fy)):
         raise ValueError("triangle vertices must have finite coordinates")
     # The five edges.  Negating a difference is exact and squares and
     # hypot ignore the sign, so A - F is served by F - A, and so on.

@@ -7,14 +7,14 @@ witness for the extremal case.  A check passes when its worst margin stays
 above minus its tolerance.
 
 Each check is declared once, as one ``@_check`` table entry with four parts:
-its name, its tolerance, a population (suite context -> JSON-ready input
-specs) and a margin function ((spec, runs) -> (margin, witness)), where
-``runs`` memoizes the statistics of streaming runs on (kind, base or sides,
-depth), and parsed bases and root triangles on their witness form.  A
-witness is a spec the same margin function accepts, so ``replay_margin`` is
-that function applied to a stored witness with an empty memo: it reproduces
-the margin bit for bit by construction, with no second copy of the check to
-keep in step.
+its name, its tolerance, a population (suite context -> input specs) and a
+margin function ((spec, runs) -> (margin, spec of the case)), where ``runs``
+memoizes the statistics of streaming runs on (kind, base or sides, depth)
+and root triangles on their sides or angles.  A spec holds its base as
+``BaseAngles``; a witness is a spec's JSON form, its base as three strings,
+which only ``_witness`` writes and only ``_spec`` reads.  ``replay_margin``
+applies the margin function to ``_spec(witness)`` with an empty memo, so it
+reproduces the margin bit for bit with no second copy of the check.
 
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
@@ -151,15 +151,17 @@ def _base_json(base: BaseAngles) -> list[str]:
     return [str(base.alpha), str(base.beta), str(base.gamma)]
 
 
-def _base_parse(items, runs: dict) -> BaseAngles:
-    """The base of a witness-form spec, parsed once per ``runs`` memo."""
-    key = tuple(items)
-    base = runs.get(key)
-    if base is None:
-        base = BaseAngles(Fraction(items[0]), Fraction(items[1]),
-                          Fraction(items[2]))
-        runs[key] = base
-    return base
+def _witness(spec: dict) -> dict:
+    """A spec's JSON form: its base as three strings, the rest as it is."""
+    base = spec.get("base")
+    return spec if base is None else dict(spec, base=_base_json(base))
+
+
+def _spec(witness: dict) -> dict:
+    """The spec a witness names: its base parsed back into ``BaseAngles``."""
+    base = witness.get("base")
+    return witness if base is None else dict(
+        witness, base=BaseAngles(*map(Fraction, base)))
 
 
 def _root(spec: dict, runs: dict) -> TriangleNode:
@@ -183,23 +185,21 @@ def _refine(runs: dict, run: RefinementRun) -> RefinementResult:
     return result
 
 
-def _run(spec: dict, runs: dict, kind: ProcedureKind | None = None,
+def _run(spec: dict, kind: ProcedureKind | None = None,
          depth: int | None = None) -> RefinementRun:
     """The streaming run a spec names by its base or sides, with the
     spec's kind and depth unless ``kind`` or ``depth`` is given."""
-    base = spec.get("base")
     return RefinementRun(
         kind=kind or ProcedureKind(spec["kind"]),
         depth=spec["depth"] if depth is None else depth,
-        base=None if base is None else _base_parse(base, runs),
-        sides=spec.get("sides"))
+        base=spec.get("base"), sides=spec.get("sides"))
 
 
 def _stats(spec: dict, runs: dict, kind: ProcedureKind | None = None,
            depth: int | None = None) -> list[GenerationStats]:
-    """Statistics of ``_run(spec, runs, kind, depth)``: memoized, else
+    """Statistics of ``_run(spec, kind, depth)``: memoized, else
     ``_refine``d."""
-    run = _run(spec, runs, kind, depth)
+    run = _run(spec, kind, depth)
     stats = runs.get(run)
     return _refine(runs, run).stats if stats is None else stats
 
@@ -226,8 +226,8 @@ class _Context:
             (base, "".join(rng.choice("01") for _ in range(CARRIER_N_MAX)))
             for base in self.bases[:walk_count]
         ]
-        # The suite's memo: ``_refine`` on a run, ``_base_parse`` on a
-        # base's witness form and ``_root`` on a triangle's.
+        # The suite's memo: ``_refine``'s statistics on a run, ``_root``'s
+        # triangle on its sides or angles.
         self.runs: dict = {}
 
 
@@ -246,10 +246,10 @@ def _first_min(items: Iterable[tuple[float, Any]],
 
 def _finish(name: str, tolerance: float,
             items: Iterable[tuple[float, dict]]) -> CheckReport:
-    worst, witness, population = _first_min(items, {})
+    worst, spec, population = _first_min(items, {})
     if population == 0:
         worst = 0.0
-    return CheckReport(name, population, worst, tolerance, witness,
+    return CheckReport(name, population, worst, tolerance, _witness(spec),
                        worst >= -tolerance)
 
 
@@ -265,7 +265,7 @@ _CHECKS: dict[str, _Check] = {}
 def _check(name: str, tolerance: float,
            population: Callable[[_Context], list[dict]]):
     """Declare a check: the decorated margin function maps (spec, runs) to
-    (margin, witness), and must accept its own witnesses as specs."""
+    (margin, spec of the case), and must accept the specs it returns."""
     def wrap(margin):
         if name in _CHECKS:
             raise ValueError(f"check {name!r} declared twice")
@@ -275,19 +275,19 @@ def _check(name: str, tolerance: float,
 
 
 def _at_generation(spec: dict, n: int) -> dict:
-    """A per-generation witness: the spec with ``n`` recorded before its
+    """A per-generation case: the spec with ``n`` recorded before its
     depth, or last when it has none."""
-    witness = {}
+    case = {}
     for key, value in spec.items():
         if key == "depth":
-            witness["n"] = n
-        witness[key] = value
-    witness.setdefault("n", n)
-    return witness
+            case["n"] = n
+        case[key] = value
+    case.setdefault("n", n)
+    return case
 
 
 def _bases(ctx: _Context) -> list[dict]:
-    return [{"base": _base_json(base), "depth": ctx.depth} for base in ctx.bases]
+    return [{"base": base, "depth": ctx.depth} for base in ctx.bases]
 
 
 def _triangles(ctx: _Context) -> list[dict]:
@@ -315,8 +315,7 @@ def _per_stats(name: str, tolerance: float, kind: ProcedureKind | None,
     ``kind`` ``None`` reads the procedure from the spec."""
     def wrap(kernel: Callable[..., Iterator[tuple[float, int]]]):
         def pairs(spec: dict, runs: dict) -> Iterator[tuple[float, int]]:
-            return kernel(_stats(spec, runs, kind),
-                          _base_parse(spec["base"], runs))
+            return kernel(_stats(spec, runs, kind), spec["base"])
         _per_generation(name, tolerance, population)(pairs)
         return kernel
     return wrap
@@ -363,10 +362,9 @@ def _m_carrier_sum(spec, runs):
 
 
 @_per_generation("carrier-major-dominates", TOL_EXACT,
-                 lambda ctx: [{"base": _base_json(base)} for base in ctx.bases])
+                 lambda ctx: [{"base": base} for base in ctx.bases])
 def _m_carrier_dominates(spec, runs):
-    base = _base_parse(spec["base"], runs)
-    units, scale = base.units(CARRIER_SHIFT)
+    units, scale = spec["base"].units(CARRIER_SHIFT)
     gamma = units[2]
     for n in range(1, CARRIER_N_MAX + 1):
         major, minor = carrier_angle_forms(n)
@@ -466,11 +464,11 @@ def _m_altitude_similarity(spec, runs):
 
 
 @_check("symbolic-numeric-angle-agreement", TOL_SYMBOLIC_NUMERIC,
-        lambda ctx: [{"base": _base_json(base), "lineage": lineage}
+        lambda ctx: [{"base": base, "lineage": lineage}
                      for base, lineage in ctx.walks])
 def _m_symbolic_numeric(spec, runs):
     # Exact angles ride the lineage as in refine: integers at one scale.
-    base = _base_parse(spec["base"], runs)
+    base = spec["base"]
     node = triangle_from_angles(base)
     units, scale = base.units(len(spec["lineage"]) + 1)
     worst = 0.0
@@ -541,7 +539,7 @@ def _m_rho_monotone(stats, base):
 
 
 @_check("second-generation-aspect-special-bound", TOL_SINGLE_STEP,
-        lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
+        lambda ctx: [{"base": base} for base in ctx.bases
                      if base.alpha <= 2 * base.gamma])
 def _m_flat_start_bound(spec, runs):
     stats = _stats(spec, runs, ProcedureKind.LARGEST_ANGLE, 2)
@@ -552,8 +550,8 @@ def _mesh_nonincreasing_specs(ctx: _Context) -> list[dict]:
     largest_angle = ProcedureKind.LARGEST_ANGLE.value
     longest_edge = ProcedureKind.LONGEST_EDGE.value
     return ([dict(spec, kind=largest_angle) for spec in _bases(ctx)]
-            + [{"base": _base_json(base), "depth": ctx.depth,
-                "kind": longest_edge} for base in ANGLE_FIXTURES])
+            + [{"base": base, "depth": ctx.depth, "kind": longest_edge}
+               for base in ANGLE_FIXTURES])
 
 
 @_per_stats("mesh-nonincreasing", TOL_SINGLE_STEP, None,
@@ -592,9 +590,9 @@ def _m_max_aspect_observed(spec, runs):
 # ---------------------------------------------------------------------------
 
 @_check("carrier-track-matches-closed-form", TOL_EXACT,
-        lambda ctx: [{"base": _base_json(base)} for base, _ in ctx.walks])
+        lambda ctx: [{"base": base} for base, _ in ctx.walks])
 def _m_carrier_closed_form(spec, runs):
-    base = _base_parse(spec["base"], runs)
+    base = spec["base"]
     track, _ = carrier_units(base, CARRIER_N_MAX)
     units, _ = base.units(CARRIER_SHIFT)
     for n, (major, minor, kept) in enumerate(track, start=1):
@@ -607,11 +605,10 @@ def _m_carrier_closed_form(spec, runs):
 
 
 @_check("major-angles-distinct", TOL_EXACT,
-        lambda ctx: [{"base": _base_json(base)} for base in ctx.bases
+        lambda ctx: [{"base": base} for base in ctx.bases
                      if base.alpha != 2 * base.beta])
 def _m_majors_distinct(spec, runs):
-    base = _base_parse(spec["base"], runs)
-    ok, _ = check_major_angles_distinct(base, CARRIER_N_MAX)
+    ok, _ = check_major_angles_distinct(spec["base"], CARRIER_N_MAX)
     return (0.0 if ok else -1.0), spec
 
 
@@ -625,7 +622,7 @@ def _m_major_collision(spec, runs):
 
 
 @_check("right-isosceles-single-class", TOL_EXACT,
-        lambda ctx: [{"base": _base_json(RIGHT_ISOSCELES), "depth": ctx.depth}])
+        lambda ctx: [{"base": RIGHT_ISOSCELES, "depth": ctx.depth}])
 def _m_single_class(spec, runs):
     stats = _stats(spec, runs, ProcedureKind.LARGEST_ANGLE)
     extra = max(row.cumulative_similarity_classes for row in stats) - 1
@@ -635,7 +632,7 @@ def _m_single_class(spec, runs):
 @_per_stats("class-count-grows-with-depth", TOL_EXACT,
             ProcedureKind.LARGEST_ANGLE,
             lambda ctx: [spec for spec in _bases(ctx)
-                         if spec["base"] != _base_json(RIGHT_ISOSCELES)])
+                         if spec["base"] != RIGHT_ISOSCELES])
 def _m_class_growth(stats, base):
     for row in stats:
         yield float(row.cumulative_similarity_classes - row.n), row.n
@@ -644,7 +641,7 @@ def _m_class_growth(stats, base):
 def _altitude_specs(ctx: _Context) -> list[dict]:
     depth = min(ctx.depth, 8)
     specs = [{"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
-              "base": _base_json(base)} for base in ANGLE_FIXTURES]
+              "base": base} for base in ANGLE_FIXTURES]
     specs.append({"kind": ProcedureKind.SHORTEST_ALTITUDE.value,
                   "base": None, "sides": list(PYTHAGOREAN_SIDES)})
     return [dict(spec, depth=depth) for spec in specs]
@@ -652,7 +649,7 @@ def _altitude_specs(ctx: _Context) -> list[dict]:
 
 @_per_generation("altitude-class-count-bound", TOL_EXACT, _altitude_specs)
 def _m_altitude_classes(spec, runs):
-    key_sets = _refine(runs, _run(spec, runs)).key_sets
+    key_sets = _refine(runs, _run(spec)).key_sets
     union: set = set()
     for n, keys in enumerate(key_sets[1:], start=1):
         union |= keys
@@ -661,7 +658,7 @@ def _m_altitude_classes(spec, runs):
 
 @_per_generation("altitude-mesh-geometric-bound", TOL_MULTI_STEP, _altitude_specs)
 def _m_altitude_mesh(spec, runs):
-    run = _run(spec, runs)
+    run = _run(spec)
     stats = _stats(spec, runs)
     subtrees = []
     for child in bisect(run.root(), ProcedureKind.SHORTEST_ALTITUDE):
@@ -710,7 +707,7 @@ def _m_le_parity(stats, base):
 
 
 def _equilateral(ctx: _Context) -> list[dict]:
-    return [{"base": _base_json(EQUILATERAL), "depth": ctx.depth}]
+    return [{"base": EQUILATERAL, "depth": ctx.depth}]
 
 
 @_per_stats("longest-edge-equilateral-mesh-equality", TOL_MULTI_STEP,
@@ -736,9 +733,9 @@ def _m_le_equilateral_angle(stats, base):
 def _mode_identity_specs(ctx: _Context) -> list[dict]:
     depth = min(ctx.depth, 10)
     specs = [
-        {"kind": ProcedureKind.LARGEST_ANGLE.value, "base": _base_json(EQUILATERAL)},
-        {"kind": ProcedureKind.LARGEST_ANGLE.value, "base": _base_json(THIN)},
-        {"kind": ProcedureKind.LONGEST_EDGE.value, "base": _base_json(EQUILATERAL)},
+        {"kind": ProcedureKind.LARGEST_ANGLE.value, "base": EQUILATERAL},
+        {"kind": ProcedureKind.LARGEST_ANGLE.value, "base": THIN},
+        {"kind": ProcedureKind.LONGEST_EDGE.value, "base": EQUILATERAL},
         {"kind": ProcedureKind.SHORTEST_ALTITUDE.value, "base": None,
          "sides": list(PYTHAGOREAN_SIDES)},
     ]
@@ -747,7 +744,7 @@ def _mode_identity_specs(ctx: _Context) -> list[dict]:
 
 @_check("streaming-matches-full-tree", TOL_MODE_IDENTITY, _mode_identity_specs)
 def _m_mode_identity(spec, runs):
-    run = _run(spec, runs)
+    run = _run(spec)
     streamed = _stats(spec, runs)
     retained = refine(replace(run, retain=True)).stats
     worst = 0.0
@@ -805,15 +802,15 @@ def check_names() -> list[str]:
 def replay_margin(name: str, witness: dict) -> float:
     """Recompute the margin of a report's extremal case from its witness.
 
-    The witness goes through the very margin function that produced the
-    report, on the same deterministic inputs, so the value matches bit for
-    bit.
+    The witness, parsed back by ``_spec``, goes through the very margin
+    function that produced the report, on the same deterministic inputs, so
+    the value matches bit for bit.
     """
     try:
         check = _CHECKS[name]
     except KeyError:
         raise KeyError(f"unknown check name {name!r}") from None
-    return check.margin(witness, {})[0]
+    return check.margin(_spec(witness), {})[0]
 
 
 def report_as_dict(reports: list[CheckReport], depth: int, sweep_size: int,

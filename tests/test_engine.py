@@ -669,12 +669,11 @@ class TestCarrierTrack:
         _, scale = base.units(run.depth + 1)
         assert [kept for _, _, kept in track] == [
             base.gamma + Fraction(n, scale) for n in range(1, 21)]
-        spec = {"base": ["80", "60", "40"]}
         check = verifier._CHECKS["carrier-track-matches-closed-form"]
-        assert check.margin(spec, {}) == (-1.0, {"base": ["80", "60", "40"],
-                                                 "n": 1})
+        assert check.margin({"base": base}, {}) == (-1.0, {"base": base,
+                                                           "n": 1})
         assert verifier.replay_margin("carrier-track-matches-closed-form",
-                                      spec) == -1.0
+                                      {"base": ["80", "60", "40"]}) == -1.0
 
 
 # ---------------------------------------------------------------------------

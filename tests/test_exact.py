@@ -73,6 +73,16 @@ class TestAngleForm:
         with pytest.raises(ValueError):
             AngleForm(0, -1, 0)
 
+    @pytest.mark.parametrize("coefficients", [(True, 0, 0), (0, False, 0),
+                                              (1, 0, True)])
+    def test_rejects_bool_coefficient(self, coefficients):
+        # Fraction(True) is 1: without the check, AngleForm(True, 0, 0)
+        # would equal FORM_ALPHA.
+        flag = next(c for c in coefficients if isinstance(c, bool))
+        with pytest.raises(ValueError, match=f"^angle form coefficient "
+                                             f"{flag} is not a number$"):
+            AngleForm(*coefficients)
+
     def test_add_and_halve(self):
         half = FORM_ALPHA.halve()
         assert half.coefficients() == (Fraction(1, 2), 0, 0)
@@ -152,6 +162,22 @@ class TestBaseAngles:
     def test_from_unordered_sorts(self):
         base = BaseAngles.from_unordered(40, 80, 60)
         assert base.as_tuple() == (Fraction(80), Fraction(60), Fraction(40))
+        base = BaseAngles.from_unordered(Fraction(1, 2), "179", 0.5)
+        assert base.as_tuple() == (179, Fraction(1, 2), Fraction(1, 2))
+        assert all(type(x) is Fraction for x in base.as_tuple())
+
+    @pytest.mark.parametrize("build", [
+        lambda: BaseAngles(178, True, True),
+        lambda: BaseAngles(180, False, False),
+        lambda: BaseAngles.from_unordered(True, 178, True),
+        lambda: BaseAngles.from_unordered(178, 1, True),
+    ], ids=["ordered", "false", "unordered", "unordered-one"])
+    def test_rejects_bool_angle(self, build):
+        # Fraction(True) is 1: without the check (178, True, True) would
+        # run as (178, 1, 1).
+        with pytest.raises(ValueError, match=r"^angle (True|False) is not "
+                                             r"a number$"):
+            build()
 
     def test_units(self):
         # One scale for mixed denominators, the lcm of theirs; a shift

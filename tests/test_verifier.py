@@ -14,7 +14,7 @@ from exact_reference import (
     reference_value,
 )
 from trirefine import verifier
-from trirefine.exact import carrier_angle_forms
+from trirefine.exact import BaseAngles, carrier_angle_forms
 from trirefine.geometry import (
     TriangleNode,
     triangle_from_angles_deg,
@@ -182,11 +182,32 @@ class TestRunSuite:
             specs = check.population(ctx)
             assert specs, name
             for spec in specs:
-                margin, witness = check.margin(spec, ctx.runs)
+                margin, case = check.margin(spec, ctx.runs)
+                witness = verifier._witness(case)
                 replayed = replay_margin(name, json.loads(json.dumps(witness)))
                 assert replayed == margin, (name, witness)
             replayed_checks += 1
         assert replayed_checks == len(EXPECTED_CHECKS)
+
+    def test_witness_form_round_trips(self):
+        # A spec holds its base as BaseAngles; its witness, the JSON form,
+        # holds three strings and keeps every other value and the key
+        # order; _spec gives the spec back.
+        ctx = verifier._Context(depth=4, sweep_size=3, seed=1)
+        based = 0
+        for name, check in verifier._CHECKS.items():
+            for spec in check.population(ctx):
+                witness = verifier._witness(spec)
+                assert json.loads(json.dumps(witness)) == witness, name
+                assert list(witness) == list(spec), name
+                assert verifier._spec(witness) == spec, name
+                base = spec.get("base")
+                if isinstance(base, BaseAngles):
+                    assert witness["base"] == [str(x) for x in base.as_tuple()]
+                    based += 1
+                else:
+                    assert witness == spec, name
+        assert based > 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -247,6 +268,9 @@ def test_memoized_roots_are_shared_and_unchanged():
             check.margin(spec, ctx.runs)
     roots = {key: root for key, root in ctx.runs.items()
              if isinstance(root, TriangleNode)}
+    # The memo holds nothing else but run statistics, keyed by the run.
+    assert all(isinstance(key, verifier.RefinementRun)
+               for key in ctx.runs.keys() - roots.keys())
     for key, root in roots.items():
         name, *values = key
         build = (triangle_from_sides if name == "sides"
@@ -306,7 +330,7 @@ def test_carrier_checks_match_fraction_reference():
     seen = {name: 0 for name in checks}
     for name, check in checks.items():
         for spec in check.population(ctx):
-            base = verifier._base_parse(spec["base"], {})
+            base = spec["base"]
             if name == "carrier-major-dominates":
                 margin, n = reference_dominance(base)
                 expected = (margin, dict(spec, n=n))
@@ -320,7 +344,8 @@ def test_carrier_checks_match_fraction_reference():
             got = check.margin(spec, ctx.runs)
             assert got == expected, (name, spec)
             assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
-            assert replay_margin(name, json.loads(json.dumps(got[1]))) == got[0]
+            witness = json.loads(json.dumps(verifier._witness(got[1])))
+            assert replay_margin(name, witness) == got[0]
             seen[name] += 1
     # 30 sweep bases plus 4 fixtures; every carrier walk; no base of the
     # sweep has alpha == 2*beta, but the right isosceles fixture does.
