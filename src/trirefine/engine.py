@@ -172,7 +172,9 @@ def refine(run: RefinementRun) -> RefinementResult:
     coordinates: an angle bisection gives (A/2, B, A/2+C), an altitude
     split (90, B, 90-B).  Only the longest-edge split, whose foot angles
     are new, measures them: ``bisect`` hands over those measured from the
-    vectors it formed.  The modes differ in values fixed once per run:
+    vectors it formed as ``_split_angles``, which the loop moves onto the
+    stack and deletes, so a retained node holds its geometry only.  The
+    modes differ in values fixed once per run:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
@@ -287,6 +289,9 @@ def refine(run: RefinementRun) -> RefinementResult:
                 else:
                     push((right, g) + right._split_angles)
                     push((left, g) + left._split_angles)
+                    # The angles now ride on the stack: a retained leaf
+                    # keeps its geometry only.
+                    del left._split_angles, right._split_angles
         elif retain:
             # Left children are popped first, so the last generation
             # arrives in lineage order.

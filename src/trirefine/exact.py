@@ -22,12 +22,27 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _fraction(value, what: str) -> Fraction:
+    """``value`` as a ``Fraction``; ``ValueError`` unless ``Fraction``
+    reads it as a finite rational, and it is not a ``bool`` (which
+    ``Fraction`` would read as 0 or 1)."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, TypeError):
+            pass
+    raise ValueError(f"{what} {value!r} is not a number")
+
+
 @dataclass(frozen=True, slots=True)
 class AngleForm:
     """One triangle angle written as c_alpha*alpha + c_beta*beta + c_gamma*gamma.
 
     Coefficients are nonnegative ``Fraction``s whose denominators are powers
-    of two; the constructor rejects any other value, a ``bool`` too.  A form
+    of two; the constructor rejects any other value, a ``bool``, an
+    infinity or a non-number too, with ``ValueError``.  A form
     is immutable, and equal forms hash equal.  The three forms of any
     triangle sum coefficient-wise to (1, 1, 1), mirroring the 180-degree sum.
     """
@@ -38,12 +53,8 @@ class AngleForm:
 
     def __post_init__(self) -> None:
         for name in ("c_alpha", "c_beta", "c_gamma"):
-            c = getattr(self, name)
-            if isinstance(c, bool):  # Fraction would read it as 0 or 1
-                raise ValueError(f"angle form coefficient {c} is not a number")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-                object.__setattr__(self, name, c)
+            c = _fraction(getattr(self, name), "angle form coefficient")
+            object.__setattr__(self, name, c)
             if c.numerator < 0 or c.denominator & (c.denominator - 1):
                 raise ValueError(
                     f"angle form coefficient {c} is not a nonnegative p/2**k")
@@ -74,7 +85,11 @@ FORM_GAMMA = AngleForm(0, 0, 1)
 
 @dataclass(frozen=True)
 class BaseAngles:
-    """The three starting angles as exact rational degrees, alpha >= beta >= gamma."""
+    """The three starting angles as exact rational degrees, alpha >= beta >= gamma.
+
+    Each angle is read by ``Fraction``; a ``bool``, an infinity or a
+    non-number is refused with ``ValueError``, as is a bad sum or order.
+    """
 
     alpha: Fraction
     beta: Fraction
@@ -82,11 +97,8 @@ class BaseAngles:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if isinstance(value, bool):  # Fraction would read it as 0 or 1
-                raise ValueError(f"angle {value} is not a number")
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, _fraction(getattr(self, name),
+                                                     "angle"))
         if self.alpha + self.beta + self.gamma != 180:
             raise ValueError(
                 f"angles must sum to 180 degrees exactly, got "
@@ -101,7 +113,8 @@ class BaseAngles:
     @classmethod
     def from_unordered(cls, a, b, c) -> "BaseAngles":
         """Build from three positive rationals in any order (labels sorted descending)."""
-        return cls(*sorted((a, b, c), key=Fraction, reverse=True))
+        return cls(*sorted((_fraction(x, "angle") for x in (a, b, c)),
+                           reverse=True))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)

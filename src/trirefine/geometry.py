@@ -63,9 +63,11 @@ class TriangleNode:
     and the engine and ``bisect`` read directly.  ``bisect`` makes children
     without it, by the same checks and expressions once per split (finite
     coordinates for the new vertex only), so every node carries its sides
-    from the moment it is made.  Longest-edge children also carry
-    ``_split_angles``, what ``angles_deg()`` returns for them, for the
-    engine to read; the slot is unset on other nodes.
+    from the moment it is made.  Longest-edge children from ``bisect`` also
+    carry ``_split_angles``, what ``angles_deg()`` returns for them: a
+    hand-off to the engine, which moves the angles onto its stack and
+    deletes the slot.  It is unset on every other node, a retained one
+    included.
     """
 
     __slots__ = ("vertices", "lineage", "_sides", "_split_angles")
@@ -208,7 +210,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
     and cross products formed here, so bit for bit what ``angles_deg()``
-    returns.
+    returns.  The engine reads the slot once and deletes it.
 
     ``split_index`` (0, 1 or 2) lets a caller that has already located the
     split vertex skip the search: a walk that carries exact angles passes

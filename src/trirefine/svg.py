@@ -10,7 +10,9 @@ coordinate value is formatted once, whichever vertices and axes share it.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from collections.abc import Sequence
+from operator import attrgetter
 
 from .geometry import TriangleNode, positive_float
 
@@ -34,20 +36,51 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
     """Write the triangles (one generation) to ``path``, one polygon each
     in the order given.
 
+    ``nodes`` must be a non-empty ``Sequence``: the viewBox pass and the
+    polygon pass each read it once, so an iterator would draw nothing.
     The viewBox fits the union of the triangles (the initial triangle, which
     the generation tiles) with a 2% margin.  Stroke width is 0.2% of
     ``stroke_reference`` (the initial longest side), which must be a
-    positive finite real number.
+    positive finite real number.  Bad arguments are refused before the
+    file is opened.
     """
+    if not isinstance(nodes, Sequence):
+        raise ValueError(
+            f"nodes must be a sequence, got {type(nodes).__name__}")
     if not nodes:
         raise ValueError("nothing to render: empty generation")
     stroke = _STROKE_FRACTION * positive_float(
         stroke_reference, "stroke_reference must be a positive finite number")
-    # Of two points that differ only in a zero's sign the set keeps one;
-    # the text below is the same, as the span, so the margin, is positive.
-    xs, ys = zip(*{p for n in nodes for p in n.vertices})
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    # One compare pass, allocating nothing.  Of extremes that differ only
+    # in a zero's sign it keeps the first; the text below is the same, as
+    # the span, so the margin, is positive.
+    xmin = ymin = math.inf
+    xmax = ymax = -math.inf
+    for (ax, ay), (bx, by), (cx, cy) in map(attrgetter("vertices"), nodes):
+        if ax < xmin:
+            xmin = ax
+        if ax > xmax:
+            xmax = ax
+        if bx < xmin:
+            xmin = bx
+        if bx > xmax:
+            xmax = bx
+        if cx < xmin:
+            xmin = cx
+        if cx > xmax:
+            xmax = cx
+        if ay < ymin:
+            ymin = ay
+        if ay > ymax:
+            ymax = ay
+        if by < ymin:
+            ymin = by
+        if by > ymax:
+            ymax = by
+        if cy < ymin:
+            ymin = cy
+        if cy > ymax:
+            ymax = cy
     span = max(xmax - xmin, ymax - ymin)
     margin = _MARGIN_FRACTION * span
 

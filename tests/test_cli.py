@@ -590,6 +590,17 @@ class TestRenderSvg:
             render_svg(self.run_retained(1).nodes, str(out), stroke_reference)
         assert not out.exists()
 
+    @pytest.mark.parametrize("wrap", [iter, lambda nodes: (n for n in nodes)],
+                             ids=["iterator", "generator"])
+    def test_non_sequence_rejected(self, tmp_path, wrap):
+        # The viewBox pass would consume an iterator and leave a drawing
+        # with no polygon: refused before the file is opened.
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="^nodes must be a sequence, "
+                           "got (list_iterator|generator)$"):
+            render_svg(wrap(self.run_retained(3).nodes), str(out), 1.0)
+        assert not out.exists()
+
     def test_polygons_in_given_order(self, tmp_path):
         # No sort: reversed nodes give reversed polygon lines under the same
         # header.

@@ -1,9 +1,11 @@
 """Tests for the refinement engine."""
 
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -369,6 +371,30 @@ class TestRefineOracle:
             assert node.lineage == oracle.lineage
             assert repr(node.sides()) == repr(oracle.sides())
             assert node.generation == len(node.lineage) == depth
+            # A drawn node keeps its geometry only: the engine has moved a
+            # longest-edge split's angles onto its stack.
+            assert not hasattr(node, "_split_angles")
+
+    def test_retained_longest_edge_costs_its_geometry(self):
+        # Every retained node holds the same slots whatever split made it,
+        # so a longest-edge run holds what a shortest-altitude run does
+        # (both from sides, both with a few classes).  Relative, so it
+        # holds on any Python; with each leaf's 3-angle tuple it was 1.3x.
+        def held(kind):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = refine(RefinementRun(kind=kind, depth=10,
+                                              sides=(1.3, 1.7, 1.5),
+                                              retain=True))
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result.nodes) == 2 ** 10
+            return size
+
+        assert (held(ProcedureKind.LONGEST_EDGE)
+                <= 1.1 * held(ProcedureKind.SHORTEST_ALTITUDE))
 
     def test_tied_root_ties_exactly(self):
         # The "sides-2-2-1" cases above pin the tie rule only if the root's

@@ -1,6 +1,7 @@
 """Tests for the exact angle arithmetic layer."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,17 @@ class TestAngleForm:
         flag = next(c for c in coefficients if isinstance(c, bool))
         with pytest.raises(ValueError, match=f"^angle form coefficient "
                                              f"{flag} is not a number$"):
+            AngleForm(*coefficients)
+
+    @pytest.mark.parametrize("coefficients", [
+        (math.inf, 0, 0), (0, -math.inf, 0), (math.nan, 0, 0), (None, 0, 0),
+        (0, 0, "half"), (0, 0, object()),
+    ], ids=["inf", "minus-inf", "nan", "none", "text", "object"])
+    def test_rejects_non_finite_or_non_numeric_coefficient(self, coefficients):
+        # Fraction raises OverflowError, TypeError or ValueError for these;
+        # the form refuses each with ValueError, as positive_float does.
+        with pytest.raises(ValueError, match="^angle form coefficient .* "
+                                             "is not a number$"):
             AngleForm(*coefficients)
 
     def test_add_and_halve(self):
@@ -177,6 +189,22 @@ class TestBaseAngles:
         # run as (178, 1, 1).
         with pytest.raises(ValueError, match=r"^angle (True|False) is not "
                                              r"a number$"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: BaseAngles(math.inf, 60, 60),
+        lambda: BaseAngles(60, 60, -math.inf),
+        lambda: BaseAngles(math.nan, 60, 60),
+        lambda: BaseAngles(None, 1, 1),
+        lambda: BaseAngles("sixty", 60, 60),
+        lambda: BaseAngles.from_unordered(60, math.inf, 60),
+        lambda: BaseAngles.from_unordered(60, 60, None),
+    ], ids=["inf", "minus-inf", "nan", "none", "text", "unordered-inf",
+            "unordered-none"])
+    def test_rejects_non_finite_or_non_numeric_angle(self, build):
+        # Fraction raises OverflowError, TypeError or ValueError for these;
+        # the base refuses each with ValueError, as positive_float does.
+        with pytest.raises(ValueError, match="^angle .* is not a number$"):
             build()
 
     def test_units(self):
