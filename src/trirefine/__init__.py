@@ -14,7 +14,6 @@ from .exact import (
     AngleForm,
     BaseAngles,
     carrier_angle_forms,
-    check_major_angles_distinct,
     evaluate_angle_form,
     first_major_angle_collision,
     jacobsthal,
@@ -32,14 +31,9 @@ from .geometry import (
     Point2,
     ProcedureKind,
     TriangleNode,
-    aspect_ratio,
-    aspect_ratio_trig,
     bisect,
-    bisector_to_longest_side_ratio,
-    largest_angle_vertex,
     longest_side_vertex,
     triangle_from_angles,
-    triangle_from_angles_deg,
     triangle_from_sides,
 )
 from .svg import render_svg
@@ -62,16 +56,11 @@ __all__ = [
     "RefinementRun",
     "RunMode",
     "TriangleNode",
-    "aspect_ratio",
-    "aspect_ratio_trig",
     "bisect",
-    "bisector_to_longest_side_ratio",
     "carrier_angle_forms",
-    "check_major_angles_distinct",
     "evaluate_angle_form",
     "first_major_angle_collision",
     "jacobsthal",
-    "largest_angle_vertex",
     "longest_side_vertex",
     "random_valid_base",
     "refine",
@@ -80,7 +69,6 @@ __all__ = [
     "run_suite",
     "track_carrier",
     "triangle_from_angles",
-    "triangle_from_angles_deg",
     "triangle_from_sides",
 ]
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import BaseAngles
+from .exact import BaseAngles, check_int
 from .geometry import (
     ANGLE_TIE_TOL_DEG,
     ProcedureKind,
@@ -99,8 +99,7 @@ class RefinementRun:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ProcedureKind):
             raise ValueError(f"unknown procedure {self.kind!r}")
-        if isinstance(self.depth, bool) or not isinstance(self.depth, int):
-            raise ValueError(f"depth must be an int, got {self.depth!r}")
+        check_int(self.depth, "depth")
         if (self.base is None) == (self.sides is None):
             raise ValueError("exactly one of base angles or sides must be given")
         if self.base is not None and not isinstance(self.base, BaseAngles):
@@ -360,6 +359,7 @@ def carrier_units(base: BaseAngles, depth: int
     no triangles, so a collinear float root is no obstacle: it splits
     integers by ``split_units`` and follows gamma by index.
     """
+    check_int(depth, "depth", 0)
     units, scale = base.units(depth + 1)
     rows: list[tuple[int, int, int]] = []
     i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)

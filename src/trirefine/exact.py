@@ -36,6 +36,16 @@ def _fraction(value, what: str) -> Fraction:
     raise ValueError(f"{what} {value!r} is not a number")
 
 
+def check_int(value, name: str, minimum: int | None = None) -> None:
+    """``ValueError`` unless ``value`` is an ``int``, not a ``bool``, and at
+    least ``minimum`` if given: the rule for every integer argument (a
+    count, a depth, a seed)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True, slots=True)
 class AngleForm:
     """One triangle angle written as c_alpha*alpha + c_beta*beta + c_gamma*gamma.
@@ -166,8 +176,7 @@ def jacobsthal(n: int) -> int:
 
     Uses the closed form (2**n - (-1)**n) / 3, which is exact for all n >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    check_int(n, "n", 0)
     return ((1 << n) - (1 if n % 2 == 0 else -1)) // 3
 
 
@@ -188,8 +197,7 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     The forms do not depend on the base, so they are built once per ``n``
     (the last 64 are kept) and every caller shares the returned objects.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int(n, "n", 1)
     major = AngleForm(Fraction(jacobsthal(n + 1), 1 << n),
                       Fraction(jacobsthal(n), 1 << (n - 1)), 0)
     minor = AngleForm(Fraction(jacobsthal(n), 1 << n),
@@ -205,10 +213,10 @@ def first_major_angle_collision(alpha: Fraction, beta: Fraction,
     exactly at any positive (alpha, beta) in either order, as an integer
     at the scale ``q * 2**n_max``, q the lcm of their denominators.  Equal
     values occur only when alpha == 2*beta; then every major(n) is alpha.
+    alpha and beta are read as ``BaseAngles`` reads an angle.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    check_int(n_max, "n_max", 1)
+    alpha, beta = _fraction(alpha, "alpha"), _fraction(beta, "beta")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     units, _ = _scaled((alpha, beta, 0), n_max)
@@ -220,16 +228,3 @@ def first_major_angle_collision(alpha: Fraction, beta: Fraction,
         seen[value] = n
     return None
 
-
-def check_major_angles_distinct(base: BaseAngles,
-                                n_max: int) -> tuple[bool, tuple[int, int] | None]:
-    """Whether major(1..n_max) evaluated at base are pairwise distinct.
-
-    Returns (True, None) when all values differ, else (False, (p, q)) with
-    the first colliding pair.  A collision occurs exactly when the base has
-    alpha == 2*beta (e.g. the right isosceles triangle).
-    """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    collision = first_major_angle_collision(base.alpha, base.beta, n_max)
-    return (collision is None, collision)

@@ -54,7 +54,9 @@ class TriangleNode:
     the left(0)/right(1) choices from the root, one per ``generation``.
 
     The constructor is the one public, validating way to make a node, for
-    roots and user-built triangles: it rejects non-finite coordinates and
+    roots and user-built triangles: it rejects, with ``ValueError``, a
+    lineage that is not a string of ``0`` and ``1`` characters, a coordinate
+    that is not a real number (or is a ``bool``) or is not finite, and
     (numerically) collinear vertices.  The collinearity test compares twice
     the area with ``2 * DEGENERACY_REL_AREA`` times the longest squared
     side, squares written ``x * x`` (correctly rounded, unlike ``x ** 2``,
@@ -74,10 +76,15 @@ class TriangleNode:
 
     def __init__(self, vertices: tuple[Point2, Point2, Point2], *,
                  lineage: str = "") -> None:
+        if not isinstance(lineage, str) or lineage.strip("01"):
+            raise ValueError(
+                f"lineage must be a string of 0s and 1s, got {lineage!r}")
         (ax, ay), (bx, by), (cx, cy) = vertices
-        if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(bx)
-                and math.isfinite(by) and math.isfinite(cx) and math.isfinite(cy)):
-            raise ValueError("triangle vertices must have finite coordinates")
+        for x in (ax, ay, bx, by, cx, cy):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"triangle coordinates must be real numbers, got {x!r}")
+            if not math.isfinite(x):
+                raise ValueError("triangle vertices must have finite coordinates")
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
         bcx, bcy = cx - bx, cy - by
@@ -159,32 +166,6 @@ def largest_angle_vertex(t: TriangleNode) -> int:
     angs = t.angles_deg()
     top = max(angs)
     return next(i for i in range(3) if top - angs[i] <= ANGLE_TIE_TOL_DEG)
-
-
-def aspect_ratio(t: TriangleNode) -> float:
-    """Longest side over the sum of the other two; in [0.5, 1)."""
-    s = t.sides()
-    a = max(s)
-    return a / (s[0] + s[1] + s[2] - a)
-
-
-def aspect_ratio_trig(t: TriangleNode) -> float:
-    """``aspect_ratio`` by the law of sines: sin(big/2) / cos((mid-small)/2)."""
-    big, mid, small = sorted(t.angles_deg(), reverse=True)
-    return math.sin(math.radians(big) / 2.0) / math.cos(math.radians(mid - small) / 2.0)
-
-
-def bisector_to_longest_side_ratio(t: TriangleNode) -> float:
-    """Length of the largest-angle bisector divided by the longest side.
-
-    Closed form: with sides a >= b >= c the ratio squared is
-    b*c/(b+c)**2 * ((b+c)**2 - a**2)/a**2;  at most sqrt(3)/2, with equality
-    only for the equilateral triangle.
-    """
-    a, b, c = sorted(t.sides(), reverse=True)
-    w = b + c
-    ratio_sq = (b * c / (w * w)) * ((w * w - a * a) / (a * a))
-    return math.sqrt(ratio_sq)
 
 
 def bisect(t: TriangleNode, kind: ProcedureKind,
@@ -410,8 +391,3 @@ def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
     apex = Point2(x, math.sqrt(y_sq))
     return TriangleNode((apex, Point2(0.0, 0.0), Point2(a, 0.0)))
 
-
-def smallest_angle_vertex(t: TriangleNode) -> int:
-    """Vertex index of the smallest numeric angle; ties go to the first."""
-    angs = t.angles_deg()
-    return angs.index(min(angs))

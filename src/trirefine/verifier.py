@@ -16,6 +16,9 @@ which only ``_witness`` writes and only ``_spec`` reads.  ``replay_margin``
 applies the margin function to ``_spec(witness)`` with an empty memo, so it
 reproduces the margin bit for bit with no second copy of the check.
 
+The single-split quantities (aspect ratios, the bisector ratio) and the
+major-angle distinctness test are defined here, beside their only checks.
+
 Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
 are reported, never repaired: a violated bound would show up as a negative
@@ -35,7 +38,7 @@ from .exact import (
     BaseAngles,
     FORM_GAMMA,
     carrier_angle_forms,
-    check_major_angles_distinct,
+    check_int,
     # Unused here; bound so the benchmark tracer can wrap it by attribute.
     evaluate_angle_form,
     first_major_angle_collision,
@@ -54,12 +57,8 @@ from .engine import (
 )
 from .geometry import (
     TriangleNode,
-    aspect_ratio,
-    aspect_ratio_trig,
     bisect,
-    bisector_to_longest_side_ratio,
     largest_angle_vertex,
-    smallest_angle_vertex,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
@@ -147,14 +146,11 @@ def random_triangle_angles(rng: random.Random) -> tuple[float, float, float]:
 # Witness (de)serialization and run loading
 # ---------------------------------------------------------------------------
 
-def _base_json(base: BaseAngles) -> list[str]:
-    return [str(base.alpha), str(base.beta), str(base.gamma)]
-
-
 def _witness(spec: dict) -> dict:
     """A spec's JSON form: its base as three strings, the rest as it is."""
     base = spec.get("base")
-    return spec if base is None else dict(spec, base=_base_json(base))
+    return spec if base is None else dict(
+        spec, base=[str(x) for x in base.as_tuple()])
 
 
 def _spec(witness: dict) -> dict:
@@ -387,6 +383,38 @@ def _m_dyadic_roundtrip(spec, runs):
 # Single-split geometry checks over random triangles
 # ---------------------------------------------------------------------------
 
+def aspect_ratio(t: TriangleNode) -> float:
+    """Longest side over the sum of the other two; in [0.5, 1)."""
+    s = t.sides()
+    a = max(s)
+    return a / (s[0] + s[1] + s[2] - a)
+
+
+def aspect_ratio_trig(t: TriangleNode) -> float:
+    """``aspect_ratio`` by the law of sines: sin(big/2) / cos((mid-small)/2)."""
+    big, mid, small = sorted(t.angles_deg(), reverse=True)
+    return math.sin(math.radians(big) / 2.0) / math.cos(math.radians(mid - small) / 2.0)
+
+
+def bisector_to_longest_side_ratio(t: TriangleNode) -> float:
+    """Length of the largest-angle bisector divided by the longest side.
+
+    Closed form: with sides a >= b >= c the ratio squared is
+    b*c/(b+c)**2 * ((b+c)**2 - a**2)/a**2;  at most sqrt(3)/2, with equality
+    only for the equilateral triangle.
+    """
+    a, b, c = sorted(t.sides(), reverse=True)
+    w = b + c
+    ratio_sq = (b * c / (w * w)) * ((w * w - a * a) / (a * a))
+    return math.sqrt(ratio_sq)
+
+
+def smallest_angle_vertex(t: TriangleNode) -> int:
+    """Vertex index of the smallest numeric angle; ties go to the first."""
+    angs = t.angles_deg()
+    return angs.index(min(angs))
+
+
 @_per_triangle("child-areas-sum-to-parent", TOL_MULTI_STEP)
 def _m_child_areas(t: TriangleNode) -> float:
     left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
@@ -604,6 +632,19 @@ def _m_carrier_closed_form(spec, runs):
     return 0.0, dict(spec, n=0)
 
 
+def check_major_angles_distinct(base: BaseAngles,
+                                n_max: int) -> tuple[bool, tuple[int, int] | None]:
+    """Whether major(1..n_max) evaluated at base are pairwise distinct.
+
+    Returns (True, None) when all values differ, else (False, (p, q)) with
+    the first colliding pair.  A collision occurs exactly when the base has
+    alpha == 2*beta (e.g. the right isosceles triangle).
+    """
+    check_int(n_max, "n_max", 2)
+    collision = first_major_angle_collision(base.alpha, base.beta, n_max)
+    return (collision is None, collision)
+
+
 @_check("major-angles-distinct", TOL_EXACT,
         lambda ctx: [{"base": base} for base in ctx.bases
                      if base.alpha != 2 * base.beta])
@@ -772,8 +813,7 @@ def check_suite_args(depth: int, sweep_size: int, seed: int) -> None:
     ``RefinementRun``'s streaming limit."""
     for name, value in (("depth", depth), ("sweep_size", sweep_size),
                         ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        check_int(value, name)
     if depth < 4:
         raise ValueError("depth must be at least 4")
     if sweep_size < 1:

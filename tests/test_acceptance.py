@@ -15,7 +15,6 @@ import pytest
 from trirefine.exact import (
     BaseAngles,
     carrier_angle_forms,
-    check_major_angles_distinct,
     evaluate_angle_form,
     first_major_angle_collision,
 )
@@ -28,12 +27,16 @@ from trirefine.engine import (
 )
 from trirefine.geometry import (
     bisect,
-    bisector_to_longest_side_ratio,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
 )
-from trirefine.verifier import random_valid_base, random_triangle_angles
+from trirefine.verifier import (
+    bisector_to_longest_side_ratio,
+    check_major_angles_distinct,
+    random_triangle_angles,
+    random_valid_base,
+)
 
 SEED = 0
 SWEEP_SIZE = 1000

@@ -19,17 +19,18 @@ from trirefine.engine import (
     RefinementRun,
     RunMode,
     SQRT3_2,
+    carrier_units,
     refine,
     split_units,
     track_carrier,
 )
 from trirefine.geometry import (
-    aspect_ratio,
     bisect,
     longest_side_vertex,
     triangle_from_angles,
     triangle_from_sides,
 )
+from trirefine.verifier import aspect_ratio
 
 EQUILATERAL = BaseAngles(60, 60, 60)
 RIGHT_ISOSCELES = BaseAngles(90, 45, 45)
@@ -669,6 +670,18 @@ class TestCarrierTrack:
         monkeypatch.setattr(engine, "triangle_from_angles", refuse)
         assert track_carrier(run) == expected
         assert len(expected) == 20
+
+    @pytest.mark.parametrize("depth, message", [
+        (-1, "depth must be >= 0"),
+        (True, "depth must be an int, got True"),
+        (2.0, "depth must be an int, got 2.0"),
+        ("3", "depth must be an int, got '3'"),
+    ])
+    def test_carrier_units_rejects_bad_depth(self, depth, message):
+        # Without the check, -1 would return ([], 1) and True one row.
+        with pytest.raises(ValueError) as info:
+            carrier_units(BaseAngles(80, 60, 40), depth)
+        assert str(info.value) == message
 
     def test_requires_exact_mode(self):
         with pytest.raises(ValueError):

@@ -16,13 +16,16 @@ from trirefine.exact import (
     FORM_BETA,
     FORM_GAMMA,
     carrier_angle_forms,
-    check_major_angles_distinct,
     evaluate_angle_form,
     first_major_angle_collision,
     form_units,
     jacobsthal,
 )
-from trirefine.verifier import ANGLE_FIXTURES, random_valid_base
+from trirefine.verifier import (
+    ANGLE_FIXTURES,
+    check_major_angles_distinct,
+    random_valid_base,
+)
 
 EQUILATERAL = BaseAngles(Fraction(60), Fraction(60), Fraction(60))
 RIGHT_ISOSCELES = BaseAngles(Fraction(90), Fraction(45), Fraction(45))
@@ -150,6 +153,13 @@ class TestJacobsthal:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             jacobsthal(-1)
+
+    @pytest.mark.parametrize("n", [True, False, 1.5, 3.0, "3", None])
+    def test_rejects_bool_or_non_int(self, n):
+        # Without the check, jacobsthal(True) would be 1 and a float would
+        # raise TypeError.
+        with pytest.raises(ValueError, match=r"^n must be an int, got "):
+            jacobsthal(n)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +348,15 @@ class TestCarrierForms:
         with pytest.raises(ValueError):
             carrier_angle_forms(0)
 
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5, "2"])
+    def test_rejects_bool_or_non_int(self, n):
+        # True is its own cache entry, so the check runs even after
+        # carrier_angle_forms(1) is cached; without it, True would get the
+        # n = 1 forms.
+        carrier_angle_forms(1)
+        with pytest.raises(ValueError, match=r"^n must be an int, got "):
+            carrier_angle_forms(n)
+
 
 # ---------------------------------------------------------------------------
 # Distinctness of the major-angle sequence
@@ -394,6 +413,25 @@ class TestMajorAngleDistinctness:
         for alpha, beta in ((0, 40), (80, 0), (-80, 40)):
             with pytest.raises(ValueError, match="must be positive"):
                 first_major_angle_collision(Fraction(alpha), Fraction(beta), 5)
+
+    @pytest.mark.parametrize("n_max", [True, 5.0, "5", None])
+    def test_collision_rejects_bool_or_non_int_n_max(self, n_max):
+        # Without the check, n_max True would return None, although
+        # alpha == 2*beta collides at n_max >= 2.
+        with pytest.raises(ValueError, match=r"^n_max must be an int, got "):
+            first_major_angle_collision(90, 45, n_max)
+        with pytest.raises(ValueError, match=r"^n_max must be an int, got "):
+            check_major_angles_distinct(RIGHT_ISOSCELES, n_max)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.inf, 45), (90, -math.inf), (math.nan, 45), (None, 45),
+        (90, "x"), (True, 45), (90, False)])
+    def test_collision_reads_angles_as_base_angles_does(self, alpha, beta):
+        # Fraction raises OverflowError for inf and TypeError for None, and
+        # reads a bool as 1 or 0.
+        with pytest.raises(ValueError, match=r"^(alpha|beta) .* is not a "
+                                             r"number$"):
+            first_major_angle_collision(alpha, beta, 5)
 
     def test_matches_fraction_reference(self):
         rng = random.Random(2019)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -18,18 +19,20 @@ from trirefine.geometry import (
     Point2,
     ProcedureKind,
     TriangleNode,
-    aspect_ratio,
-    aspect_ratio_trig,
     bisect,
-    bisector_to_longest_side_ratio,
     check_scale,
     largest_angle_vertex,
     longest_side_vertex,
-    smallest_angle_vertex,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
     triangle_sides,
+)
+from trirefine.verifier import (
+    aspect_ratio,
+    aspect_ratio_trig,
+    bisector_to_longest_side_ratio,
+    smallest_angle_vertex,
 )
 
 EQUILATERAL = BaseAngles(60, 60, 60)
@@ -670,6 +673,29 @@ class TestConstructors:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, math.inf)))
+
+    @pytest.mark.parametrize("x", ["0", None, 1j, True, Decimal("0")],
+                             ids=["text", "none", "complex", "bool", "decimal"])
+    def test_non_real_coordinate_rejected(self, x):
+        # math.isfinite raises TypeError for "0", and would pass a bool as
+        # 0 or 1.
+        with pytest.raises(ValueError, match="^triangle coordinates must be "
+                                             "real numbers, got "):
+            TriangleNode(((x, 0), (1, 0), (0, 1)))
+        with pytest.raises(ValueError, match="real numbers"):
+            TriangleNode(((0, 0), (1, 0), (0, x)))
+
+    def test_real_coordinates_accepted(self):
+        t = TriangleNode(((0, 0), (Fraction(1), 0), (0, 1.0)))
+        assert t.sides() == (math.sqrt(2), 1.0, 1.0)
+
+    @pytest.mark.parametrize("lineage", [5, None, b"01", "ab", "012", " 0"])
+    def test_bad_lineage_rejected(self, lineage):
+        # Without the check, lineage=5 would be built and then fail on
+        # .generation, and "ab" would be generation 2.
+        with pytest.raises(ValueError, match="^lineage must be a string of "
+                                             "0s and 1s, got "):
+            TriangleNode(((0, 0), (1, 0), (0, 1)), lineage=lineage)
 
     @pytest.mark.parametrize("kind", list(ProcedureKind),
                              ids=lambda kind: kind.value)
