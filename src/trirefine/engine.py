@@ -20,15 +20,16 @@ the stack (a node carries geometry only).  In exact-base mode
 the run's scale q * 2**(depth+1) from ``BaseAngles.units``, as in
 ``track_carrier``, so angle statistics and similarity keys are exact;
 numeric mode carries floats and quantizes them to 1e-9 degrees for class
-counting.  An exact key is one int packed at the run's scale (see
-``RefinementResult``); one run has one scale, so integer equality is
-rational equality, and the keys are counted and returned in that one
-form.  A streaming run keeps no nodes, so memory stays flat in the depth;
-a run with ``retain`` set also returns the 2**depth nodes of the last
-generation, the one an SVG draws, and drops every earlier node once it is
-split.  Both execute the identical per-node computation, so their
-statistics agree bit for bit.  Aggregation uses only min/max/set-union,
-hence the result is independent of traversal order.
+counting, and splits every node at the vertex opposite its first longest
+side, which carries its largest angle.  An exact key is one int packed at
+the run's scale (see ``RefinementResult``); one run has one scale, so
+integer equality is rational equality, and the keys are counted and
+returned in that one form.  A streaming run keeps no nodes, so memory
+stays flat in the depth; a run with ``retain`` set also returns the
+2**depth nodes of the last generation, the one an SVG draws, and drops
+every earlier node once it is split.  Both execute the identical per-node
+computation, so their statistics agree bit for bit.  Aggregation uses only
+min/max/set-union, hence the result is independent of traversal order.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from fractions import Fraction
 
 from .exact import BaseAngles, check_int
 from .geometry import (
-    ANGLE_TIE_TOL_DEG,
     ProcedureKind,
     TriangleNode,
     bisect,
@@ -177,17 +177,16 @@ def refine(run: RefinementRun) -> RefinementResult:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
-      largest angle has a tie window of 0, i.e. equality; a key packs the
-      two smaller ints into one (see ``RefinementResult``); the angle
-      minima become ``Fraction``s at the end.
+      split vertex is the first largest angle, by integer equality; a key
+      packs the two smaller ints into one (see ``RefinementResult``); the
+      angle minima become ``Fraction``s at the end.
     * numeric: floats in degrees, within a few ulp of the true angles at
-      any supported depth; the tie window is ``ANGLE_TIE_TOL_DEG``; keys
-      round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
+      any supported depth; the split vertex is opposite the first longest
+      side; keys round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
 
     Each node's sides are read from ``_sides``, which every node carries
-    from the moment the constructor or ``bisect`` makes it; the side-based
-    procedures split at the vertex opposite the first longest side, found
-    by the same compare chain as the mesh.
+    from the moment the constructor or ``bisect`` makes it; the longest
+    side is found by the same compare chain as the mesh.
 
     The class keys are a streaming run's memory, so generation n's new
     classes are counted without a union of every key: a generation that
@@ -210,11 +209,9 @@ def refine(run: RefinementRun) -> RefinementResult:
     if exact:
         (a0, a1, a2), scale = run.base.units(depth + 1)
         key_base = 180 * scale
-        tie = 0
     else:
         a0, a1, a2 = (root.angles_deg() if run.base is None
                       else map(float, run.base.as_tuple()))
-        tie = ANGLE_TIE_TOL_DEG
 
     mesh = [0.0] * (depth + 1)
     max_aspect = [0.0] * (depth + 1)
@@ -259,38 +256,29 @@ def refine(run: RefinementRun) -> RefinementResult:
                              round(hi * _KEY_SCALE)))
         if g < depth:
             g += 1  # the children's generation
+            # Exact angles split at the first largest one; numeric runs at
+            # the vertex opposite the first longest side, the rule of
+            # ``longest_side_vertex``, which carries the largest angle.
+            if (hi == v0) if exact else (s0 == longest):
+                ia, va, vb, vc = 0, v0, v1, v2
+            elif (hi == v1) if exact else (s1 == longest):
+                ia, va, vb, vc = 1, v1, v2, v0
+            else:
+                ia, va, vb, vc = 2, v2, v0, v1
+            left, right = bisect(node, kind, ia)
             if largest:
-                # Split the first vertex within the tie window of the
-                # largest angle.
-                if hi - v0 <= tie:
-                    ia, va, vb, vc = 0, v0, v1, v2
-                elif hi - v1 <= tie:
-                    ia, va, vb, vc = 1, v1, v2, v0
-                else:
-                    ia, va, vb, vc = 2, v2, v0, v1
-                left, right = bisect(node, kind, ia)
                 half = va >> 1 if exact else va / 2.0
                 push((right, g, half, half + vb, vc))
                 push((left, g, half, vb, half + vc))
+            elif altitude:
+                push((right, g, 90.0 - vc, 90.0, vc))
+                push((left, g, 90.0 - vb, vb, 90.0))
             else:
-                # The vertex opposite the first longest side, the rule of
-                # ``longest_side_vertex``.
-                if s0 == longest:
-                    ia, vb, vc = 0, v1, v2
-                elif s1 == longest:
-                    ia, vb, vc = 1, v2, v0
-                else:
-                    ia, vb, vc = 2, v0, v1
-                left, right = bisect(node, kind, ia)
-                if altitude:
-                    push((right, g, 90.0 - vc, 90.0, vc))
-                    push((left, g, 90.0 - vb, vb, 90.0))
-                else:
-                    push((right, g) + right._split_angles)
-                    push((left, g) + left._split_angles)
-                    # The angles now ride on the stack: a retained leaf
-                    # keeps its geometry only.
-                    del left._split_angles, right._split_angles
+                push((right, g) + right._split_angles)
+                push((left, g) + left._split_angles)
+                # The angles now ride on the stack: a retained leaf keeps
+                # its geometry only.
+                del left._split_angles, right._split_angles
         elif retain:
             # Left children are popped first, so the last generation
             # arrives in lineage order.

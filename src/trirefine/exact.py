@@ -132,7 +132,8 @@ class BaseAngles:
     def units(self, shift: int) -> tuple[tuple[int, int, int], int]:
         """(alpha, beta, gamma) in units of 1/scale degrees, and the scale
         ``q << shift``, q the lcm of their denominators: each integer can
-        be halved exactly ``shift`` times."""
+        be halved exactly ``shift`` times, an int >= 0 by ``check_int``."""
+        check_int(shift, "shift", 0)
         return _scaled(self.as_tuple(), shift)
 
 

@@ -28,9 +28,6 @@ from .exact import BaseAngles
 # same way as the root.
 DEGENERACY_REL_AREA = 1e-12
 
-# Tie tolerance, in degrees, when picking the largest angle from numeric data.
-ANGLE_TIE_TOL_DEG = 1e-12
-
 
 class ProcedureKind(Enum):
     """The splitting rule applied at every node of the refinement tree."""
@@ -147,10 +144,12 @@ _SHORTEST_ALTITUDE = ProcedureKind.SHORTEST_ALTITUDE
 
 
 def longest_side_vertex(t: TriangleNode) -> int:
-    """Index of the vertex opposite the longest side.
+    """Index of the vertex opposite the longest side, which carries the
+    largest angle.
 
-    Exact ties go to the smaller index.  This is the one longest-side rule:
-    ``bisect`` and the engine split the side-based procedures by it.
+    Exact ties go to the smaller index.  This is the one numeric split rule:
+    ``bisect`` and the engine split every procedure by it, unless a walk
+    that carries exact angles passes its own index.
     """
     s0, s1, s2 = t.sides()
     if s0 >= s1:
@@ -158,23 +157,15 @@ def longest_side_vertex(t: TriangleNode) -> int:
     return 1 if s1 >= s2 else 2
 
 
-def largest_angle_vertex(t: TriangleNode) -> int:
-    """Index of the vertex with the maximal angle, from the numeric angles
-    with a tie window of ``ANGLE_TIE_TOL_DEG``.  Ties go to the smallest
-    vertex index in the node's own vertex order.
-    """
-    angs = t.angles_deg()
-    top = max(angs)
-    return next(i for i in range(3) if top - angs[i] <= ANGLE_TIE_TOL_DEG)
-
-
 def bisect(t: TriangleNode, kind: ProcedureKind,
            split_index: int | None = None) -> tuple[TriangleNode, TriangleNode]:
     """Split a triangle into its two children under the given procedure.
 
-    Children keep the parent's vertex at the split corner first, so the
-    left child is (corner, B, foot) and the right child is (corner, foot, C)
-    where B, C follow the corner in the parent's cyclic vertex order.
+    Every procedure splits at the vertex opposite the longest side, the
+    largest angle; only the feet on that side differ.  Children keep the
+    parent's vertex at the split corner first, so the left child is
+    (corner, B, foot) and the right child is (corner, foot, C) where B, C
+    follow the corner in the parent's cyclic vertex order.
     The lineage gains a 0 (left) or 1 (right) bit, and with it the
     generation goes up by one.
 
@@ -194,18 +185,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     returns.  The engine reads the slot once and deletes it.
 
     ``split_index`` (0, 1 or 2) lets a caller that has already located the
-    split vertex skip the search: a walk that carries exact angles passes
-    the vertex of the largest one for the largest-angle procedure (where
-    ``largest_angle_vertex(t)`` would decide numerically), and the
-    side-based procedures take ``longest_side_vertex(t)``.
+    split vertex skip the search, which is ``longest_side_vertex(t)``: a
+    walk that carries exact angles passes the vertex of the first largest
+    one for the largest-angle procedure.
     """
     s = t._sides
-    ia = split_index
-    if ia is None:
-        # The other two procedures split the longest side, keeping the apex
-        # opposite it; only their feet differ.
-        ia = (largest_angle_vertex(t) if kind is _LARGEST_ANGLE
-              else longest_side_vertex(t))
+    ia = longest_side_vertex(t) if split_index is None else split_index
     # A is the split corner, B and C follow it cyclically; b = |AC| and
     # c = |AB| are the sides opposite B and C.
     if ia == 0:
@@ -348,13 +333,17 @@ def triangle_from_angles(base: BaseAngles, scale: float = 1.0) -> TriangleNode:
 def triangle_from_angles_deg(a1: float, a2: float, a3: float,
                              scale: float = 1.0) -> TriangleNode:
     """Root triangle from angles in degrees (any order); they must be
-    positive and sum to 180 within 1e-9 (float rounding).
+    real numbers, not ``bool``s, positive and sum to 180 within 1e-9
+    (float rounding), or ``ValueError``.
 
     Built by the law of sines with the longest side normalized to ``scale``
     (the generation-0 mesh) on the x-axis from the origin.  Vertex order is
     (largest, middle, smallest angle), so the apex carries the largest
     angle and sits above the base.
     """
+    for a in (a1, a2, a3):
+        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+            raise ValueError(f"angles must be real numbers, got {a!r}")
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")

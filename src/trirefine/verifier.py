@@ -58,7 +58,7 @@ from .engine import (
 from .geometry import (
     TriangleNode,
     bisect,
-    largest_angle_vertex,
+    longest_side_vertex,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
@@ -436,7 +436,7 @@ def _m_foot_inside(t: TriangleNode) -> float:
 def _m_keeper_aspect(t: TriangleNode) -> float:
     """Margin of: the child keeping the smallest-angle vertex has the larger
     aspect ratio."""
-    ia = largest_angle_vertex(t)
+    ia = longest_side_vertex(t)
     ismall = smallest_angle_vertex(t)
     if ismall == ia:  # all angles equal: either base vertex qualifies
         angs = t.angles_deg()

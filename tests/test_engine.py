@@ -404,6 +404,30 @@ class TestRefineOracle:
         assert root.sides() == (2.0, 2.0, 1.0)
         assert longest_side_vertex(root) == 0
 
+    def test_float_isosceles_splits_opposite_longest_side(self):
+        # Two equal sides given, whose lengths measured from the root's
+        # float vertices differ by one ulp: the two largest float angles
+        # are within 1e-12 degrees of each other, and a largest-angle split
+        # follows the longer measured side.
+        sides = (1.6054286287083184, 1.410158464850827, 1.6054286287083184)
+        result = refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                      depth=1, sides=sides, retain=True))
+        root = result.run.root()
+        angles = sorted(root.angles_deg())
+        assert angles[2] - angles[1] <= 1e-12
+        # The float sides are distinct, so the longest one decides.
+        assert len(set(root.sides())) == 3
+        ia = longest_side_vertex(root)
+        assert root.vertices.index(result.nodes[0].vertices[0]) == ia
+
+        def classes(order):
+            run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=10,
+                                sides=order)
+            return [s.cumulative_similarity_classes for s in refine(run).stats]
+
+        assert classes(sides) == classes(sides[::-1]) == classes(
+            (sides[1], sides[0], sides[2]))
+
 
 # ---------------------------------------------------------------------------
 # rho sequence

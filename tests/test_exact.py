@@ -229,6 +229,18 @@ class TestBaseAngles:
         assert scale == 5564 << 5
         assert tuple(Fraction(u, scale) for u in units) == base.as_tuple()
 
+    @pytest.mark.parametrize("shift, message", [
+        (True, "shift must be an int, got True"),
+        (2.0, "shift must be an int, got 2.0"),
+        (-1, "shift must be >= 0"),
+    ], ids=["bool", "float", "negative"])
+    def test_units_bad_shift(self, shift, message):
+        # The rule for every integer argument: a bool is not run as 1, and
+        # a float or a negative shift is refused before any shift happens.
+        with pytest.raises(ValueError) as info:
+            BaseAngles(90, 45, 45).units(shift)
+        assert str(info.value) == message
+
 
 # ---------------------------------------------------------------------------
 # evaluate_angle_form

@@ -21,7 +21,6 @@ from trirefine.geometry import (
     TriangleNode,
     bisect,
     check_scale,
-    largest_angle_vertex,
     longest_side_vertex,
     triangle_from_angles,
     triangle_from_angles_deg,
@@ -32,6 +31,7 @@ from trirefine.verifier import (
     aspect_ratio,
     aspect_ratio_trig,
     bisector_to_longest_side_ratio,
+    random_triangle_angles,
     smallest_angle_vertex,
 )
 
@@ -88,7 +88,7 @@ def unit_angles(units, scale):
 
 
 # ---------------------------------------------------------------------------
-# sides / longest_side_vertex / largest_angle_vertex
+# sides / longest_side_vertex
 # ---------------------------------------------------------------------------
 
 class TestSideLengths:
@@ -113,20 +113,22 @@ class TestSideLengths:
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(2, 0)))
 
 
-class TestLargestAngleVertex:
+class TestLongestSideVertex:
+    """The vertex opposite the longest side carries the largest angle."""
+
     def test_right_isosceles_apex(self):
-        assert largest_angle_vertex(triangle_from_angles(RIGHT_ISOSCELES)) == 0
+        assert longest_side_vertex(triangle_from_angles(RIGHT_ISOSCELES)) == 0
 
     def test_equilateral_tie_breaks_to_first(self):
-        assert largest_angle_vertex(triangle_from_angles(EQUILATERAL)) == 0
+        assert longest_side_vertex(triangle_from_angles(EQUILATERAL)) == 0
         numeric = TriangleNode(
             (Point2(0.5, SQRT3_2), Point2(0, 0), Point2(1, 0)))
-        assert largest_angle_vertex(numeric) == 0
+        assert longest_side_vertex(numeric) == 0
 
     def test_right_angle_at_middle_vertex(self):
         # Angles (60, 90, 30) at vertex indices (0, 1, 2).
         t = TriangleNode((Point2(1, 0), Point2(0, 0), Point2(0, math.sqrt(3))))
-        assert largest_angle_vertex(t) == 1
+        assert longest_side_vertex(t) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,7 @@ class TestLargestAngleBisection:
         assert left.area() + right.area() == pytest.approx(t.area(), rel=1e-9)
         # The foot is the shared vertex: left = (A, B, D), right = (A, D, C).
         foot = left.vertices[2]
-        ia = largest_angle_vertex(t)
+        ia = longest_side_vertex(t)
         B = t.vertices[(ia + 1) % 3]
         C = t.vertices[(ia + 2) % 3]
         ex, ey = C.x - B.x, C.y - B.y
@@ -216,7 +218,7 @@ class TestLargestAngleBisection:
     @settings(max_examples=300)
     def test_child_with_smallest_angle_has_larger_aspect(self, angles):
         t = triangle_from_angles_deg(*angles)
-        ia = largest_angle_vertex(t)
+        ia = longest_side_vertex(t)
         ismall = smallest_angle_vertex(t)
         if ismall == ia:
             ib, ic = (ia + 1) % 3, (ia + 2) % 3
@@ -226,6 +228,22 @@ class TestLargestAngleBisection:
         keeper = left if ismall == (ia + 1) % 3 else right
         other = right if keeper is left else left
         assert aspect_ratio(keeper) >= aspect_ratio(other) - 1e-12
+
+    def test_split_vertex_carries_largest_angle(self):
+        # Split opposite the longest side, a seeded random triangle's
+        # corner A (first in each child) has its largest numeric angle, in
+        # any vertex order.
+        rng = random.Random(0)
+        for _ in range(1000):
+            vertices = list(
+                triangle_from_angles_deg(*random_triangle_angles(rng)).vertices)
+            rng.shuffle(vertices)
+            t = TriangleNode(tuple(vertices))
+            left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
+            assert left.vertices[0] is right.vertices[0]
+            angles = t.angles_deg()
+            ia = t.vertices.index(left.vertices[0])
+            assert max(angles) - angles[ia] <= 1e-12
 
     def test_symbolic_matches_numeric_along_deep_lineage(self):
         base = BaseAngles(Fraction(131, 2), Fraction(119, 2), 55)
@@ -665,6 +683,16 @@ class TestConstructors:
         base = BaseAngles(180 - 2 * tiny, tiny, tiny)
         with pytest.raises(DegenerateTriangleError, match="collinear vertices"):
             triangle_from_angles(base)
+
+    @pytest.mark.parametrize("angles", [(True, 90, 89), ("60", 60, 60),
+                                        (None, 90, 90)],
+                             ids=["bool", "text", "none"])
+    def test_non_real_angle_rejected(self, angles):
+        # A bool would build a (90, 89, 1) triangle, and text or None
+        # would reach sorted() as a TypeError.
+        with pytest.raises(ValueError, match="^angles must be real numbers, "
+                           "got "):
+            triangle_from_angles_deg(*angles)
 
     def test_from_angles_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=2.5)
