@@ -184,9 +184,10 @@ def refine(run: RefinementRun) -> RefinementResult:
       any supported depth; the split vertex is opposite the first longest
       side; keys round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
 
-    Each node's sides are read from ``_sides``, which every node carries
-    from the moment the constructor or ``bisect`` makes it; the longest
-    side is found by the same compare chain as the mesh.
+    Each node's sides are read from its slots ``_s0``, ``_s1`` and
+    ``_s2``, which every node carries from the moment the constructor or
+    ``bisect`` makes it; the longest side is found by the same compare
+    chain as the mesh.
 
     The class keys are a streaming run's memory, so generation n's new
     classes are counted without a union of every key: a generation that
@@ -224,7 +225,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     pop = stack.pop
     while stack:
         node, g, v0, v1, v2 = pop()
-        s0, s1, s2 = node._sides
+        s0, s1, s2 = node._s0, node._s1, node._s2
         longest = s0 if s0 >= s1 else s1
         if s2 > longest:
             longest = s2

@@ -1,9 +1,10 @@
 """Numeric triangle geometry and the three bisection procedures.
 
 Coordinates are IEEE-754 doubles.  A triangle node carries geometry only:
-its vertices and its lineage, the left/right bit string of its path from
-the root (its generation is the string's length).  Exact angles ride
-beside the nodes in the walk that has them (``engine``).
+its vertices, its side lengths and its lineage, the left/right bits of its
+path from the root, held as an int (its generation is the number of
+bits).  Exact angles ride beside the nodes in the walk that has them
+(``engine``).
 
 Three splitting procedures are provided:
 
@@ -19,7 +20,7 @@ import math
 import numbers
 import sys
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import BaseAngles
 
@@ -54,24 +55,32 @@ class TriangleNode:
     roots and user-built triangles: it rejects, with ``ValueError``, a
     lineage that is not a string of ``0`` and ``1`` characters, a coordinate
     that is not a real number (or is a ``bool``) or is not finite, and
-    (numerically) collinear vertices.  The collinearity test compares twice
-    the area with ``2 * DEGENERACY_REL_AREA`` times the longest squared
-    side, squares written ``x * x`` (correctly rounded, unlike ``x ** 2``,
-    which goes through libm ``pow``).  It keeps the sides it measures from
-    the test's difference vectors in ``_sides``, which ``sides()`` returns
-    and the engine and ``bisect`` read directly.  ``bisect`` makes children
-    without it, by the same checks and expressions once per split (finite
+    (numerically) collinear vertices.  It reads the vertices once, so any
+    iterable of three ``(x, y)`` pairs will do, and stores them as a tuple
+    of ``Point2``: a node shares no list with its caller, and its children
+    are ``Point2``s throughout.  The collinearity test compares twice the
+    area with ``2 * DEGENERACY_REL_AREA`` times the longest squared side,
+    squares written ``x * x`` (correctly rounded, unlike ``x ** 2``, which
+    goes through libm ``pow``).  It keeps the sides it measures from the
+    test's difference vectors in the slots ``_s0``, ``_s1`` and ``_s2``,
+    which ``sides()`` returns and the engine and ``bisect`` read directly.
+
+    A node holds its lineage as the int ``_path``, the bits after a leading
+    1 (``int("1" + lineage, 2)``); ``lineage`` and ``generation`` are
+    read-only views of it.  ``bisect`` makes children without the
+    constructor, by the same checks and expressions once per split (finite
     coordinates for the new vertex only), so every node carries its sides
-    from the moment it is made.  Longest-edge children from ``bisect`` also
-    carry ``_split_angles``, what ``angles_deg()`` returns for them: a
-    hand-off to the engine, which moves the angles onto its stack and
-    deletes the slot.  It is unset on every other node, a retained one
-    included.
+    from the moment it is made, and a child's path is its parent's shifted
+    left by one, plus 1 on the right.  Longest-edge children from
+    ``bisect`` also carry ``_split_angles``, what ``angles_deg()`` returns
+    for them: a hand-off to the engine, which moves the angles onto its
+    stack and deletes the slot.  It is unset on every other node, a
+    retained one included.
     """
 
-    __slots__ = ("vertices", "lineage", "_sides", "_split_angles")
+    __slots__ = ("vertices", "_s0", "_s1", "_s2", "_path", "_split_angles")
 
-    def __init__(self, vertices: tuple[Point2, Point2, Point2], *,
+    def __init__(self, vertices: Iterable[tuple[float, float]], *,
                  lineage: str = "") -> None:
         if not isinstance(lineage, str) or lineage.strip("01"):
             raise ValueError(
@@ -82,6 +91,7 @@ class TriangleNode:
                 raise ValueError(f"triangle coordinates must be real numbers, got {x!r}")
             if not math.isfinite(x):
                 raise ValueError("triangle vertices must have finite coordinates")
+        vertices = (Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
         bcx, bcy = cx - bx, cy - by
@@ -92,19 +102,25 @@ class TriangleNode:
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): {vertices}")
         self.vertices = vertices
-        self.lineage = lineage
+        self._path = int("1" + lineage, 2)
         # hypot ignores the sign of an exactly negated difference.
-        self._sides = (math.hypot(bcx, bcy), math.hypot(acx, acy),
-                       math.hypot(abx, aby))
+        self._s0 = math.hypot(bcx, bcy)
+        self._s1 = math.hypot(acx, acy)
+        self._s2 = math.hypot(abx, aby)
+
+    @property
+    def lineage(self) -> str:
+        """The left(0)/right(1) choices from the root, as a string."""
+        return bin(self._path)[3:]
 
     @property
     def generation(self) -> int:
         """The number of splits from the root: the lineage's length."""
-        return len(self.lineage)
+        return self._path.bit_length() - 1
 
     def sides(self) -> tuple[float, float, float]:
         """Side lengths indexed by the opposite vertex."""
-        return self._sides
+        return (self._s0, self._s1, self._s2)
 
     def angles_deg(self) -> tuple[float, float, float]:
         """Numeric angle at each vertex, in degrees, computed on each call."""
@@ -167,7 +183,8 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     (corner, B, foot) and the right child is (corner, foot, C) where B, C
     follow the corner in the parent's cyclic vertex order.
     The lineage gains a 0 (left) or 1 (right) bit, and with it the
-    generation goes up by one.
+    generation goes up by one: a child's ``_path`` is the parent's shifted
+    left by one, plus 1 on the right.
 
     The children are built in one pass over the split's five edges: AB and
     AC from the parent, AF, BF and FC through the foot F.  Each edge's
@@ -176,8 +193,9 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     must be finite (A, B and C are the parent's, checked when it was made),
     then the relative-area degeneracy test runs in the child's own vertex
     order, squares written ``x * x``.  The children arrive with
-    their sides measured as the constructor measures them: |AB| and |AC|
-    are the parent's, the other three come from the edge vectors here.
+    their sides measured as the constructor measures them, in their side
+    slots: |AB| and |AC| are the parent's, the other three come from the
+    edge vectors here.
 
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
@@ -189,19 +207,18 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     walk that carries exact angles passes the vertex of the first largest
     one for the largest-angle procedure.
     """
-    s = t._sides
     ia = longest_side_vertex(t) if split_index is None else split_index
     # A is the split corner, B and C follow it cyclically; b = |AC| and
     # c = |AB| are the sides opposite B and C.
     if ia == 0:
         A, B, C = t.vertices
-        _, b, c = s
+        b, c = t._s1, t._s2
     elif ia == 1:
         C, A, B = t.vertices
-        c, _, b = s
+        b, c = t._s2, t._s0
     elif ia == 2:
         B, C, A = t.vertices
-        b, c, _ = s
+        b, c = t._s0, t._s1
     else:
         raise ValueError(f"split_index must be 0, 1 or 2, got {ia!r}")
     ax, ay = A
@@ -254,18 +271,22 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
             or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
         raise DegenerateTriangleError(
             f"{kind.value} bisection produced a degenerate child at depth "
-            f"{len(t.lineage) + 1} (parent lineage {t.lineage!r})")
+            f"{t.generation + 1} (parent lineage {t.lineage!r})")
     af = math.hypot(afx, afy)
     foot = _new_point(Point2, (fx, fy))
-    lineage = t.lineage
+    path = t._path << 1
     left = _new_node(TriangleNode)
     left.vertices = (A, B, foot)
-    left.lineage = lineage + "0"
-    left._sides = (math.hypot(bfx, bfy), af, c)
+    left._path = path
+    left._s0 = math.hypot(bfx, bfy)
+    left._s1 = af
+    left._s2 = c
     right = _new_node(TriangleNode)
     right.vertices = (A, foot, C)
-    right.lineage = lineage + "1"
-    right._sides = (math.hypot(fcx, fcy), b, af)
+    right._path = path | 1
+    right._s0 = math.hypot(fcx, fcy)
+    right._s1 = b
+    right._s2 = af
     if kind is _LONGEST_EDGE:
         # angles_deg() of (A, B, F) and of (A, F, C): its edge vectors are
         # AB, AF, BF on the left and AF, AC, FC on the right.

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exact_reference import reference_walk
 from trirefine import geometry
@@ -351,13 +351,11 @@ class TestBisectOracle:
         # then the two vertices after it cyclically with the foot between,
         # and their seeded sides and angles are the constructor's, bit for
         # bit.  The constructor measures the root's sides; reading them
-        # first through sides() changes nothing.
+        # through sides() before the split or after it gives the same.
         root = TriangleNode((Point2(0.3, 2.9), Point2(-0.1, 0.2),
                              Point2(3.7, 0.4)), lineage="01")
         if seeded:
-            assert root.sides() is root._sides
-        else:
-            assert repr(root._sides) == repr(vertex_sides(root))
+            assert repr(root.sides()) == repr(vertex_sides(root))
         v = root.vertices
         A, B, C = v[ia], v[(ia + 1) % 3], v[(ia + 2) % 3]
         # The foot as each procedure defines it, with |AC| and |AB| taken
@@ -373,12 +371,14 @@ class TestBisectOracle:
             tau = ((A.x - B.x) * ex + (A.y - B.y) * ey) / (ex * ex + ey * ey)
             foot = (B.x + tau * ex, B.y + tau * ey)
         left, right = bisect(root, kind, ia)
+        if not seeded:
+            assert repr(root.sides()) == repr(vertex_sides(root))
         assert repr(left.vertices) == repr((A, B, Point2(*foot)))
         assert repr(right.vertices) == repr((A, Point2(*foot), C))
         for child, lineage in ((left, "010"), (right, "011")):
             assert (child.generation, child.lineage) == (3, lineage)
             rebuilt = TriangleNode(child.vertices)
-            assert repr(child._sides) == repr(rebuilt.sides())
+            assert repr(child.sides()) == repr(rebuilt.sides())
             if kind is ProcedureKind.LONGEST_EDGE:
                 assert repr(child._split_angles) == repr(rebuilt.angles_deg())
 
@@ -440,7 +440,7 @@ class TestBisectOracle:
                                                      small, scale=k)
                             for k in scales]
             for t in [root] + rebuilt:
-                assert repr(t._sides) == repr(vertex_sides(t))
+                assert repr(t.sides()) == repr(vertex_sides(t))
             level = [root]
             for _ in range(6):
                 level = [child for node in level
@@ -739,6 +739,70 @@ class TestConstructors:
         assert "generation" not in TriangleNode.__slots__
         with pytest.raises(AttributeError):
             t.generation = 5
+        # The lineage is a read-only view of the node's int path too.
+        with pytest.raises(AttributeError):
+            t.lineage = "0"
+        assert (t.lineage, t.generation) == ("01", 2)
+
+    @given(st.text(alphabet="01", max_size=64))
+    @example("")
+    @example("0" * 31)
+    @example("0" * 61 + "1")
+    @example("0" * 64)
+    @example("1" * 64)
+    def test_lineage_round_trips_through_path(self, lineage):
+        # The int path keeps leading zeros and any length, 30 and 60 bits
+        # included.
+        t = TriangleNode(((0, 0), (1, 0), (0, 1)), lineage=lineage)
+        assert t.lineage == lineage
+        assert t.generation == len(lineage)
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    def test_lineage_of_a_deep_walk(self, kind):
+        # 40 splits down a seeded path from an equilateral root: each child
+        # extends its parent's lineage by its bit, one generation down.
+        rng = random.Random(0)
+        node = triangle_from_angles(EQUILATERAL)
+        for n in range(1, 41):
+            left, right = bisect(node, kind)
+            assert (left.lineage, right.lineage) == (node.lineage + "0",
+                                                     node.lineage + "1")
+            assert left.generation == right.generation == n
+            node = (left, right)[rng.getrandbits(1)]
+        assert len(set(node.lineage)) == 2
+
+    def test_generator_vertices_stored(self):
+        # A generator is read once: the node keeps the tuple, not the
+        # used-up generator, so it can be split.
+        t = TriangleNode(p for p in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        assert t.vertices == (Point2(0.0, 0.0), Point2(1.0, 0.0),
+                              Point2(0.0, 1.0))
+        left, right = bisect(t, ProcedureKind.LONGEST_EDGE)
+        foot = Point2(0.5, 0.5)
+        assert left.vertices == (Point2(0.0, 0.0), Point2(1.0, 0.0), foot)
+        assert right.vertices == (Point2(0.0, 0.0), foot, Point2(0.0, 1.0))
+
+    def test_vertex_list_not_shared(self):
+        # Mutating the caller's list leaves the node and its sides as built.
+        vertices = [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)]
+        t = TriangleNode(vertices)
+        vertices[2] = Point2(0.0, 100.0)
+        assert t.vertices == (Point2(0.0, 0.0), Point2(1.0, 0.0),
+                              Point2(0.0, 1.0))
+        assert repr(t.sides()) == repr(vertex_sides(t))
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    def test_plain_pairs_become_points(self, kind):
+        # Plain (x, y) pairs are stored as Point2, so children do not mix
+        # them with Point2 feet.
+        t = TriangleNode(((0.3, 2.9), (-0.1, 0.2), (3.7, 0.4)))
+        assert all(type(p) is Point2 for p in t.vertices)
+        assert t.vertices == ((0.3, 2.9), (-0.1, 0.2), (3.7, 0.4))
+        for child in bisect(t, kind):
+            assert all(type(p) is Point2 for p in child.vertices)
+            assert child.vertices[0].x == t.vertices[longest_side_vertex(t)].x
 
     def test_generation_is_not_an_argument(self):
         # The lineage is keyword-only: an old positional generation fails

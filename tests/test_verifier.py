@@ -277,7 +277,7 @@ def test_memoized_roots_are_shared_and_unchanged():
                  else triangle_from_angles_deg)
         fresh = build(*values)
         assert repr(root.vertices) == repr(fresh.vertices), key
-        assert repr(root._sides) == repr(fresh._sides), key
+        assert repr(root.sides()) == repr(fresh.sides()), key
         assert not hasattr(root, "_split_angles"), key
     fixtures = [tuple(float(x) for x in base.as_tuple())
                 for base in verifier.ANGLE_FIXTURES]
