@@ -321,11 +321,12 @@ def refine(run: RefinementRun) -> RefinementResult:
 def split_units(units: tuple[int, int, int]
                 ) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """(ia, left, right) for a largest-angle split of exact angles ``units``:
-    ``ia`` is the first vertex of the largest angle, as in ``refine`` with a
-    tie window of 0, and (A, B, C) counted from it become (A/2, B, A/2 + C)
-    and (A/2, A/2 + B, C) in ``bisect``'s vertex order, at the parent's
-    scale; ``BaseAngles.units(depth + 1)`` allows depth splits.  An odd
-    largest angle is refused: halving it would need a finer scale."""
+    ``ia`` is the first vertex of the largest angle, by ``refine``'s
+    first-largest-exact-angle rule, and (A, B, C) counted from it become
+    (A/2, B, A/2 + C) and (A/2, A/2 + B, C) in ``bisect``'s vertex order, at
+    the parent's scale; ``BaseAngles.units(depth + 1)`` allows depth
+    splits.  An odd largest angle is refused: halving it would need a finer
+    scale."""
     ia = units.index(max(units))
     if units[ia] & 1:
         raise ValueError(f"largest angle {units[ia]} is odd: the units "

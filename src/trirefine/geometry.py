@@ -1,10 +1,10 @@
 """Numeric triangle geometry and the three bisection procedures.
 
 Coordinates are IEEE-754 doubles.  A triangle node carries geometry only:
-its vertices, its side lengths and its lineage, the left/right bits of its
-path from the root, held as an int (its generation is the number of
-bits).  Exact angles ride beside the nodes in the walk that has them
-(``engine``).
+its six vertex coordinates, its side lengths and its lineage, the
+left/right bits of its path from the root, held as an int (its generation
+is the number of bits), each in a slot of one object.  Exact angles ride
+beside the nodes in the walk that has them (``engine``).
 
 Three splitting procedures are provided:
 
@@ -20,6 +20,7 @@ import math
 import numbers
 import sys
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import BaseAngles
@@ -47,6 +48,12 @@ class Point2(NamedTuple):
     y: float
 
 
+# A node's corners, one slot per coordinate; ``node_coordinates(node)`` is
+# (ax, ay, bx, by, cx, cy), for readers that need no ``Point2``s.
+_CORNER_SLOTS = ("_ax", "_ay", "_bx", "_by", "_cx", "_cy")
+node_coordinates = attrgetter(*_CORNER_SLOTS)
+
+
 class TriangleNode:
     """One triangle of the refinement tree: its vertices and ``lineage``,
     the left(0)/right(1) choices from the root, one per ``generation``.
@@ -56,14 +63,18 @@ class TriangleNode:
     lineage that is not a string of ``0`` and ``1`` characters, a coordinate
     that is not a real number (or is a ``bool``) or is not finite, and
     (numerically) collinear vertices.  It reads the vertices once, so any
-    iterable of three ``(x, y)`` pairs will do, and stores them as a tuple
-    of ``Point2``: a node shares no list with its caller, and its children
-    are ``Point2``s throughout.  The collinearity test compares twice the
-    area with ``2 * DEGENERACY_REL_AREA`` times the longest squared side,
-    squares written ``x * x`` (correctly rounded, unlike ``x ** 2``, which
-    goes through libm ``pow``).  It keeps the sides it measures from the
-    test's difference vectors in the slots ``_s0``, ``_s1`` and ``_s2``,
-    which ``sides()`` returns and the engine and ``bisect`` read directly.
+    iterable of three ``(x, y)`` pairs will do, and stores the six
+    coordinates as given (an ``int`` stays an ``int``, ``-0.0`` keeps its
+    sign) in the slots ``_ax``, ``_ay``, ``_bx``, ``_by``, ``_cx`` and
+    ``_cy``: a node shares no object with its caller but the numbers.
+    ``vertices`` is a read-only view that builds the ``Point2`` triple on
+    each read; ``node_coordinates`` reads the six slots in one call.  The
+    collinearity test compares twice the area with
+    ``2 * DEGENERACY_REL_AREA`` times the longest squared side, squares
+    written ``x * x`` (correctly rounded, unlike ``x ** 2``, which goes
+    through libm ``pow``).  It keeps the sides it measures from the test's
+    difference vectors in the slots ``_s0``, ``_s1`` and ``_s2``, which
+    ``sides()`` returns and the engine and ``bisect`` read directly.
 
     A node holds its lineage as the int ``_path``, the bits after a leading
     1 (``int("1" + lineage, 2)``); ``lineage`` and ``generation`` are
@@ -78,7 +89,8 @@ class TriangleNode:
     retained one included.
     """
 
-    __slots__ = ("vertices", "_s0", "_s1", "_s2", "_path", "_split_angles")
+    __slots__ = _CORNER_SLOTS + ("_s0", "_s1", "_s2", "_path",
+                                 "_split_angles")
 
     def __init__(self, vertices: Iterable[tuple[float, float]], *,
                  lineage: str = "") -> None:
@@ -91,7 +103,6 @@ class TriangleNode:
                 raise ValueError(f"triangle coordinates must be real numbers, got {x!r}")
             if not math.isfinite(x):
                 raise ValueError("triangle vertices must have finite coordinates")
-        vertices = (Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
         bcx, bcy = cx - bx, cy - by
@@ -100,13 +111,22 @@ class TriangleNode:
                          abx * abx + aby * aby)
         if area2 <= 2.0 * DEGENERACY_REL_AREA * longest_sq:
             raise DegenerateTriangleError(
-                f"collinear vertices (lineage {lineage!r}): {vertices}")
-        self.vertices = vertices
+                f"collinear vertices (lineage {lineage!r}): "
+                f"{(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))}")
+        self._ax, self._ay = ax, ay
+        self._bx, self._by = bx, by
+        self._cx, self._cy = cx, cy
         self._path = int("1" + lineage, 2)
         # hypot ignores the sign of an exactly negated difference.
         self._s0 = math.hypot(bcx, bcy)
         self._s1 = math.hypot(acx, acy)
         self._s2 = math.hypot(abx, aby)
+
+    @property
+    def vertices(self) -> tuple[Point2, Point2, Point2]:
+        """The three corners as ``Point2``s, built on each read."""
+        return (Point2(self._ax, self._ay), Point2(self._bx, self._by),
+                Point2(self._cx, self._cy))
 
     @property
     def lineage(self) -> str:
@@ -124,7 +144,7 @@ class TriangleNode:
 
     def angles_deg(self) -> tuple[float, float, float]:
         """Numeric angle at each vertex, in degrees, computed on each call."""
-        (ax, ay), (bx, by), (cx, cy) = self.vertices
+        ax, ay, bx, by, cx, cy = node_coordinates(self)
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
         bcx, bcy = cx - bx, cy - by
@@ -139,7 +159,7 @@ class TriangleNode:
         )
 
     def area(self) -> float:
-        (ax, ay), (bx, by), (cx, cy) = self.vertices
+        ax, ay, bx, by, cx, cy = node_coordinates(self)
         return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / 2.0
 
     def __repr__(self) -> str:
@@ -148,12 +168,10 @@ class TriangleNode:
 
 
 # ``bisect`` makes children without ``__init__``: it has already run the
-# constructor's checks on them and measured their sides.  It builds the
-# foot without ``Point2.__new__`` (same type, same values), and compares
+# constructor's checks on them and measured their sides.  It compares
 # ``kind`` with these module constants rather than looking the members up
 # on the enum at every split.
 _new_node = object.__new__
-_new_point = tuple.__new__
 _LARGEST_ANGLE = ProcedureKind.LARGEST_ANGLE
 _LONGEST_EDGE = ProcedureKind.LONGEST_EDGE
 _SHORTEST_ALTITUDE = ProcedureKind.SHORTEST_ALTITUDE
@@ -187,43 +205,60 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     left by one, plus 1 on the right.
 
     The children are built in one pass over the split's five edges: AB and
-    AC from the parent, AF, BF and FC through the foot F.  Each edge's
-    difference vector is formed once, and both children are checked once,
-    with the same expressions as ``TriangleNode.__init__``: F's coordinates
-    must be finite (A, B and C are the parent's, checked when it was made),
-    then the relative-area degeneracy test runs in the child's own vertex
-    order, squares written ``x * x``.  The children arrive with
-    their sides measured as the constructor measures them, in their side
-    slots: |AB| and |AC| are the parent's, the other three come from the
-    edge vectors here.
+    AC from the parent, AF, BF and FC through the foot F.  The parent's
+    coordinate slots are read in the rotation that puts A first and copied,
+    with F's, into the children's, building no point or vertex tuple.
+    Each edge's difference vector is formed once, and both children are
+    checked once, with the outcome of ``TriangleNode.__init__``: F's
+    coordinates must be finite (A, B and C are the parent's, checked when
+    it was made), then each child must pass the relative-area degeneracy
+    test.  The children arrive with their sides measured as the
+    constructor measures them: |AB| and |AC| are the parent's, the other
+    three the ``hypot``s of the edge vectors here.
+
+    The degeneracy test first accepts a child when twice its area exceeds
+    ``2 * (1 + 1e-9) * DEGENERACY_REL_AREA`` times its longest measured
+    side squared.  That is sound: a ``hypot`` is within an ulp of the true
+    length and a float ``x * x + y * y`` within a few ulps of the true
+    square, so the fast bound is at least the constructor's (only the last
+    product can round into the subnormals, and rounding is monotone).  Only
+    when it fails does the constructor's test decide, with its expressions:
+    squares written ``x * x``, the longest by ``max``'s compare chain.
 
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
     and cross products formed here, so bit for bit what ``angles_deg()``
     returns.  The engine reads the slot once and deletes it.
 
-    ``split_index`` (0, 1 or 2) lets a caller that has already located the
-    split vertex skip the search, which is ``longest_side_vertex(t)``: a
-    walk that carries exact angles passes the vertex of the first largest
-    one for the largest-angle procedure.
+    ``split_index`` (the int 0, 1 or 2; a ``bool`` or a float is refused
+    with ``ValueError``) lets a caller that has already located the split
+    vertex skip the search, which is ``longest_side_vertex(t)``: a walk
+    that carries exact angles passes the vertex of the first largest one
+    for the largest-angle procedure.
     """
     ia = longest_side_vertex(t) if split_index is None else split_index
     # A is the split corner, B and C follow it cyclically; b = |AC| and
-    # c = |AB| are the sides opposite B and C.
+    # c = |AB| are the sides opposite B and C.  As True and 1.0 equal 1,
+    # the type is tested first.
+    if type(ia) is not int:
+        raise ValueError(f"split_index must be 0, 1 or 2, got {ia!r}")
     if ia == 0:
-        A, B, C = t.vertices
+        ax, ay = t._ax, t._ay
+        bx, by = t._bx, t._by
+        cx, cy = t._cx, t._cy
         b, c = t._s1, t._s2
     elif ia == 1:
-        C, A, B = t.vertices
+        ax, ay = t._bx, t._by
+        bx, by = t._cx, t._cy
+        cx, cy = t._ax, t._ay
         b, c = t._s2, t._s0
     elif ia == 2:
-        B, C, A = t.vertices
+        ax, ay = t._cx, t._cy
+        bx, by = t._ax, t._ay
+        cx, cy = t._bx, t._by
         b, c = t._s0, t._s1
     else:
         raise ValueError(f"split_index must be 0, 1 or 2, got {ia!r}")
-    ax, ay = A
-    bx, by = B
-    cx, cy = C
     if kind is _LARGEST_ANGLE:
         w = b + c
         fx = (b * bx + c * cx) / w
@@ -247,46 +282,63 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     afx, afy = fx - ax, fy - ay
     bfx, bfy = fx - bx, fy - by
     fcx, fcy = cx - fx, cy - fy
-    af_sq = afx * afx + afy * afy
-    # The longest squared side of the left child (A, B, F) and of the right
-    # child (A, F, C), each by the compare chain of ``max(...)`` over the
-    # same arguments in the same order.
-    left_sq = bfx * bfx + bfy * bfy
-    if af_sq > left_sq:
-        left_sq = af_sq
-    sq = abx * abx + aby * aby
-    if sq > left_sq:
-        left_sq = sq
-    right_sq = fcx * fcx + fcy * fcy
-    sq = acx * acx + acy * acy
-    if sq > right_sq:
-        right_sq = sq
-    if af_sq > right_sq:
-        right_sq = af_sq
+    hypot = math.hypot
+    af = hypot(afx, afy)
+    bf = hypot(bfx, bfy)
+    fc = hypot(fcx, fcy)
     # Twice each child's area, as TriangleNode.__init__ and angles_deg()
-    # form it in the child's own vertex order; left checked first.
+    # form it in the child's own vertex order.
     left_cross = abs(abx * afy - aby * afx)
     right_cross = abs(afx * acy - afy * acx)
-    if (left_cross <= 2.0 * DEGENERACY_REL_AREA * left_sq
-            or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
-        raise DegenerateTriangleError(
-            f"{kind.value} bisection produced a degenerate child at depth "
-            f"{t.generation + 1} (parent lineage {t.lineage!r})")
-    af = math.hypot(afx, afy)
-    foot = _new_point(Point2, (fx, fy))
+    # The longest measured side of the left child (A, B, F) and of the
+    # right child (A, F, C).
+    left_long = bf
+    if af > left_long:
+        left_long = af
+    if c > left_long:
+        left_long = c
+    right_long = fc
+    if b > right_long:
+        right_long = b
+    if af > right_long:
+        right_long = af
+    fast = 2.0 * (1 + 1e-9) * DEGENERACY_REL_AREA
+    if not (left_cross > fast * left_long * left_long
+            and right_cross > fast * right_long * right_long):
+        # The constructor's test: each child's longest squared side by the
+        # compare chain of ``max(...)`` over the same arguments in the same
+        # order; left checked first.
+        af_sq = afx * afx + afy * afy
+        left_sq = bfx * bfx + bfy * bfy
+        if af_sq > left_sq:
+            left_sq = af_sq
+        sq = abx * abx + aby * aby
+        if sq > left_sq:
+            left_sq = sq
+        right_sq = fcx * fcx + fcy * fcy
+        sq = acx * acx + acy * acy
+        if sq > right_sq:
+            right_sq = sq
+        if af_sq > right_sq:
+            right_sq = af_sq
+        if (left_cross <= 2.0 * DEGENERACY_REL_AREA * left_sq
+                or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
+            raise DegenerateTriangleError(
+                f"{kind.value} bisection produced a degenerate child at depth "
+                f"{t.generation + 1} (parent lineage {t.lineage!r})")
     path = t._path << 1
     left = _new_node(TriangleNode)
-    left.vertices = (A, B, foot)
+    left._ax, left._ay = ax, ay
+    left._bx, left._by = bx, by
+    left._cx, left._cy = fx, fy
     left._path = path
-    left._s0 = math.hypot(bfx, bfy)
-    left._s1 = af
-    left._s2 = c
+    left._s0, left._s1, left._s2 = bf, af, c
     right = _new_node(TriangleNode)
-    right.vertices = (A, foot, C)
+    right._ax, right._ay = ax, ay
+    right._bx, right._by = fx, fy
+    right._cx, right._cy = cx, cy
     right._path = path | 1
-    right._s0 = math.hypot(fcx, fcy)
-    right._s1 = b
-    right._s2 = af
+    right._s0, right._s1, right._s2 = fc, b, af
     if kind is _LONGEST_EDGE:
         # angles_deg() of (A, B, F) and of (A, F, C): its edge vectors are
         # AB, AF, BF on the left and AF, AC, FC on the right.

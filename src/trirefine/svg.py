@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import attrgetter
 
-from .geometry import TriangleNode, positive_float
+from .geometry import TriangleNode, node_coordinates, positive_float
 
 _MARGIN_FRACTION = 0.02
 _STROKE_FRACTION = 0.002
@@ -51,12 +50,12 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
         raise ValueError("nothing to render: empty generation")
     stroke = _STROKE_FRACTION * positive_float(
         stroke_reference, "stroke_reference must be a positive finite number")
-    # One compare pass, allocating nothing.  Of extremes that differ only
-    # in a zero's sign it keeps the first; the text below is the same, as
-    # the span, so the margin, is positive.
+    # One compare pass over the nodes' coordinates.  Of extremes that
+    # differ only in a zero's sign it keeps the first; the text below is
+    # the same, as the span, so the margin, is positive.
     xmin = ymin = math.inf
     xmax = ymax = -math.inf
-    for (ax, ay), (bx, by), (cx, cy) in map(attrgetter("vertices"), nodes):
+    for ax, ay, bx, by, cx, cy in map(node_coordinates, nodes):
         if ax < xmin:
             xmin = ax
         if ax > xmax:
@@ -97,8 +96,7 @@ def render_svg(nodes: Sequence[TriangleNode], path: str,
         write('<svg xmlns="http://www.w3.org/2000/svg" '
               f'viewBox="{xmin - margin!r} {ymin - margin!r} '
               f'{xmax - xmin + 2 * margin!r} {ymax - ymin + 2 * margin!r}">\n')
-        for node in nodes:
-            (ax, ay), (bx, by), (cx, cy) = node.vertices
+        for ax, ay, bx, by, cx, cy in map(node_coordinates, nodes):
             write(f'<polygon points="{text[ax]},{text[flip - ay]} '
                   f'{text[bx]},{text[flip - by]} '
                   f'{text[cx]},{text[flip - cy]}{tail}')

@@ -642,18 +642,25 @@ class TestRenderSvg:
         assert 'points="-0.0,' in text
 
     def test_equal_values_share_text_but_signed_zeros_do_not(self, tmp_path):
-        # Distinct vertex objects: some with equal nonzero values, which may
-        # share one formatted text, and pairs that differ only in the sign
-        # of a zero coordinate, which must not.
+        # Twelve vertices: some with equal nonzero values, which may share
+        # one formatted text, and pairs that differ only in the sign of a
+        # zero coordinate, which must not.
         def node(vertices, lineage):
             return TriangleNode(tuple(Point2(x, y) for x, y in vertices),
                                 lineage=lineage)
 
-        nodes = [node(((0.0, 2.0), (1.5, 2.0), (1.5, 0.0)), "00"),
-                 node(((-0.0, 2.0), (1.5, -0.0), (3.0, 1.0)), "01"),
-                 node(((1.5, 2.0), (3.0, 1.0), (2.5, 3.0)), "10"),
-                 node(((1.5, 0.0), (3.0, 1.0), (2.5, 3.0)), "11")]
-        assert len({id(p) for n in nodes for p in n.vertices}) == 12
+        triangles = (((0.0, 2.0), (1.5, 2.0), (1.5, 0.0)),
+                     ((-0.0, 2.0), (1.5, -0.0), (3.0, 1.0)),
+                     ((1.5, 2.0), (3.0, 1.0), (2.5, 3.0)),
+                     ((1.5, 0.0), (3.0, 1.0), (2.5, 3.0)))
+        nodes = [node(v, lineage)
+                 for v, lineage in zip(triangles, ("00", "01", "10", "11"))]
+        points = [p for n in nodes for p in n.vertices]
+        assert ([tuple(map(repr, p)) for p in points]
+                == [tuple(map(repr, p)) for v in triangles for p in v])
+        assert len(points) == 12 and len(set(points)) == 5
+        assert {math.copysign(1.0, x) for p in points for x in p
+                if x == 0} == {1.0, -1.0}
         render_svg(nodes, str(tmp_path / "new.svg"), 1.0)
         join_render_svg(nodes, str(tmp_path / "old.svg"), 1.0)
         text = (tmp_path / "new.svg").read_text()

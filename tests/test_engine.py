@@ -252,7 +252,8 @@ class TestRefine:
     @pytest.mark.parametrize("source", [
         {"base": EQUILATERAL},
         # The base's triangle in numeric mode, from its sides, on ties:
-        # every angle choice goes through the tie window.
+        # every split choice is a tie, which refine breaks as in exact
+        # mode, at the first largest angle (the first longest side).
         {"sides": (1, 1, 1)},
         {"sides": (3, 4, 5)},
     ], ids=["base", "base-numeric", "sides"])
@@ -398,11 +399,12 @@ class TestRefineOracle:
                 <= 1.1 * held(ProcedureKind.SHORTEST_ALTITUDE))
 
     def test_retained_node_bytes(self):
-        # A retained node is one slotted object and its vertex tuple (plus
-        # the new foot): its lineage is an int path and its sides are
-        # slots.  Bytes held after a retaining depth-12 run, per drawn
-        # node: about 353 (Python 3.11), and about 430 while each node
-        # also held a lineage string and a side tuple.  The run's 13 keys
+        # A retained node is one slotted object (plus the new foot's two
+        # floats): its six coordinates, its sides and its int lineage path
+        # are slots.  Bytes held after a retaining depth-12 run, per drawn
+        # node: about 266 (Python 3.11); about 353 while each node also
+        # held a vertex tuple and a Point2 foot, and about 430 while it
+        # held a lineage string and a side tuple too.  The run's 13 keys
         # and 13 rows are a few kB in all.
         depth = 12
         gc.collect()
@@ -417,7 +419,7 @@ class TestRefineOracle:
             tracemalloc.stop()
         assert len(result.nodes) == 2 ** depth
         assert sum(map(len, result.key_sets)) == depth + 1
-        assert (size - before) / 2 ** depth < 390
+        assert (size - before) / 2 ** depth < 300
 
     def test_tied_root_ties_exactly(self):
         # The "sides-2-2-1" cases above pin the tie rule only if the root's
@@ -619,7 +621,7 @@ class TestSplitUnits:
     ], ids=["60-60-60", "90-45-45", "72-72-36"])
     def test_tie_vertex_is_refines(self, base, max_tied):
         # On a tied largest angle split_units picks the first vertex, as
-        # refine's compare chain does with a tie window of 0: a walk that
+        # refine's first-largest-exact-angle rule does: a walk that
         # bisects where split_units says draws refine's last generation
         # vertex for vertex, and its keys are refine's.
         depth = 6

@@ -240,7 +240,7 @@ class TestLargestAngleBisection:
             rng.shuffle(vertices)
             t = TriangleNode(tuple(vertices))
             left, right = bisect(t, ProcedureKind.LARGEST_ANGLE)
-            assert left.vertices[0] is right.vertices[0]
+            assert repr(left.vertices[0]) == repr(right.vertices[0])
             angles = t.angles_deg()
             ia = t.vertices.index(left.vertices[0])
             assert max(angles) - angles[ia] <= 1e-12
@@ -382,7 +382,7 @@ class TestBisectOracle:
             if kind is ProcedureKind.LONGEST_EDGE:
                 assert repr(child._split_angles) == repr(rebuilt.angles_deg())
 
-    @pytest.mark.parametrize("ia", [-1, 3])
+    @pytest.mark.parametrize("ia", [-1, 3, True, False, 1.0])
     def test_split_index_out_of_range(self, ia):
         root = triangle_from_sides(3, 4, 5)
         with pytest.raises(ValueError, match="split_index"):
@@ -508,6 +508,61 @@ class TestBisectOracle:
         finally:
             geometry.DEGENERACY_REL_AREA = saved
         assert checked >= 20
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    def test_degeneracy_at_fast_accept_edge(self, kind):
+        # Thresholds within 1e-8 of the thinner child's relative area, most
+        # inside bisect's 1e-9 fast-accept margin, where the constructor's
+        # own test decides: bisect accepts exactly when the constructor
+        # accepts both children, on both sides of the threshold.
+        def relative_area(vertices):
+            # The constructor's expressions: twice the area over twice the
+            # longest squared side.
+            (ax, ay), (bx, by), (cx, cy) = vertices
+            abx, aby = bx - ax, by - ay
+            acx, acy = cx - ax, cy - ay
+            bcx, bcy = cx - bx, cy - by
+            return abs(abx * acy - aby * acx) / (2.0 * max(
+                bcx * bcx + bcy * bcy, acx * acx + acy * acy,
+                abx * abx + aby * aby))
+
+        def constructor_accepts(vertices):
+            try:
+                TriangleNode(vertices)
+            except DegenerateTriangleError:
+                return False
+            return True
+
+        rng = random.Random(1)
+        saved = geometry.DEGENERACY_REL_AREA
+        # Accepted and rejected splits whose margin u puts them inside the
+        # fast accept's window, so the constructor's test decided.
+        decided = {True: 0, False: 0}
+        try:
+            for _ in range(600):
+                a, b = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+                c = rng.uniform(abs(a - b) + 0.01, a + b - 0.01)
+                geometry.DEGENERACY_REL_AREA = 0.0
+                root = triangle_from_sides(a, b, c)
+                children = bisect(root, kind)
+                rel = min(relative_area(child.vertices) for child in children)
+                width = 1e-8 if rng.random() < 0.2 else 1e-9
+                u = rng.uniform(-width, width)
+                geometry.DEGENERACY_REL_AREA = rel * (1 + u)
+                expected = all(constructor_accepts(child.vertices)
+                               for child in children)
+                try:
+                    bisect(root, kind)
+                    accepted = True
+                except DegenerateTriangleError:
+                    accepted = False
+                assert accepted == expected, (a, b, c, u)
+                if -5e-10 < u:
+                    decided[accepted] += 1
+        finally:
+            geometry.DEGENERACY_REL_AREA = saved
+        assert min(decided.values()) >= 50, decided
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=-11.7, max_value=-11.0),
@@ -773,7 +828,7 @@ class TestConstructors:
         assert len(set(node.lineage)) == 2
 
     def test_generator_vertices_stored(self):
-        # A generator is read once: the node keeps the tuple, not the
+        # A generator is read once: the node keeps its coordinates, not the
         # used-up generator, so it can be split.
         t = TriangleNode(p for p in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         assert t.vertices == (Point2(0.0, 0.0), Point2(1.0, 0.0),
@@ -792,11 +847,37 @@ class TestConstructors:
                               Point2(0.0, 1.0))
         assert repr(t.sides()) == repr(vertex_sides(t))
 
+    def test_vertices_are_a_read_only_view(self):
+        # The six coordinates are kept as given, an int as an int and -0.0
+        # with its sign, and ``vertices`` reads them back as Point2s; it
+        # cannot be assigned.
+        t = TriangleNode(((0, -0.0), (3, 0), (0.5, 4)))
+        given = "(Point2(x=0, y=-0.0), Point2(x=3, y=0), Point2(x=0.5, y=4))"
+        assert repr(t.vertices) == given
+        assert all(type(p) is Point2 for p in t.vertices)
+        with pytest.raises(AttributeError):
+            t.vertices = (Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
+        assert repr(t.vertices) == given
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("ia", [0, 1, 2])
+    def test_child_corners_are_parent_coordinates_and_foot(self, ia, kind):
+        # Each child's corners are the parent's coordinates, as given, and
+        # the one new foot F: left (A, B, F), right (A, F, C).
+        t = TriangleNode(((0, -0.0), (3, 0), (0.5, 4)))
+        v = t.vertices
+        A, B, C = v[ia], v[(ia + 1) % 3], v[(ia + 2) % 3]
+        left, right = bisect(t, kind, ia)
+        foot = left.vertices[2]
+        assert repr(left.vertices) == repr((A, B, foot))
+        assert repr(right.vertices) == repr((A, foot, C))
+
     @pytest.mark.parametrize("kind", list(ProcedureKind),
                              ids=lambda kind: kind.value)
     def test_plain_pairs_become_points(self, kind):
-        # Plain (x, y) pairs are stored as Point2, so children do not mix
-        # them with Point2 feet.
+        # Plain (x, y) pairs are read back as Point2, as are the children's
+        # corners, the feet included.
         t = TriangleNode(((0.3, 2.9), (-0.1, 0.2), (3.7, 0.4)))
         assert all(type(p) is Point2 for p in t.vertices)
         assert t.vertices == ((0.3, 2.9), (-0.1, 0.2), (3.7, 0.4))
