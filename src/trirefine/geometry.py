@@ -25,9 +25,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .exact import BaseAngles
 
-# A triangle is rejected when its area drops below this fraction of the
-# squared longest side; scale-invariant so deep generations are judged the
-# same way as the root.
+# The one degeneracy rule: a node is rejected, as collinear, when twice its
+# area, ``abs(cross)``, is at most ``2 * DEGENERACY_REL_AREA * L * L``, where
+# ``L`` is the longest of the three sides it stores (``hypot``s of its edge
+# vectors).  It is scale-invariant, so deep generations are judged the same
+# way as the root; ``TriangleNode()`` and ``bisect`` read it at call time.
+# Which outputs it can change: the exit 3 of thin input deep enough under
+# shortest-altitude (``degenerate child at depth ...``), and the exit 3 of
+# an exact base whose float root is collinear (``collinear vertices``).
 DEGENERACY_REL_AREA = 1e-12
 
 
@@ -68,13 +73,12 @@ class TriangleNode:
     sign) in the slots ``_ax``, ``_ay``, ``_bx``, ``_by``, ``_cx`` and
     ``_cy``: a node shares no object with its caller but the numbers.
     ``vertices`` is a read-only view that builds the ``Point2`` triple on
-    each read; ``node_coordinates`` reads the six slots in one call.  The
-    collinearity test compares twice the area with
-    ``2 * DEGENERACY_REL_AREA`` times the longest squared side, squares
-    written ``x * x`` (correctly rounded, unlike ``x ** 2``, which goes
-    through libm ``pow``).  It keeps the sides it measures from the test's
-    difference vectors in the slots ``_s0``, ``_s1`` and ``_s2``, which
-    ``sides()`` returns and the engine and ``bisect`` read directly.
+    each read; ``node_coordinates`` reads the six slots in one call.  It
+    measures the sides with ``hypot`` into the slots ``_s0``, ``_s1`` and
+    ``_s2``, which ``sides()`` returns and the engine and ``bisect`` read
+    directly, and judges the node by them: a longest side whose squares
+    overflow or underflow is refused as the root builders refuse it (unless
+    all three vertices coincide), then the ``DEGENERACY_REL_AREA`` rule.
 
     A node holds its lineage as the int ``_path``, the bits after a leading
     1 (``int("1" + lineage, 2)``); ``lineage`` and ``generation`` are
@@ -106,10 +110,15 @@ class TriangleNode:
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
         bcx, bcy = cx - bx, cy - by
-        area2 = abs(abx * acy - aby * acx)
-        longest_sq = max(bcx * bcx + bcy * bcy, acx * acx + acy * acy,
-                         abx * abx + aby * aby)
-        if area2 <= 2.0 * DEGENERACY_REL_AREA * longest_sq:
+        # hypot ignores the sign of an exactly negated difference.
+        s0 = math.hypot(bcx, bcy)
+        s1 = math.hypot(acx, acy)
+        s2 = math.hypot(abx, aby)
+        longest = max(s0, s1, s2)
+        if longest:  # three coincident vertices are collinear, below
+            _check_squares(longest)
+        if abs(abx * acy - aby * acx) <= (2.0 * DEGENERACY_REL_AREA
+                                          * longest * longest):
             raise DegenerateTriangleError(
                 f"collinear vertices (lineage {lineage!r}): "
                 f"{(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))}")
@@ -117,10 +126,7 @@ class TriangleNode:
         self._bx, self._by = bx, by
         self._cx, self._cy = cx, cy
         self._path = int("1" + lineage, 2)
-        # hypot ignores the sign of an exactly negated difference.
-        self._s0 = math.hypot(bcx, bcy)
-        self._s1 = math.hypot(acx, acy)
-        self._s2 = math.hypot(abx, aby)
+        self._s0, self._s1, self._s2 = s0, s1, s2
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -211,19 +217,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     Each edge's difference vector is formed once, and both children are
     checked once, with the outcome of ``TriangleNode.__init__``: F's
     coordinates must be finite (A, B and C are the parent's, checked when
-    it was made), then each child must pass the relative-area degeneracy
-    test.  The children arrive with their sides measured as the
-    constructor measures them: |AB| and |AC| are the parent's, the other
-    three the ``hypot``s of the edge vectors here.
-
-    The degeneracy test first accepts a child when twice its area exceeds
-    ``2 * (1 + 1e-9) * DEGENERACY_REL_AREA`` times its longest measured
-    side squared.  That is sound: a ``hypot`` is within an ulp of the true
-    length and a float ``x * x + y * y`` within a few ulps of the true
-    square, so the fast bound is at least the constructor's (only the last
-    product can round into the subnormals, and rounding is monotone).  Only
-    when it fails does the constructor's test decide, with its expressions:
-    squares written ``x * x``, the longest by ``max``'s compare chain.
+    it was made), then each child must pass the ``DEGENERACY_REL_AREA``
+    rule on its sides.  The children arrive with their sides measured as
+    the constructor measures them: |AB| and |AC| are the parent's, the
+    other three the ``hypot``s of the edge vectors here.  (The
+    constructor's overflow and underflow check on the longest side is a
+    root's: it is not repeated for children.)
 
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
@@ -275,8 +274,8 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         raise ValueError(f"unknown procedure {kind!r}")
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise ValueError("triangle vertices must have finite coordinates")
-    # The five edges.  Negating a difference is exact and squares and
-    # hypot ignore the sign, so A - F is served by F - A, and so on.
+    # The five edges.  Negating a difference is exact and hypot ignores
+    # the sign, so A - F is served by F - A, and so on.
     abx, aby = bx - ax, by - ay
     acx, acy = cx - ax, cy - ay
     afx, afy = fx - ax, fy - ay
@@ -290,7 +289,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     # form it in the child's own vertex order.
     left_cross = abs(abx * afy - aby * afx)
     right_cross = abs(afx * acy - afy * acx)
-    # The longest measured side of the left child (A, B, F) and of the
+    # The longest stored side of the left child (A, B, F) and of the
     # right child (A, F, C).
     left_long = bf
     if af > left_long:
@@ -302,30 +301,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         right_long = b
     if af > right_long:
         right_long = af
-    fast = 2.0 * (1 + 1e-9) * DEGENERACY_REL_AREA
-    if not (left_cross > fast * left_long * left_long
-            and right_cross > fast * right_long * right_long):
-        # The constructor's test: each child's longest squared side by the
-        # compare chain of ``max(...)`` over the same arguments in the same
-        # order; left checked first.
-        af_sq = afx * afx + afy * afy
-        left_sq = bfx * bfx + bfy * bfy
-        if af_sq > left_sq:
-            left_sq = af_sq
-        sq = abx * abx + aby * aby
-        if sq > left_sq:
-            left_sq = sq
-        right_sq = fcx * fcx + fcy * fcy
-        sq = acx * acx + acy * acy
-        if sq > right_sq:
-            right_sq = sq
-        if af_sq > right_sq:
-            right_sq = af_sq
-        if (left_cross <= 2.0 * DEGENERACY_REL_AREA * left_sq
-                or right_cross <= 2.0 * DEGENERACY_REL_AREA * right_sq):
-            raise DegenerateTriangleError(
-                f"{kind.value} bisection produced a degenerate child at depth "
-                f"{t.generation + 1} (parent lineage {t.lineage!r})")
+    limit = 2.0 * DEGENERACY_REL_AREA
+    if (left_cross <= limit * left_long * left_long
+            or right_cross <= limit * right_long * right_long):
+        raise DegenerateTriangleError(
+            f"{kind.value} bisection produced a degenerate child at depth "
+            f"{t.generation + 1} (parent lineage {t.lineage!r})")
     path = t._path << 1
     left = _new_node(TriangleNode)
     left._ax, left._ay = ax, ay
@@ -376,24 +357,22 @@ def check_scale(scale: float) -> float:
     return positive_float(scale, "scale must be a positive finite number")
 
 
-def _check_root_scale(longest: float) -> float:
-    """Reject a root whose longest side fails ``check_scale``, or is so long
-    that squared lengths overflow, or so short that they underflow.
+def _check_squares(longest: float) -> None:
+    """Reject a positive longest side so long (or infinite) that squared
+    lengths overflow, or so short that they underflow.
 
-    Every coordinate and side length in the tree is at most the root's
+    Every edge vector and side length in the tree is at most the root's
     longest side, so the overflow check at the root covers every product
-    that ``TriangleNode`` and ``bisect`` form at any depth.  Without the
-    underflow check a tiny root would be reported as collinear.  Returns
-    ``longest`` as the float ``check_scale`` accepts.
+    that ``TriangleNode`` and ``bisect`` form at any depth.  Without it a
+    product could read ``inf - inf``, and a collinear triangle pass; without
+    the underflow check a tiny triangle would be reported as collinear.
     """
-    longest = check_scale(longest)
     if not math.isfinite(2.0 * longest * longest):
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too large: squared lengths overflow")
     if longest * longest < sys.float_info.min:
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too small: squared lengths underflow")
-    return longest
 
 
 def triangle_from_angles(base: BaseAngles, scale: float = 1.0) -> TriangleNode:
@@ -422,7 +401,8 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
         raise ValueError("angles must be positive")
     if not abs(a1 + a2 + a3 - 180.0) <= 1e-9:
         raise ValueError(f"angles must sum to 180 degrees, got {(a1, a2, a3)}")
-    scale = _check_root_scale(scale)
+    scale = check_scale(scale)
+    _check_squares(scale)
     al, be, ga = math.radians(big), math.radians(mid), math.radians(small)
     c_len = scale * math.sin(ga) / math.sin(al)  # side opposite gamma, |AB|
     apex = Point2(c_len * math.cos(be), c_len * math.sin(be))
@@ -444,7 +424,7 @@ def triangle_sides(sides: Sequence[float]) -> tuple[float, float, float]:
 def triangle_from_sides(s1: float, s2: float, s3: float) -> TriangleNode:
     """Numeric-only root triangle from side lengths, longest side on the x-axis."""
     a, b, c = triangle_sides((s1, s2, s3))
-    _check_root_scale(a)
+    _check_squares(a)
     x = (a * a + c * c - b * b) / (2.0 * a)
     y_sq = c * c - x * x
     if y_sq <= 0:

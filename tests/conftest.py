@@ -1,8 +1,24 @@
 """Fixtures shared across test modules."""
 
+import warnings
+
 import pytest
 
 from trirefine.cli import main
+
+# On a failing property test, Hypothesis's pytest plugin imports this
+# module to suggest a patch.  Where libcst is installed, that import warns
+# (libcst declares a deprecated ``mypy_extensions.TypedDict``), and
+# pyproject's ``filterwarnings = ["error"]`` would turn the warning into an
+# INTERNALERROR that ends the session without the falsifying example.
+# Importing it once here, with that warning ignored, keeps the global
+# filter as it is.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -456,8 +456,8 @@ class TestBisectOracle:
         # constructor rejects one of the children, bisect must reject, and
         # one ulp below it must accept: its test is the constructor's, bit
         # for bit.  The roots are picked so that some child has an edge
-        # whose squared length differs in the last bit between x * x and
-        # x ** 2 (libm pow), where a mismatch of the two would show.
+        # (x, y) whose hypot h squares to other than x * x + y * y, where a
+        # rule on squared norms and one on the stored sides can disagree.
         def rejects(vertices, rel):
             geometry.DEGENERACY_REL_AREA = rel
             try:
@@ -476,11 +476,14 @@ class TestBisectOracle:
                 rel = math.nextafter(rel, math.inf)
             return rel
 
-        def pow_differs(child):
+        def hypot_differs(child):
             p, q, r = child.vertices
-            return any((u.x - v.x) ** 2 + (u.y - v.y) ** 2
-                       != (u.x - v.x) * (u.x - v.x) + (u.y - v.y) * (u.y - v.y)
-                       for u, v in ((p, q), (q, r), (r, p)))
+            for u, v in ((p, q), (q, r), (r, p)):
+                x, y = u.x - v.x, u.y - v.y
+                h = math.hypot(x, y)
+                if h * h != x * x + y * y:
+                    return True
+            return False
 
         rng = random.Random(0)
         saved = geometry.DEGENERACY_REL_AREA
@@ -492,7 +495,7 @@ class TestBisectOracle:
                 geometry.DEGENERACY_REL_AREA = 0.0
                 root = triangle_from_sides(a, b, c)
                 children = bisect(root, kind)
-                if any(map(pow_differs, children)):
+                if any(map(hypot_differs, children)):
                     sharp += 1
                 elif checked >= 20:
                     continue
@@ -511,21 +514,17 @@ class TestBisectOracle:
 
     @pytest.mark.parametrize("kind", list(ProcedureKind),
                              ids=lambda kind: kind.value)
-    def test_degeneracy_at_fast_accept_edge(self, kind):
+    def test_degeneracy_at_threshold_edge(self, kind):
         # Thresholds within 1e-8 of the thinner child's relative area, most
-        # inside bisect's 1e-9 fast-accept margin, where the constructor's
-        # own test decides: bisect accepts exactly when the constructor
+        # within 1e-9 of it: bisect accepts exactly when the constructor
         # accepts both children, on both sides of the threshold.
-        def relative_area(vertices):
-            # The constructor's expressions: twice the area over twice the
-            # longest squared side.
-            (ax, ay), (bx, by), (cx, cy) = vertices
-            abx, aby = bx - ax, by - ay
-            acx, acy = cx - ax, cy - ay
-            bcx, bcy = cx - bx, cy - by
-            return abs(abx * acy - aby * acx) / (2.0 * max(
-                bcx * bcx + bcy * bcy, acx * acx + acy * acy,
-                abx * abx + aby * aby))
+        def relative_area(child):
+            # The rule's terms: twice the area over twice the longest
+            # stored side squared.
+            (ax, ay), (bx, by), (cx, cy) = child.vertices
+            longest = max(child.sides())
+            return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) / (
+                2 * longest * longest)
 
         def constructor_accepts(vertices):
             try:
@@ -536,8 +535,8 @@ class TestBisectOracle:
 
         rng = random.Random(1)
         saved = geometry.DEGENERACY_REL_AREA
-        # Accepted and rejected splits whose margin u puts them inside the
-        # fast accept's window, so the constructor's test decided.
+        # Accepted and rejected splits whose threshold is at most 5e-10
+        # (relative) below the thinner child's relative area.
         decided = {True: 0, False: 0}
         try:
             for _ in range(600):
@@ -546,7 +545,7 @@ class TestBisectOracle:
                 geometry.DEGENERACY_REL_AREA = 0.0
                 root = triangle_from_sides(a, b, c)
                 children = bisect(root, kind)
-                rel = min(relative_area(child.vertices) for child in children)
+                rel = min(map(relative_area, children))
                 width = 1e-8 if rng.random() < 0.2 else 1e-9
                 u = rng.uniform(-width, width)
                 geometry.DEGENERACY_REL_AREA = rel * (1 + u)
@@ -563,6 +562,71 @@ class TestBisectOracle:
         finally:
             geometry.DEGENERACY_REL_AREA = saved
         assert min(decided.values()) >= 50, decided
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    def test_degeneracy_rule_reads_stored_sides(self, kind):
+        # The one rule: a node is rejected iff
+        # abs(cross) <= 2 * DEGENERACY_REL_AREA * L * L, L its longest
+        # stored side.  At the threshold where the rule flips for a root or
+        # a child, and one ulp below it, the constructor and bisect follow
+        # it exactly.
+        def cross(node):
+            (ax, ay), (bx, by), (cx, cy) = node.vertices
+            return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+        def rule_rejects(node, rel):
+            longest = max(node.sides())
+            return cross(node) <= 2.0 * rel * longest * longest
+
+        def boundary(node):
+            # The smallest threshold the rule rejects the node at.
+            longest = max(node.sides())
+            rel = cross(node) / (2.0 * longest * longest)
+            while rule_rejects(node, rel):
+                rel = math.nextafter(rel, 0.0)
+            while not rule_rejects(node, rel):
+                rel = math.nextafter(rel, math.inf)
+            return rel
+
+        def constructor_rejects(node):
+            try:
+                TriangleNode(node.vertices)
+            except DegenerateTriangleError:
+                return True
+            return False
+
+        rng = random.Random(2)
+        saved = geometry.DEGENERACY_REL_AREA
+        flips = 0
+        try:
+            for _ in range(300):
+                a, b = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+                c = rng.uniform(abs(a - b) + 0.01, a + b - 0.01)
+                geometry.DEGENERACY_REL_AREA = 0.0
+                root = triangle_from_sides(a, b, c)
+                children = bisect(root, kind)
+                for node in (root,) + children:
+                    edge = boundary(node)
+                    for rel in (edge, math.nextafter(edge, 0.0)):
+                        geometry.DEGENERACY_REL_AREA = rel
+                        expected = rule_rejects(node, rel)
+                        assert constructor_rejects(node) == expected, (
+                            a, b, c, node.lineage, rel)
+                        if node is root:
+                            continue
+                        expected = any(rule_rejects(child, rel)
+                                       for child in children)
+                        try:
+                            bisect(root, kind)
+                            rejected = False
+                        except DegenerateTriangleError:
+                            rejected = True
+                        assert rejected == expected, (a, b, c, rel)
+                        flips += expected
+        finally:
+            geometry.DEGENERACY_REL_AREA = saved
+        assert flips >= 300
 
     @given(st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=-11.7, max_value=-11.0),
@@ -704,6 +768,31 @@ class TestConstructors:
         # a root look collinear.
         with pytest.raises(DegenerateTriangleError, match="too small"):
             build()
+
+    @pytest.mark.parametrize("vertices, message", [
+        (((0.0, 0.0), (1e200, 1e200), (2e200, 2e200)),
+         "longest side 2.82842712474619e+200 is too large: squared lengths "
+         "overflow"),
+        (((0, 0), (1e200, 0), (0, 1e200)),
+         "longest side 1.414213562373095e+200 is too large: squared lengths "
+         "overflow"),
+        (((0, 0), (1e-200, 0), (0, 1e-200)),
+         "longest side 1.414213562373095e-200 is too small: squared lengths "
+         "underflow"),
+        (((1.0, 2.0), (1.0, 2.0), (1.0, 2.0)),
+         "collinear vertices (lineage ''): (Point2(x=1.0, y=2.0), "
+         "Point2(x=1.0, y=2.0), Point2(x=1.0, y=2.0))"),
+    ], ids=["collinear-overflow", "right-overflow", "right-underflow",
+            "coincident"])
+    def test_constructor_names_the_fault(self, vertices, message):
+        # The root builders' rule holds for the constructor too: collinear
+        # vertices whose products overflow are not accepted with a NaN
+        # area, and valid triangles whose squares overflow or underflow are
+        # not reported as collinear.  Three coincident vertices, whose
+        # longest side is 0, are collinear.
+        with pytest.raises(DegenerateTriangleError) as info:
+            TriangleNode(vertices)
+        assert str(info.value) == message
 
     def test_smallest_supported_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=1e-153)
