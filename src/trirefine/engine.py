@@ -55,6 +55,11 @@ SQRT3_2 = math.sqrt(3.0) / 2.0
 # to NUMERIC_KEY_QUANTUM_DEG degrees: far below the angle separation of any
 # supported run, far above accumulated float error at the permitted depths.
 # 1 / 1e9 is the double 1e-9, while 1 / 1e-9 is not the double 1e9.
+# ``refine`` rounds y = angle * _KEY_SCALE as y + rint - rint, with rint
+# = 1.5 * 2**52: for 0 <= y < 2**51, y + rint lies in [2**52, 2**53), where
+# doubles are 1 apart, so the addition rounds y to the nearest integer,
+# ties to even, as round() does, and the subtraction is exact.  Numeric
+# angles lie in [0, 180], so y <= 1.8e11; 2.0 == 2, hash(2.0) == hash(2).
 _KEY_SCALE = 1e9
 NUMERIC_KEY_QUANTUM_DEG = 1 / _KEY_SCALE
 
@@ -149,11 +154,12 @@ class RefinementResult:
 
     ``key_sets[g]`` holds generation g's similarity keys, the only form
     they take.  In numeric mode a key is the sorted angle triple, each a
-    whole number of ``NUMERIC_KEY_QUANTUM_DEG``.  In exact-base mode it is
-    one int: with the run's scale ``run.base.units(run.depth + 1)[1]``,
-    the sorted angles lo <= mid <= hi in units of 1/scale degrees and
-    M = 180 * scale their sum, the key is ``lo * M + mid`` (hi is
-    M - lo - mid).
+    whole number of ``NUMERIC_KEY_QUANTUM_DEG`` held as a whole-valued
+    float, equal and hash-equal to the int ``round()`` gives.  In
+    exact-base mode it is one int: with the run's scale
+    ``run.base.units(run.depth + 1)[1]``, the sorted angles lo <= mid <= hi
+    in units of 1/scale degrees and M = 180 * scale their sum, the key is
+    ``lo * M + mid`` (hi is M - lo - mid).
     """
 
     run: RefinementRun
@@ -182,7 +188,8 @@ def refine(run: RefinementRun) -> RefinementResult:
       angle minima become ``Fraction``s at the end.
     * numeric: floats in degrees, within a few ulp of the true angles at
       any supported depth; the split vertex is opposite the first longest
-      side; keys round each angle to ``NUMERIC_KEY_QUANTUM_DEG``.
+      side; keys round each angle to ``NUMERIC_KEY_QUANTUM_DEG`` by float
+      arithmetic (see ``_KEY_SCALE``), as whole-valued floats.
 
     Each node's sides are read from its slots ``_s0``, ``_s1`` and
     ``_s2``, which every node carries from the moment the constructor or
@@ -223,6 +230,7 @@ def refine(run: RefinementRun) -> RefinementResult:
     stack = [(root, 0, a0, a1, a2)]
     push = stack.append
     pop = stack.pop
+    key_scale, rint = _KEY_SCALE, 1.5 * 2.0 ** 52
     while stack:
         node, g, v0, v1, v2 = pop()
         s0, s1, s2 = node._s0, node._s1, node._s2
@@ -253,8 +261,9 @@ def refine(run: RefinementRun) -> RefinementResult:
         if exact:
             key_sets[g].add(lo * key_base + mid)
         else:
-            key_sets[g].add((round(lo * _KEY_SCALE), round(mid * _KEY_SCALE),
-                             round(hi * _KEY_SCALE)))
+            key_sets[g].add((lo * key_scale + rint - rint,
+                             mid * key_scale + rint - rint,
+                             hi * key_scale + rint - rint))
         if g < depth:
             g += 1  # the children's generation
             # Exact angles split at the first largest one; numeric runs at

@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exact_reference import ROOT_FORMS, exact_walk, reference_children
 from trirefine import engine, verifier
@@ -587,6 +588,96 @@ class TestSimilarityClasses:
         for keys in result.key_sets[1:]:
             union |= keys
             assert len(union) <= 2
+
+
+# ---------------------------------------------------------------------------
+# numeric keys: float rounding against round()
+# ---------------------------------------------------------------------------
+
+# refine rounds y = angle * _KEY_SCALE to a whole number as y + rint - rint.
+KEY_RINT = 1.5 * 2.0 ** 52
+KEY_Y_MAX = 180 * engine._KEY_SCALE
+
+
+def key_products():
+    """Values of angle * _KEY_SCALE for numeric angles in [0, 180]: exact
+    half-integer ties, their neighbours one ulp away, any float in range
+    and the products themselves."""
+    ties = st.integers(0, int(KEY_Y_MAX) - 1).map(lambda k: k + 0.5)
+    return st.one_of(
+        ties,
+        st.tuples(ties, st.sampled_from([-math.inf, math.inf])).map(
+            lambda tie_to: math.nextafter(*tie_to)),
+        st.floats(0.0, KEY_Y_MAX),
+        st.floats(0.0, 180.0).map(lambda angle: angle * engine._KEY_SCALE),
+    )
+
+
+def rounded_key_walk(run):
+    """Each generation's numeric keys built with three ``round()`` calls,
+    from a breadth-first walk by public ``bisect`` that carries the angles
+    the engine carries: the largest-angle and altitude algebra, or the
+    longest-edge split's measured ``_split_angles``."""
+    kind = run.kind
+    root = run.root()
+    level = [(root, root.angles_deg())]
+    key_sets = []
+    for g in range(run.depth + 1):
+        key_sets.append({tuple(round(a * 1e9) for a in sorted(angles))
+                         for _, angles in level})
+        if g == run.depth:
+            break
+        children = []
+        for node, angles in level:
+            ia = longest_side_vertex(node)
+            va, vb, vc = (angles[ia], angles[(ia + 1) % 3],
+                          angles[(ia + 2) % 3])
+            left, right = bisect(node, kind, ia)
+            if kind is ProcedureKind.LARGEST_ANGLE:
+                half = va / 2.0
+                pair = (half, vb, half + vc), (half, half + vb, vc)
+            elif kind is ProcedureKind.SHORTEST_ALTITUDE:
+                pair = (90.0 - vb, vb, 90.0), (90.0 - vc, 90.0, vc)
+            else:
+                pair = left._split_angles, right._split_angles
+            children += zip((left, right), pair)
+        level = children
+    return key_sets
+
+
+class TestNumericKeys:
+    @given(key_products())
+    @example(0.0)
+    @example(0.5)
+    @example(1.5)
+    @example(2.5)
+    @example(KEY_Y_MAX - 0.5)
+    @example(KEY_Y_MAX)
+    @settings(max_examples=500)
+    def test_float_rounding_is_round(self, y):
+        key = y + KEY_RINT - KEY_RINT
+        assert key == round(y)
+        assert key.is_integer()
+        assert hash(key) == hash(round(y))
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind),
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("sides", [
+        (1.3, 1.7, 1.5), (3.0, 4.0, 5.0), (2.0, 3.0, 4.0), (2.0, 2.0, 1.0),
+    ], ids=["1.3-1.7-1.5", "3-4-5", "2-3-4", "2-2-1"])
+    def test_key_sets_match_rounded_walk(self, kind, sides):
+        run = RefinementRun(kind=kind, depth=10, sides=sides)
+        result = refine(run)
+        expected = rounded_key_walk(run)
+        assert len(result.key_sets) == len(expected) == 11
+        union = set()
+        for stats, keys, oracle in zip(result.stats, result.key_sets,
+                                       expected):
+            assert keys == oracle
+            assert all(type(x) is float and x.is_integer()
+                       for key in keys for x in key)
+            union |= oracle
+            assert stats.cumulative_similarity_classes == len(union)
 
 
 # ---------------------------------------------------------------------------
