@@ -171,15 +171,19 @@ class RefinementResult:
 def refine(run: RefinementRun) -> RefinementResult:
     """Run the refinement and collect per-generation statistics.
 
-    One depth-first loop serves every procedure and both modes.  A stack
-    entry is a node, its generation and its angles in vertex order; the
-    children's angles come from the procedure's angle algebra, not from
-    coordinates: an angle bisection gives (A/2, B, A/2+C), an altitude
-    split (90, B, 90-B).  Only the longest-edge split, whose foot angles
-    are new, measures them: ``bisect`` hands over those measured from the
-    vectors it formed as ``_split_angles``, which the loop moves onto the
-    stack and deletes, so a retained node holds its geometry only.  The
-    modes differ in values fixed once per run:
+    One depth-first loop serves every procedure and both modes.  A node
+    travels with its generation and its angles in vertex order; each
+    split pushes one stack entry, the right child, while the left child
+    carries on in the loop's locals, so nodes are visited depth first,
+    left first.  The children's angles come from the procedure's angle
+    algebra, not from coordinates: an angle bisection gives (A/2, B,
+    A/2+C), an altitude split (90, B, 90-B).  Only the longest-edge split,
+    whose foot angles are new, measures them: ``bisect`` hands over those
+    measured from the vectors it formed as ``_split_angles``, which the
+    loop reads, and deletes from the children that become retained
+    leaves, so a returned node holds its geometry only (a streaming run's
+    children are discarded with the slot).  The modes differ in values
+    fixed once per run:
 
     * exact-base: ints in units of 1/(q * 2**(depth+1)) degrees, q the
       common denominator of the base angles, so halving is a shift; the
@@ -227,12 +231,13 @@ def refine(run: RefinementRun) -> RefinementResult:
     min_largest: list = [math.inf] * (depth + 1)
     key_sets: list[set] = [set() for _ in range(depth + 1)]
     nodes: list[TriangleNode] | None = [] if retain else None
-    stack = [(root, 0, a0, a1, a2)]
+    stack: list = []  # the right children still to visit
     push = stack.append
     pop = stack.pop
+    adds = [keys.add for keys in key_sets]
     key_scale, rint = _KEY_SCALE, 1.5 * 2.0 ** 52
-    while stack:
-        node, g, v0, v1, v2 = pop()
+    node, g, v0, v1, v2 = root, 0, a0, a1, a2
+    while True:
         s0, s1, s2 = node._s0, node._s1, node._s2
         longest = s0 if s0 >= s1 else s1
         if s2 > longest:
@@ -259,11 +264,11 @@ def refine(run: RefinementRun) -> RefinementResult:
         if hi < min_largest[g]:
             min_largest[g] = hi
         if exact:
-            key_sets[g].add(lo * key_base + mid)
+            adds[g](lo * key_base + mid)
         else:
-            key_sets[g].add((lo * key_scale + rint - rint,
-                             mid * key_scale + rint - rint,
-                             hi * key_scale + rint - rint))
+            adds[g]((lo * key_scale + rint - rint,
+                     mid * key_scale + rint - rint,
+                     hi * key_scale + rint - rint))
         if g < depth:
             g += 1  # the children's generation
             # Exact angles split at the first largest one; numeric runs at
@@ -275,24 +280,29 @@ def refine(run: RefinementRun) -> RefinementResult:
                 ia, va, vb, vc = 1, v1, v2, v0
             else:
                 ia, va, vb, vc = 2, v2, v0, v1
-            left, right = bisect(node, kind, ia)
+            node, right = bisect(node, kind, ia)  # node: the left child
             if largest:
                 half = va >> 1 if exact else va / 2.0
                 push((right, g, half, half + vb, vc))
-                push((left, g, half, vb, half + vc))
+                v0, v1, v2 = half, vb, half + vc
             elif altitude:
                 push((right, g, 90.0 - vc, 90.0, vc))
-                push((left, g, 90.0 - vb, vb, 90.0))
+                v0, v1, v2 = 90.0 - vb, vb, 90.0
             else:
                 push((right, g) + right._split_angles)
-                push((left, g) + left._split_angles)
-                # The angles now ride on the stack: a retained leaf keeps
-                # its geometry only.
-                del left._split_angles, right._split_angles
-        elif retain:
-            # Left children are popped first, so the last generation
-            # arrives in lineage order.
-            nodes.append(node)
+                v0, v1, v2 = node._split_angles
+                if retain and g == depth:
+                    # Both become retained leaves: they keep their
+                    # geometry only.
+                    del node._split_angles, right._split_angles
+        else:
+            if retain:
+                # Left children come first, so the last generation arrives
+                # in lineage order.
+                nodes.append(node)
+            if not stack:
+                break
+            node, g, v0, v1, v2 = pop()
 
     if exact:
         # Only the angle aggregates become exact rational degrees; the keys

@@ -35,6 +35,15 @@ from .exact import BaseAngles
 # an exact base whose float root is collinear (``collinear vertices``).
 DEGENERACY_REL_AREA = 1e-12
 
+# The largest side whose square underflows: ``x * x < sys.float_info.min``
+# iff ``x <= _UNDERFLOW_SIDE`` (for x >= 0, as squaring is monotone), the
+# one underflow rule, one compare, for roots and ``bisect``'s children.
+_UNDERFLOW_SIDE = math.sqrt(sys.float_info.min)
+while _UNDERFLOW_SIDE * _UNDERFLOW_SIDE >= sys.float_info.min:
+    _UNDERFLOW_SIDE = math.nextafter(_UNDERFLOW_SIDE, 0.0)
+# math.degrees(x) is x * (180 / pi) in CPython, bit for bit.
+_RAD_TO_DEG = 180.0 / math.pi
+
 
 class ProcedureKind(Enum):
     """The splitting rule applied at every node of the refinement tree."""
@@ -84,13 +93,14 @@ class TriangleNode:
     1 (``int("1" + lineage, 2)``); ``lineage`` and ``generation`` are
     read-only views of it.  ``bisect`` makes children without the
     constructor, by the same checks and expressions once per split (finite
-    coordinates for the new vertex only), so every node carries its sides
-    from the moment it is made, and a child's path is its parent's shifted
-    left by one, plus 1 on the right.  Longest-edge children from
-    ``bisect`` also carry ``_split_angles``, what ``angles_deg()`` returns
-    for them: a hand-off to the engine, which moves the angles onto its
-    stack and deletes the slot.  It is unset on every other node, a
-    retained one included.
+    coordinates for the new vertex only, and no overflow check, which the
+    root's covers), so every node carries its sides from the moment it is
+    made, and a child's path is its parent's shifted left by one, plus 1
+    on the right.  Longest-edge children from ``bisect`` also carry
+    ``_split_angles``, what ``angles_deg()`` returns for them: a hand-off
+    to the engine, which reads the angles and deletes the slot from the
+    children that become retained leaves.  It is unset on every node
+    ``refine`` returns, and on every node the constructor makes.
     """
 
     __slots__ = _CORNER_SLOTS + ("_s0", "_s1", "_s2", "_path",
@@ -156,12 +166,11 @@ class TriangleNode:
         bcx, bcy = cx - bx, cy - by
         # |cross| is twice the area, identical at every corner.
         cross = abs(abx * acy - aby * acx)
-        degrees = math.degrees
         atan2 = math.atan2
         return (
-            degrees(atan2(cross, abx * acx + aby * acy)),
-            degrees(atan2(cross, -(bcx * abx + bcy * aby))),
-            degrees(atan2(cross, acx * bcx + acy * bcy)),
+            atan2(cross, abx * acx + aby * acy) * _RAD_TO_DEG,
+            atan2(cross, -(bcx * abx + bcy * aby)) * _RAD_TO_DEG,
+            atan2(cross, acx * bcx + acy * bcy) * _RAD_TO_DEG,
         )
 
     def area(self) -> float:
@@ -217,17 +226,23 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     Each edge's difference vector is formed once, and both children are
     checked once, with the outcome of ``TriangleNode.__init__``: F's
     coordinates must be finite (A, B and C are the parent's, checked when
-    it was made), then each child must pass the ``DEGENERACY_REL_AREA``
-    rule on its sides.  The children arrive with their sides measured as
-    the constructor measures them: |AB| and |AC| are the parent's, the
-    other three the ``hypot``s of the edge vectors here.  (The
-    constructor's overflow and underflow check on the longest side is a
-    root's: it is not repeated for children.)
+    it was made), tested as ``fx - fx == 0.0``, which is ``+0.0`` for every
+    finite ``fx`` and NaN for an infinity or NaN.  Far from the origin the
+    largest-angle foot's weighted form ``(b * B + c * C) / (b + c)`` can
+    overflow; then, and only then, F is ``B + (C - B) * (c / (b + c))``,
+    and its finite test is repeated.  Then each child's longest side must
+    pass the constructor's underflow rule, as one compare with
+    ``_UNDERFLOW_SIDE``, and each child the ``DEGENERACY_REL_AREA`` rule
+    on its sides.  The children arrive with their sides measured as the
+    constructor measures them: |AB| and |AC| are the parent's, the other
+    three the ``hypot``s of the edge vectors here, whose products the
+    root's overflow check bounds (see ``_check_squares``).
 
     Longest-edge children also get their angles in degrees, as
     ``_split_angles``: ``angles_deg()``'s expressions on the edge vectors
     and cross products formed here, so bit for bit what ``angles_deg()``
-    returns.  The engine reads the slot once and deletes it.
+    returns, with ``math.degrees`` spelled as ``* _RAD_TO_DEG``.  The
+    engine reads the slot once.
 
     ``split_index`` (the int 0, 1 or 2; a ``bool`` or a float is refused
     with ``ValueError``) lets a caller that has already located the split
@@ -272,8 +287,16 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         fy = by + tau * ey
     else:
         raise ValueError(f"unknown procedure {kind!r}")
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        raise ValueError("triangle vertices must have finite coordinates")
+    # x - x is +0.0 for every finite x, and NaN for an infinity or NaN.
+    if not (fx - fx == 0.0 and fy - fy == 0.0):
+        if kind is _LARGEST_ANGLE:
+            # Far from the origin b * bx can overflow although the foot,
+            # which divides BC as c : b, is finite.
+            r = c / (b + c)
+            fx = bx + (cx - bx) * r
+            fy = by + (cy - by) * r
+        if not (fx - fx == 0.0 and fy - fy == 0.0):
+            raise ValueError("triangle vertices must have finite coordinates")
     # The five edges.  Negating a difference is exact and hypot ignores
     # the sign, so A - F is served by F - A, and so on.
     abx, aby = bx - ax, by - ay
@@ -287,8 +310,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     fc = hypot(fcx, fcy)
     # Twice each child's area, as TriangleNode.__init__ and angles_deg()
     # form it in the child's own vertex order.
-    left_cross = abs(abx * afy - aby * afx)
-    right_cross = abs(afx * acy - afy * acx)
+    left_cross = abx * afy - aby * afx
+    if left_cross < 0.0:
+        left_cross = -left_cross
+    right_cross = afx * acy - afy * acx
+    if right_cross < 0.0:
+        right_cross = -right_cross
     # The longest stored side of the left child (A, B, F) and of the
     # right child (A, F, C).
     left_long = bf
@@ -301,6 +328,12 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
         right_long = b
     if af > right_long:
         right_long = af
+    if left_long <= _UNDERFLOW_SIDE or right_long <= _UNDERFLOW_SIDE:
+        raise DegenerateTriangleError(
+            f"{kind.value} bisection produced a child at depth "
+            f"{t.generation + 1} (parent lineage {t.lineage!r}) whose longest "
+            f"side {min(left_long, right_long)!r} is too small: squared "
+            "lengths underflow")
     limit = 2.0 * DEGENERACY_REL_AREA
     if (left_cross <= limit * left_long * left_long
             or right_cross <= limit * right_long * right_long):
@@ -323,17 +356,16 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
     if kind is _LONGEST_EDGE:
         # angles_deg() of (A, B, F) and of (A, F, C): its edge vectors are
         # AB, AF, BF on the left and AF, AC, FC on the right.
-        degrees = math.degrees
         atan2 = math.atan2
         left._split_angles = (
-            degrees(atan2(left_cross, abx * afx + aby * afy)),
-            degrees(atan2(left_cross, -(bfx * abx + bfy * aby))),
-            degrees(atan2(left_cross, afx * bfx + afy * bfy)),
+            atan2(left_cross, abx * afx + aby * afy) * _RAD_TO_DEG,
+            atan2(left_cross, -(bfx * abx + bfy * aby)) * _RAD_TO_DEG,
+            atan2(left_cross, afx * bfx + afy * bfy) * _RAD_TO_DEG,
         )
         right._split_angles = (
-            degrees(atan2(right_cross, afx * acx + afy * acy)),
-            degrees(atan2(right_cross, -(fcx * afx + fcy * afy))),
-            degrees(atan2(right_cross, acx * fcx + acy * fcy)),
+            atan2(right_cross, afx * acx + afy * acy) * _RAD_TO_DEG,
+            atan2(right_cross, -(fcx * afx + fcy * afy)) * _RAD_TO_DEG,
+            atan2(right_cross, acx * fcx + acy * fcy) * _RAD_TO_DEG,
         )
     return left, right
 
@@ -370,7 +402,7 @@ def _check_squares(longest: float) -> None:
     if not math.isfinite(2.0 * longest * longest):
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too large: squared lengths overflow")
-    if longest * longest < sys.float_info.min:
+    if longest <= _UNDERFLOW_SIDE:
         raise DegenerateTriangleError(
             f"longest side {longest!r} is too small: squared lengths underflow")
 

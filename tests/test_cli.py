@@ -176,6 +176,10 @@ class TestInputErrors:
          "lengths underflow\n"),
         (["compare", "--angles", "60,60,60", "--iterations", "2",
           "--csv", "{bad}"], 2, "error: cannot write {bad}"),
+        # A root above the floor whose children shrink below it.
+        (["refine", "--angles", "60,60,60", "--scale", "1e-153",
+          "--procedure", "longest-edge", "--iterations", "14"], 3,
+         "squared lengths underflow\n"),
     ])
     def test_bad_numbers_and_outputs(self, tmp_path, capsys, monkeypatch,
                                      argv, code, message):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -450,6 +451,16 @@ class TestBisectOracle:
                 checked += len(level)
         assert checked == 150 * (2 ** 7 - 2)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False)
+           | st.floats(-math.pi, math.pi))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(-0.0)
+    def test_degrees_is_one_product(self, x):
+        # bisect and angles_deg() multiply by _RAD_TO_DEG in place of
+        # math.degrees: the same double, bit for bit.
+        assert math.degrees(x).hex() == (x * geometry._RAD_TO_DEG).hex()
+
     @pytest.mark.parametrize("kind", list(ProcedureKind))
     def test_degeneracy_threshold_matches_public_constructor(self, kind):
         # With the threshold set to the smallest value at which the
@@ -793,6 +804,56 @@ class TestConstructors:
         with pytest.raises(DegenerateTriangleError) as info:
             TriangleNode(vertices)
         assert str(info.value) == message
+
+    def test_underflow_side_threshold(self):
+        # bisect's one compare per child is the constructor's underflow
+        # rule: x * x < min iff x <= _UNDERFLOW_SIDE, at the threshold and
+        # on both sides of it.
+        tiny = sys.float_info.min
+        side = geometry._UNDERFLOW_SIDE
+        for x in (math.nextafter(side, 0.0), side,
+                  math.nextafter(side, math.inf)):
+            assert (x * x < tiny) is (x <= side)
+
+    def test_underflowing_child_refused(self):
+        # Children shrink below the root's floor: the always-left
+        # longest-edge walk from a 1e-153 root reaches, at depth 6, a
+        # right child whose vertices TriangleNode() refuses, and bisect
+        # refuses that split too.
+        t = triangle_from_angles_deg(60, 60, 60, scale=1e-153)
+        for _ in range(5):
+            t = bisect(t, ProcedureKind.LONGEST_EDGE)[0]
+        ia = longest_side_vertex(t)
+        a, b, c = (t.vertices[(ia + k) % 3] for k in range(3))
+        foot = ((b.x + c.x) / 2.0, (b.y + c.y) / 2.0)
+        TriangleNode((a, b, foot))
+        with pytest.raises(DegenerateTriangleError,
+                           match="too small: squared lengths underflow"):
+            TriangleNode((a, foot, c))
+        with pytest.raises(DegenerateTriangleError) as info:
+            bisect(t, ProcedureKind.LONGEST_EDGE)
+        assert str(info.value).startswith(
+            "longest-edge bisection produced a child at depth 6 (parent "
+            "lineage '00000') whose longest side ")
+        assert str(info.value).endswith(
+            " is too small: squared lengths underflow")
+
+    @pytest.mark.parametrize("kind", list(ProcedureKind))
+    def test_far_from_origin_splits(self, kind):
+        # A valid triangle far from the origin: b * bx overflows in the
+        # weighted largest-angle foot, which falls back to B + (C - B) * c/w.
+        t = TriangleNode(((1e160, 1e160), (1e160 + 3e150, 1e160),
+                          (1e160, 1e160 + 4e150)))
+        left, right = bisect(t, kind)
+        for child in (left, right):
+            assert child.sides() == TriangleNode(child.vertices).sides()
+        if kind is ProcedureKind.LARGEST_ANGLE:
+            # The right angle is at A; the foot divides BC as c : b = 3 : 4,
+            # to the resolution of coordinates near 1e160 (an ulp is 2e144,
+            # about 1e-6 of a side).
+            b, foot, c = left.vertices[1], left.vertices[2], right.vertices[2]
+            assert (math.dist(b, foot) / math.dist(foot, c)
+                    == pytest.approx(3 / 4, rel=1e-5))
 
     def test_smallest_supported_scale(self):
         t = triangle_from_angles(EQUILATERAL, scale=1e-153)
