@@ -99,6 +99,10 @@ class BaseAngles:
 
     Each angle is read by ``Fraction``; a ``bool``, an infinity or a
     non-number is refused with ``ValueError``, as is a bad sum or order.
+    The hash is computed once, in ``__post_init__``, as
+    ``hash(base.as_tuple())``, the value the generated method would give:
+    a base keys the verifier's memo through every ``RefinementRun``, and
+    ``Fraction.__hash__`` runs in Python.
     """
 
     alpha: Fraction
@@ -119,12 +123,16 @@ class BaseAngles:
                 f"angles must satisfy alpha >= beta >= gamma > 0, got "
                 f"({self.alpha}, {self.beta}, {self.gamma})"
             )
+        object.__setattr__(self, "_hash", hash(self.as_tuple()))
 
     @classmethod
     def from_unordered(cls, a, b, c) -> "BaseAngles":
         """Build from three positive rationals in any order (labels sorted descending)."""
         return cls(*sorted((_fraction(x, "angle") for x in (a, b, c)),
                            reverse=True))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)

@@ -12,6 +12,9 @@ Three splitting procedures are provided:
   angle.
 * ``longest-edge``     -- split along the median to the longest side.
 * ``shortest-altitude``-- split along the altitude to the longest side.
+
+One number rule, ``is_real``, decides what counts as a number for every
+coordinate, angle, side and scale: a real number that is not a ``bool``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import numbers
 import sys
 from enum import Enum
+from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,6 +47,17 @@ while _UNDERFLOW_SIDE * _UNDERFLOW_SIDE >= sys.float_info.min:
     _UNDERFLOW_SIDE = math.nextafter(_UNDERFLOW_SIDE, 0.0)
 # math.degrees(x) is x * (180 / pi) in CPython, bit for bit.
 _RAD_TO_DEG = 180.0 / math.pi
+# The number types the program itself passes, which ``is_real`` accepts by
+# their exact type before the slower ``numbers.Real`` check.
+_REAL_TYPES = frozenset((float, int, Fraction))
+
+
+def is_real(x) -> bool:
+    """True iff ``x`` is a real number and not a ``bool``: the one number
+    rule, the same verdict as ``isinstance(x, numbers.Real) and not
+    isinstance(x, bool)``."""
+    return type(x) in _REAL_TYPES or (
+        isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 class ProcedureKind(Enum):
@@ -113,9 +128,13 @@ class TriangleNode:
                 f"lineage must be a string of 0s and 1s, got {lineage!r}")
         (ax, ay), (bx, by), (cx, cy) = vertices
         for x in (ax, ay, bx, by, cx, cy):
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            if not is_real(x):
                 raise ValueError(f"triangle coordinates must be real numbers, got {x!r}")
-            if not math.isfinite(x):
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:  # an int or Fraction beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError("triangle vertices must have finite coordinates")
         abx, aby = bx - ax, by - ay
         acx, acy = cx - ax, cy - ay
@@ -373,7 +392,7 @@ def bisect(t: TriangleNode, kind: ProcedureKind,
 def positive_float(x, message: str) -> float:
     """``x`` as a float; ``ValueError(message)`` unless ``x`` is a real
     number, not a ``bool``, whose float is positive and finite."""
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    if is_real(x):
         try:
             value = float(x)
         except OverflowError:  # an int or Fraction beyond the float range
@@ -426,12 +445,16 @@ def triangle_from_angles_deg(a1: float, a2: float, a3: float,
     angle and sits above the base.
     """
     for a in (a1, a2, a3):
-        if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        if not is_real(a):
             raise ValueError(f"angles must be real numbers, got {a!r}")
     big, mid, small = sorted((a1, a2, a3), reverse=True)
     if small <= 0:
         raise ValueError("angles must be positive")
-    if not abs(a1 + a2 + a3 - 180.0) <= 1e-9:
+    try:
+        excess = a1 + a2 + a3 - 180.0
+    except OverflowError:  # an int or Fraction sum beyond the float range
+        excess = math.inf
+    if not abs(excess) <= 1e-9:
         raise ValueError(f"angles must sum to 180 degrees, got {(a1, a2, a3)}")
     scale = check_scale(scale)
     _check_squares(scale)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exact_reference import reference_major_collision, reference_value
+from trirefine.engine import RefinementRun
 from trirefine.exact import (
     AngleForm,
     BaseAngles,
@@ -21,6 +22,7 @@ from trirefine.exact import (
     form_units,
     jacobsthal,
 )
+from trirefine.geometry import ProcedureKind
 from trirefine.verifier import (
     ANGLE_FIXTURES,
     check_major_angles_distinct,
@@ -216,6 +218,38 @@ class TestBaseAngles:
         # the base refuses each with ValueError, as positive_float does.
         with pytest.raises(ValueError, match="^angle .* is not a number$"):
             build()
+
+    @pytest.mark.parametrize("builds", [
+        [lambda: BaseAngles(90, 45, 45),
+         lambda: BaseAngles("90", "45", "45"),
+         lambda: BaseAngles(Fraction(180, 2), Fraction(45), 45.0),
+         lambda: BaseAngles.from_unordered(45, 90, 45),
+         lambda: dataclasses.replace(BaseAngles(90, 60, 30), beta=45,
+                                     gamma=45)],
+        [lambda: BaseAngles(Fraction(181, 2), Fraction(179, 4),
+                            Fraction(179, 4)),
+         lambda: BaseAngles("90.5", "44.75", "179/4"),
+         lambda: BaseAngles.from_unordered("179/4", 90.5, "44.75"),
+         lambda: dataclasses.replace(BaseAngles(Fraction(181, 2),
+                                                Fraction(179, 4),
+                                                Fraction(179, 4)))],
+    ], ids=["integers", "fractions"])
+    def test_equal_bases_hash_equal(self, builds):
+        # The hash a base computes once is the tuple's hash, whatever the
+        # angles were built from, so a run keyed on one base is found from
+        # an equal but distinct one, as the verifier's memo needs.
+        bases = [build() for build in builds]
+        first = bases[0]
+        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=3,
+                            base=first)
+        memo = {run: "stats"}
+        for base in bases:
+            assert base == first
+            assert hash(base) == hash(first) == hash(base.as_tuple())
+            other = dataclasses.replace(run, base=base)
+            assert other == run and hash(other) == hash(run)
+            assert memo[other] == "stats"
+        assert len({id(base) for base in bases}) == len(bases)
 
     def test_units(self):
         # One scale for mixed denominators, the lcm of theirs; a shift

@@ -1,6 +1,7 @@
 """Tests for the numeric geometry layer and the three splitting procedures."""
 
 import math
+import numbers
 import random
 import sys
 from decimal import Decimal
@@ -22,7 +23,9 @@ from trirefine.geometry import (
     TriangleNode,
     bisect,
     check_scale,
+    is_real,
     longest_side_vertex,
+    positive_float,
     triangle_from_angles,
     triangle_from_angles_deg,
     triangle_from_sides,
@@ -35,6 +38,15 @@ from trirefine.verifier import (
     random_triangle_angles,
     smallest_angle_vertex,
 )
+
+
+class _FloatSubclass(float):
+    """A real number whose exact type is not one ``is_real`` lists."""
+
+
+class _IntSubclass(int):
+    """An integer whose exact type is not one ``is_real`` lists."""
+
 
 EQUILATERAL = BaseAngles(60, 60, 60)
 RIGHT_ISOSCELES = BaseAngles(90, 45, 45)
@@ -906,6 +918,15 @@ class TestConstructors:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             TriangleNode((Point2(0, 0), Point2(1, 0), Point2(0, math.inf)))
+        # An int or Fraction beyond the float range is not finite either,
+        # refused with the same message, not an OverflowError from
+        # math.isfinite.
+        for x in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+            with pytest.raises(ValueError) as info:
+                TriangleNode(((0, 0), (1, 0), (x, 1)))
+            assert type(info.value) is ValueError
+            assert str(info.value) == ("triangle vertices must have finite "
+                                       "coordinates")
 
     @pytest.mark.parametrize("x", ["0", None, 1j, True, Decimal("0")],
                              ids=["text", "none", "complex", "bool", "decimal"])
@@ -921,6 +942,40 @@ class TestConstructors:
     def test_real_coordinates_accepted(self):
         t = TriangleNode(((0, 0), (Fraction(1), 0), (0, 1.0)))
         assert t.sides() == (math.sqrt(2), 1.0, 1.0)
+
+    @given(st.one_of(
+        st.integers(), st.floats(), st.fractions(), st.booleans(),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.floats().map(_FloatSubclass), st.integers().map(_IntSubclass),
+        st.decimals(allow_nan=False), st.complex_numbers(), st.text(),
+        st.none()))
+    @example(True)
+    @example(_FloatSubclass(1.5))
+    @example(_IntSubclass(2))
+    def test_one_number_rule(self, x):
+        # is_real tests the exact types first, with the verdict of the ABC
+        # rule, and each caller refuses what it refuses with its own message.
+        real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+        assert is_real(x) is real
+        messages = (
+            (lambda: TriangleNode(((x, 0), (1, 0), (0, 1))),
+             f"triangle coordinates must be real numbers, got {x!r}"),
+            (lambda: positive_float(x, "not a positive number"),
+             "not a positive number"),
+            (lambda: triangle_from_angles_deg(x, 90, 90),
+             f"angles must be real numbers, got {x!r}"),
+        )
+        for call, message in messages:
+            try:
+                call()
+                got = None
+            except ValueError as error:
+                got = str(error)
+            if not real:
+                assert got == message
+            elif got == message:
+                # Only positive_float refuses real numbers with its message.
+                assert not 0 < float(x) < math.inf
 
     @pytest.mark.parametrize("lineage", [5, None, b"01", "ab", "012", " 0"])
     def test_bad_lineage_rejected(self, lineage):
@@ -1054,11 +1109,15 @@ class TestConstructors:
         (90, 60, 30 + 1e-6),
         (179, 1, 1),
         (200, 30, 30),
+        (10 ** 400, 1, 1),
+        (1, Fraction(10 ** 400, 3), 1),
     ])
     def test_from_angles_deg_rejects_wrong_sum(self, angles):
         # The law of sines would build a triangle with other angles, e.g.
-        # (85, 10, 85) from (10, 10, 10).
-        with pytest.raises(ValueError, match="sum to 180"):
+        # (85, 10, 85) from (10, 10, 10).  A sum beyond the float range is
+        # a wrong sum too, not an OverflowError.
+        with pytest.raises(ValueError, match="^angles must sum to 180 "
+                                             "degrees, got "):
             triangle_from_angles_deg(*angles)
 
     @pytest.mark.parametrize("angles", [

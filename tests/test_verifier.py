@@ -256,6 +256,22 @@ class TestRunSuite:
         assert max(abs(a - 60), abs(b - 60), abs(c - 60)) < 15.0
 
 
+def test_each_run_refined_at_most_once(monkeypatch):
+    """The suite's memo hands every check that names a run the statistics
+    of one ``refine``: no ``RefinementRun`` is refined twice in a suite."""
+    refined = []
+    real_refine = verifier.refine
+
+    def counting_refine(run):
+        refined.append(run)
+        return real_refine(run)
+
+    monkeypatch.setattr(verifier, "refine", counting_refine)
+    run_suite(depth=4, sweep_size=3, seed=0)
+    assert refined
+    assert len(set(refined)) == len(refined)
+
+
 def test_memoized_roots_are_shared_and_unchanged():
     """Every check runs on one context through its memo, as in
     ``run_suite``.  Each memoized root then equals a fresh build, so no
