@@ -7,8 +7,11 @@ dyadic rationals (p / 2**k), which ``AngleForm`` holds as ``Fraction``s.
 The forms state the carrier closed form the verifier checks.  Values are
 integers over one scale, the base's ``q * 2**shift`` (``BaseAngles.units``),
 exact at any depth: the refinement carries its angles that way, and
-``form_units`` evaluates a form that way, the one evaluator behind
-``evaluate_angle_form`` and ``first_major_angle_collision``.
+``terms_units`` is the one evaluator of a form that way, on its coefficients
+decoded to integer pairs (p, m) for p/2**m.  ``form_units`` decodes a form
+and refuses a denominator above the scale's 2**shift; ``carrier_terms``
+decodes the carrier forms once per generation n, for
+``first_major_angle_collision`` and the verifier's carrier checks.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.
@@ -153,24 +156,37 @@ def _scaled(values, shift: int) -> tuple[tuple[int, ...], int]:
                  for v in values), q << shift
 
 
+Terms = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+
+def _terms(form: AngleForm) -> Terms:
+    """``form``'s coefficients decoded: (p, m) for each coefficient p/2**m."""
+    return tuple((p, d.bit_length() - 1) for p, d in
+                 (c.as_integer_ratio() for c in form.coefficients()))
+
+
+def terms_units(terms: Terms, units: tuple[int, int, int]) -> int:
+    """The value of decoded coefficients ``terms`` at angles ``units`` from
+    ``BaseAngles.units(shift)``, in the same units of 1/(q * 2**shift)
+    degrees: each (p, m) contributes p * (u >> m), exact while m <= shift,
+    because every unit u is a multiple of 2**shift."""
+    (pa, ma), (pb, mb), (pg, mg) = terms
+    a, b, g = units
+    return pa * (a >> ma) + pb * (b >> mb) + pg * (g >> mg)
+
+
 def form_units(form: AngleForm, units: tuple[int, int, int], shift: int) -> int:
     """The value of ``form`` at angles ``units`` from ``BaseAngles.units(shift)``,
-    in the same units of 1/(q * 2**shift) degrees.
-
-    A coefficient p/2**m contributes p * (u >> m), exact because every unit
-    u is a multiple of 2**shift; a coefficient with m > shift raises
+    by ``terms_units``; a coefficient p/2**m with m > shift raises
     ``ValueError``.
     """
-    a, b, g = units
-    total = 0
-    for c, u in ((form.c_alpha, a), (form.c_beta, b), (form.c_gamma, g)):
-        p, d = c.as_integer_ratio()
-        if d >> shift > 1:
+    terms = _terms(form)
+    for c, (_, m) in zip(form.coefficients(), terms):
+        if m > shift:
             raise ValueError(
                 f"angle form coefficient {c} has a denominator above "
                 f"2**{shift}")
-        total += p * (u >> d.bit_length() - 1)
-    return total
+    return terms_units(terms, units)
 
 
 def evaluate_angle_form(form: AngleForm, base: BaseAngles) -> Fraction:
@@ -214,13 +230,24 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     return major, minor
 
 
+@lru_cache(maxsize=64)
+def carrier_terms(n: int) -> tuple[Terms, Terms]:
+    """``carrier_angle_forms(n)`` decoded for ``terms_units``, once per int
+    ``n`` (the last 64 are kept): exact at any shift >= n, the largest
+    denominator being 2**n.  Keyed by ``n``, not by a form, whose hash runs
+    three ``Fraction.__hash__`` calls."""
+    major, minor = carrier_angle_forms(n)
+    return _terms(major), _terms(minor)
+
+
 def first_major_angle_collision(alpha: Fraction, beta: Fraction,
                                 n_max: int) -> tuple[int, int] | None:
     """First (p, q), p < q <= n_max, with major(p) == major(q), or None.
 
     major(n) is the major form of ``carrier_angle_forms(n)``, evaluated
-    exactly at any positive (alpha, beta) in either order, as an integer
-    at the scale ``q * 2**n_max``, q the lcm of their denominators.  Equal
+    exactly at any positive (alpha, beta) in either order, by
+    ``terms_units`` on ``carrier_terms(n)``, as an integer at the scale
+    ``q * 2**n_max``, q the lcm of their denominators.  Equal
     values occur only when alpha == 2*beta; then every major(n) is alpha.
     alpha and beta are read as ``BaseAngles`` reads an angle.
     """
@@ -231,7 +258,7 @@ def first_major_angle_collision(alpha: Fraction, beta: Fraction,
     units, _ = _scaled((alpha, beta, 0), n_max)
     seen: dict[int, int] = {}
     for n in range(1, n_max + 1):
-        value = form_units(carrier_angle_forms(n)[0], units, n_max)
+        value = terms_units(carrier_terms(n)[0], units)
         if value in seen:
             return (seen[value], n)
         seen[value] = n

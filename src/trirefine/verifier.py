@@ -23,6 +23,11 @@ Tolerances: exact-arithmetic checks use zero tolerance; single-step float
 identities use 1e-12; multi-generation float aggregates use 1e-9.  Failures
 are reported, never repaired: a violated bound would show up as a negative
 margin with the witness that produced it.
+
+Exact checks work in integers at a run's scale (``BaseAngles.units``) and
+turn a margin into a float by one ``int / int`` true division.  That
+division rounds correctly, as ``float(Fraction)`` does, so each margin
+equals the float of the same quantity in ``Fraction`` degrees bit for bit.
 """
 
 from __future__ import annotations
@@ -38,12 +43,13 @@ from .exact import (
     BaseAngles,
     FORM_GAMMA,
     carrier_angle_forms,
+    carrier_terms,
     check_int,
     # Unused here; bound so the benchmark tracer can wrap it by attribute.
     evaluate_angle_form,
     first_major_angle_collision,
-    form_units,
     jacobsthal,
+    terms_units,
 )
 from .engine import (
     GenerationStats,
@@ -363,11 +369,9 @@ def _m_carrier_dominates(spec, runs):
     units, scale = spec["base"].units(CARRIER_SHIFT)
     gamma = units[2]
     for n in range(1, CARRIER_N_MAX + 1):
-        major, minor = carrier_angle_forms(n)
-        big = form_units(major, units, CARRIER_SHIFT)
-        small = form_units(minor, units, CARRIER_SHIFT)
-        # Integer true division rounds correctly, as float(Fraction) does.
-        yield min(big - small, big - gamma) / scale, n
+        major, minor = carrier_terms(n)
+        big = terms_units(major, units)
+        yield min(big - terms_units(minor, units), big - gamma) / scale, n
 
 
 @_check("dyadic-halve-add-roundtrip", TOL_EXACT,
@@ -513,26 +517,39 @@ def _m_symbolic_numeric(spec, runs):
 # Largest-angle run aggregates (exact mode)
 # ---------------------------------------------------------------------------
 
+def _at_scale(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Exact angle minima in integer units of 1/scale degrees.  ``scale``
+    is the one ``refine`` made them at, ``base.units(len(stats))[1]``, so
+    each denominator divides it."""
+    return [p * (scale // q)
+            for p, q in (v.as_integer_ratio() for v in values)]
+
+
 @_per_stats("min-angle-equals-min-gamma-half-alpha", TOL_EXACT,
             ProcedureKind.LARGEST_ANGLE)
 def _m_min_angle_identity(stats, base):
-    expected = min(base.gamma, base.alpha / 2)
+    (alpha, _, gamma), scale = base.units(len(stats))
+    expected = min(gamma, alpha >> 1)
     yield 0.0, 0  # the margin and witness when every generation is exact
-    for row in stats[1:]:
-        diff = row.min_angle_deg - expected
-        if diff != 0:
-            yield -abs(float(diff)), row.n
+    rows = stats[1:]
+    for row, got in zip(rows, _at_scale((row.min_angle_deg for row in rows),
+                                        scale)):
+        if got != expected:
+            yield -abs(got - expected) / scale, row.n
 
 
 @_per_stats("next-largest-angle-inequality", TOL_EXACT,
             ProcedureKind.LARGEST_ANGLE)
 def _m_step_inequality(stats, base):
     # For consecutive generations: half the next smallest-largest angle is
-    # at least min(current smallest angle, half the current smallest-largest).
+    # at least min(current smallest angle, half the current smallest-largest),
+    # here in half units, of 1/(2 * scale) degrees.
+    scale = base.units(len(stats))[1]
+    smallest = _at_scale((row.min_angle_deg for row in stats), scale)
+    largest = _at_scale((row.min_largest_angle_deg for row in stats), scale)
     for n in range(len(stats) - 1):
-        diff = (stats[n + 1].min_largest_angle_deg / 2
-                - min(stats[n].min_angle_deg, stats[n].min_largest_angle_deg / 2))
-        yield float(diff), n
+        diff = largest[n + 1] - min(2 * smallest[n], largest[n])
+        yield diff / (2 * scale), n
 
 
 @_per_stats("mesh-two-step-contraction", TOL_SINGLE_STEP,
@@ -624,9 +641,9 @@ def _m_carrier_closed_form(spec, runs):
     track, _ = carrier_units(base, CARRIER_N_MAX)
     units, _ = base.units(CARRIER_SHIFT)
     for n, (major, minor, kept) in enumerate(track, start=1):
-        form_major, form_minor = carrier_angle_forms(n)
-        if (major != form_units(form_major, units, CARRIER_SHIFT)
-                or minor != form_units(form_minor, units, CARRIER_SHIFT)
+        terms_major, terms_minor = carrier_terms(n)
+        if (major != terms_units(terms_major, units)
+                or minor != terms_units(terms_minor, units)
                 or kept != units[2]):
             return -1.0, dict(spec, n=n)
     return 0.0, dict(spec, n=0)

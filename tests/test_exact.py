@@ -17,14 +17,17 @@ from trirefine.exact import (
     FORM_BETA,
     FORM_GAMMA,
     carrier_angle_forms,
+    carrier_terms,
     evaluate_angle_form,
     first_major_angle_collision,
     form_units,
     jacobsthal,
+    terms_units,
 )
 from trirefine.geometry import ProcedureKind
 from trirefine.verifier import (
     ANGLE_FIXTURES,
+    COLLISION_PAIRS,
     check_major_angles_distinct,
     random_valid_base,
 )
@@ -334,6 +337,23 @@ class TestFormUnits:
                     assert Fraction(form_units(form, units, n),
                                     scale) == written_out(form, base)
 
+    def test_carrier_terms_match_form_units(self):
+        # The carrier terms are decoded once per n; evaluated, they give
+        # what decoding each form again gives, at the least exact shift n
+        # and at shift 64, for the fixtures, random bases and the raw
+        # collision pairs.
+        angles = [base.as_tuple() for base in self.bases()]
+        angles += [(alpha, beta, Fraction(0)) for alpha, beta in COLLISION_PAIRS]
+        for values in angles:
+            q = math.lcm(*(v.denominator for v in values))
+            for n in range(1, 65):
+                for shift in (n, 64):
+                    units = tuple(int(v * q) << shift for v in values)
+                    for terms, form in zip(carrier_terms(n),
+                                           carrier_angle_forms(n)):
+                        assert terms_units(terms, units) == \
+                            form_units(form, units, shift), (values, n, shift)
+
     def test_shift_too_small_rejected(self):
         units, _ = EQUILATERAL.units(3)
         with pytest.raises(ValueError, match="denominator above 2\\*\\*3"):
@@ -446,8 +466,8 @@ class TestMajorAngleDistinctness:
            st.fractions(min_value=Fraction(1, 50), max_value=Fraction(179),
                         max_denominator=50))
     def test_distinctness_matches_oracle(self, alpha, beta):
-        got = first_major_angle_collision(alpha, beta, 8)
-        assert got == self.pairwise_distinct_oracle(alpha, beta, 8)
+        got = first_major_angle_collision(alpha, beta, 40)
+        assert got == self.pairwise_distinct_oracle(alpha, beta, 40)
 
     def test_small_n_max_rejected(self):
         with pytest.raises(ValueError):

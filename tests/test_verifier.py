@@ -3,9 +3,11 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact_reference import (
     ROOT_FORMS,
@@ -13,7 +15,8 @@ from exact_reference import (
     reference_major_collision,
     reference_value,
 )
-from trirefine import verifier
+from trirefine import exact, verifier
+from trirefine.engine import ProcedureKind, RefinementRun, refine
 from trirefine.exact import BaseAngles, carrier_angle_forms
 from trirefine.geometry import (
     TriangleNode,
@@ -368,6 +371,118 @@ def test_carrier_checks_match_fraction_reference():
     assert seen == {"carrier-major-dominates": 34,
                     "carrier-track-matches-closed-form": 34,
                     "major-angles-distinct": 33}
+
+
+def test_carrier_terms_decoded_once_per_generation(monkeypatch):
+    """Two suites in a row decode each carrier generation's coefficients
+    at most once: ``carrier_terms`` caches them by n, and no check decodes
+    a form per evaluation."""
+    decoded = []
+    real_terms = exact._terms
+
+    def counting_terms(form):
+        decoded.append(form)
+        return real_terms(form)
+
+    monkeypatch.setattr(exact, "_terms", counting_terms)
+    exact.carrier_terms.cache_clear()
+    run_suite(depth=4, sweep_size=3, seed=0)
+    run_suite(depth=4, sweep_size=3, seed=0)
+    misses = exact.carrier_terms.cache_info().misses
+    assert 0 < misses <= verifier.CARRIER_N_MAX
+    assert len(decoded) == 2 * misses
+
+
+def fraction_min_angle_pairs(stats, base):
+    """min-angle-equals-min-gamma-half-alpha's (margin, n) pairs, computed
+    in ``Fraction`` degrees: the oracle of the integer kernel."""
+    expected = min(base.gamma, base.alpha / 2)
+    yield 0.0, 0
+    for row in stats[1:]:
+        diff = row.min_angle_deg - expected
+        if diff != 0:
+            yield -abs(float(diff)), row.n
+
+
+def fraction_step_pairs(stats, base):
+    """next-largest-angle-inequality's (margin, n) pairs, computed in
+    ``Fraction`` degrees: the oracle of the integer kernel."""
+    for n in range(len(stats) - 1):
+        diff = (stats[n + 1].min_largest_angle_deg / 2
+                - min(stats[n].min_angle_deg,
+                      stats[n].min_largest_angle_deg / 2))
+        yield float(diff), n
+
+
+def assert_statistics_kernels_match(stats, base):
+    """Both statistics kernels yield their oracle's pairs, margins compared
+    by ``float.hex`` (so a sign of zero counts); returns the margins."""
+    margins = []
+    for kernel, oracle in (
+            (verifier._m_min_angle_identity, fraction_min_angle_pairs),
+            (verifier._m_step_inequality, fraction_step_pairs)):
+        got = [(margin.hex(), n) for margin, n in kernel(stats, base)]
+        assert got == [(margin.hex(), n) for margin, n in oracle(stats, base)]
+        margins += [float.fromhex(margin) for margin, _ in got]
+    return margins
+
+
+def largest_angle_stats(base, depth):
+    return refine(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
+                                depth=depth, base=base)).stats
+
+
+def with_minima_offsets(stats, base, offsets):
+    """``stats`` with each generation's two minima moved by a pair of
+    ``offsets``, in units of the run's scale, where ``refine`` puts them."""
+    scale = base.units(len(stats))[1]
+    return [replace(row,
+                    min_angle_deg=row.min_angle_deg + Fraction(da, scale),
+                    min_largest_angle_deg=(row.min_largest_angle_deg
+                                           + Fraction(dl, scale)))
+            for row, (da, dl) in zip(stats, offsets)]
+
+
+class TestStatisticsKernelsMatchFractions:
+    """The two statistics checks work in integers at the run's scale; their
+    (margin, n) pairs equal those of the ``Fraction`` expressions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12))
+    def test_random_bases(self, seed, depth):
+        base = random_valid_base(random.Random(seed))
+        margins = assert_statistics_kernels_match(
+            largest_angle_stats(base, depth), base)
+        assert min(margins) == 0.0
+
+    @pytest.mark.parametrize("base", verifier.ANGLE_FIXTURES)
+    def test_fixtures(self, base):
+        for depth in (1, 2, 5, 12):
+            assert_statistics_kernels_match(largest_angle_stats(base, depth),
+                                            base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.data())
+    def test_minima_that_break_the_identities(self, seed, depth, data):
+        # No real run reaches the branch of a broken identity; minima
+        # moved by up to a degree either way do.
+        base = random_valid_base(random.Random(seed))
+        stats = largest_angle_stats(base, depth)
+        scale = base.units(len(stats))[1]
+        offset = st.integers(-scale, scale)
+        offsets = data.draw(st.lists(st.tuples(offset, offset),
+                                     min_size=len(stats),
+                                     max_size=len(stats)))
+        assert_statistics_kernels_match(
+            with_minima_offsets(stats, base, offsets), base)
+
+    @pytest.mark.parametrize("base", verifier.ANGLE_FIXTURES)
+    def test_fixture_minima_that_break_the_identities(self, base):
+        stats = largest_angle_stats(base, 6)
+        offsets = [(0, 0), (-1, 0), (0, -3), (5, 0), (0, 0), (0, 0), (0, 7)]
+        margins = assert_statistics_kernels_match(
+            with_minima_offsets(stats, base, offsets), base)
+        assert min(margins) < 0
 
 
 @pytest.mark.slow
