@@ -7,11 +7,12 @@ dyadic rationals (p / 2**k), which ``AngleForm`` holds as ``Fraction``s.
 The forms state the carrier closed form the verifier checks.  Values are
 integers over one scale, the base's ``q * 2**shift`` (``BaseAngles.units``),
 exact at any depth: the refinement carries its angles that way, and
-``terms_units`` is the one evaluator of a form that way, on its coefficients
-decoded to integer pairs (p, m) for p/2**m.  ``form_units`` decodes a form
-and refuses a denominator above the scale's 2**shift; ``carrier_terms``
-decodes the carrier forms once per generation n, for
-``first_major_angle_collision`` and the verifier's carrier checks.
+``carrier_major_minor`` is the one integer evaluator of the carrier, by its
+closed form major(n) = 2(alpha + beta)/3 + d_n and
+minor(n) = (alpha + beta)/3 - d_n, with d_n = (-1)**n (alpha - 2 beta) /
+(3 * 2**n); ``first_major_angle_collision`` and the verifier's carrier
+checks call it.
+``evaluate_angle_form`` is a form's exact ``Fraction`` value in degrees.
 
 Angles are measured in degrees throughout this module; conversion to
 radians happens only at the numeric geometry boundary.
@@ -156,44 +157,11 @@ def _scaled(values, shift: int) -> tuple[tuple[int, ...], int]:
                  for v in values), q << shift
 
 
-Terms = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
-def _terms(form: AngleForm) -> Terms:
-    """``form``'s coefficients decoded: (p, m) for each coefficient p/2**m."""
-    return tuple((p, d.bit_length() - 1) for p, d in
-                 (c.as_integer_ratio() for c in form.coefficients()))
-
-
-def terms_units(terms: Terms, units: tuple[int, int, int]) -> int:
-    """The value of decoded coefficients ``terms`` at angles ``units`` from
-    ``BaseAngles.units(shift)``, in the same units of 1/(q * 2**shift)
-    degrees: each (p, m) contributes p * (u >> m), exact while m <= shift,
-    because every unit u is a multiple of 2**shift."""
-    (pa, ma), (pb, mb), (pg, mg) = terms
-    a, b, g = units
-    return pa * (a >> ma) + pb * (b >> mb) + pg * (g >> mg)
-
-
-def form_units(form: AngleForm, units: tuple[int, int, int], shift: int) -> int:
-    """The value of ``form`` at angles ``units`` from ``BaseAngles.units(shift)``,
-    by ``terms_units``; a coefficient p/2**m with m > shift raises
-    ``ValueError``.
-    """
-    terms = _terms(form)
-    for c, (_, m) in zip(form.coefficients(), terms):
-        if m > shift:
-            raise ValueError(
-                f"angle form coefficient {c} has a denominator above "
-                f"2**{shift}")
-    return terms_units(terms, units)
-
-
 def evaluate_angle_form(form: AngleForm, base: BaseAngles) -> Fraction:
-    """Instantiate a symbolic angle at concrete base angles, exactly, in degrees."""
-    shift = max(c.denominator for c in form.coefficients()).bit_length() - 1
-    units, scale = base.units(shift)
-    return Fraction(form_units(form, units, shift), scale)
+    """Instantiate a symbolic angle at concrete base angles, exactly, in
+    degrees: the ``Fraction`` sum c_alpha*alpha + c_beta*beta + c_gamma*gamma."""
+    return (form.c_alpha * base.alpha + form.c_beta * base.beta
+            + form.c_gamma * base.gamma)
 
 
 def jacobsthal(n: int) -> int:
@@ -216,8 +184,8 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
         minor(n) = j(n)/2**n   * alpha + j(n-1)/2**(n-1) * beta
 
     where j is the ``jacobsthal`` sequence.  major(n) is the angle bisected
-    on the way to generation n+1; major(n) >= minor(n) and major(n) >= gamma
-    for every valid base.
+    on the way to generation n+1; major(n) > minor(n) and major(n) >= gamma
+    for every valid base, as ``carrier_major_minor`` proves.
 
     The forms do not depend on the base, so they are built once per ``n``
     (the last 64 are kept) and every caller shares the returned objects.
@@ -230,37 +198,62 @@ def carrier_angle_forms(n: int) -> tuple[AngleForm, AngleForm]:
     return major, minor
 
 
-@lru_cache(maxsize=64)
-def carrier_terms(n: int) -> tuple[Terms, Terms]:
-    """``carrier_angle_forms(n)`` decoded for ``terms_units``, once per int
-    ``n`` (the last 64 are kept): exact at any shift >= n, the largest
-    denominator being 2**n.  Keyed by ``n``, not by a form, whose hash runs
-    three ``Fraction.__hash__`` calls."""
-    major, minor = carrier_angle_forms(n)
-    return _terms(major), _terms(minor)
+def carrier_major_minor(n: int, a: int, b: int) -> tuple[int, int]:
+    """The carrier's (major(n), minor(n)) at alpha = ``a`` and beta = ``b``
+    in the units of ``BaseAngles.units(shift)``, shift >= n, in the same
+    units: the one integer evaluator of the carrier, by the closed form of
+    ``carrier_angle_forms(n)``
+
+        major(n) = 2(alpha + beta)/3 + d_n,  minor(n) = (alpha + beta)/3 - d_n,
+        d_n = (-1)**n (alpha - 2 beta) / (3 * 2**n).
+
+    ``n`` is an int >= 1 by ``check_int``; ``ValueError`` unless ``a`` and
+    ``b`` are multiples of 2**n.
+
+    Both divisions by 3 are exact.  With a = 2**n A and b = 2**n B, the
+    numerators are 2**(n+1) (A + B) + (-1)**n (A - 2B) and
+    2**n (A + B) - (-1)**n (A - 2B); as 2**n = (-1)**n (mod 3), they are
+    (-1)**n 3A and (-1)**n 3B (mod 3).
+
+    |d_n| = |alpha - 2 beta| / (3 * 2**n) halves with each n, so for
+    alpha != 2 beta it strictly decreases: the majors, a constant plus d_n,
+    are pairwise distinct.  alpha = 2 beta makes every d_n 0, and then
+    major(n) = 2 (3 beta)/3 = alpha for every n.
+
+    For a valid base (alpha >= beta >= gamma > 0), major - minor =
+    (alpha + beta)/3 + 2 d_n > 0: |2 d_n| <= |alpha - 2 beta|/3 for n >= 1,
+    and |alpha - 2 beta| < alpha + beta because 0 < beta < 2 alpha.  So
+    major > (major + minor)/2 = (180 - gamma)/2 >= gamma, as gamma <= 60.
+    """
+    check_int(n, "n", 1)
+    if (a | b) & ((1 << n) - 1):
+        raise ValueError(f"angle units {a}, {b} are not multiples of 2**{n}")
+    d = (a - 2 * b) >> n
+    if n & 1:
+        d = -d
+    return (2 * (a + b) + d) // 3, (a + b - d) // 3
 
 
 def first_major_angle_collision(alpha: Fraction, beta: Fraction,
                                 n_max: int) -> tuple[int, int] | None:
     """First (p, q), p < q <= n_max, with major(p) == major(q), or None.
 
-    major(n) is the major form of ``carrier_angle_forms(n)``, evaluated
-    exactly at any positive (alpha, beta) in either order, by
-    ``terms_units`` on ``carrier_terms(n)``, as an integer at the scale
-    ``q * 2**n_max``, q the lcm of their denominators.  Equal
-    values occur only when alpha == 2*beta; then every major(n) is alpha.
-    alpha and beta are read as ``BaseAngles`` reads an angle.
+    major(n) is the carrier's major angle, evaluated exactly at any
+    positive (alpha, beta) in either order by ``carrier_major_minor``, as
+    an integer at the scale ``q * 2**n_max``, q the lcm of their
+    denominators.  Equal values occur only when alpha == 2*beta; then every
+    major(n) is alpha.  alpha and beta are read as ``BaseAngles`` reads an
+    angle.
     """
     check_int(n_max, "n_max", 1)
     alpha, beta = _fraction(alpha, "alpha"), _fraction(beta, "beta")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    units, _ = _scaled((alpha, beta, 0), n_max)
+    (a, b), _ = _scaled((alpha, beta), n_max)
     seen: dict[int, int] = {}
     for n in range(1, n_max + 1):
-        value = terms_units(carrier_terms(n)[0], units)
+        value = carrier_major_minor(n, a, b)[0]
         if value in seen:
             return (seen[value], n)
         seen[value] = n
     return None
-

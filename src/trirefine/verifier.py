@@ -43,13 +43,12 @@ from .exact import (
     BaseAngles,
     FORM_GAMMA,
     carrier_angle_forms,
-    carrier_terms,
+    carrier_major_minor,
     check_int,
     # Unused here; bound so the benchmark tracer can wrap it by attribute.
     evaluate_angle_form,
     first_major_angle_collision,
     jacobsthal,
-    terms_units,
 )
 from .engine import (
     GenerationStats,
@@ -81,7 +80,7 @@ TOL_SYMBOLIC_NUMERIC = 1e-7
 FLAT_START_ASPECT_BOUND = math.sin(math.radians(54.0)) / math.cos(math.radians(7.5))
 
 CARRIER_N_MAX = 20
-# The carrier checks evaluate forms at ``base.units(CARRIER_SHIFT)``, the
+# The carrier checks work in the units of ``base.units(CARRIER_SHIFT)``, the
 # scale of ``carrier_units`` at depth CARRIER_N_MAX.
 CARRIER_SHIFT = CARRIER_N_MAX + 1
 
@@ -366,12 +365,10 @@ def _m_carrier_sum(spec, runs):
 @_per_generation("carrier-major-dominates", TOL_EXACT,
                  lambda ctx: [{"base": base} for base in ctx.bases])
 def _m_carrier_dominates(spec, runs):
-    units, scale = spec["base"].units(CARRIER_SHIFT)
-    gamma = units[2]
+    (a, b, gamma), scale = spec["base"].units(CARRIER_SHIFT)
     for n in range(1, CARRIER_N_MAX + 1):
-        major, minor = carrier_terms(n)
-        big = terms_units(major, units)
-        yield min(big - terms_units(minor, units), big - gamma) / scale, n
+        major, minor = carrier_major_minor(n, a, b)
+        yield min(major - minor, major - gamma) / scale, n
 
 
 @_check("dyadic-halve-add-roundtrip", TOL_EXACT,
@@ -639,12 +636,9 @@ def _m_max_aspect_observed(spec, runs):
 def _m_carrier_closed_form(spec, runs):
     base = spec["base"]
     track, _ = carrier_units(base, CARRIER_N_MAX)
-    units, _ = base.units(CARRIER_SHIFT)
+    (a, b, gamma), _ = base.units(CARRIER_SHIFT)
     for n, (major, minor, kept) in enumerate(track, start=1):
-        terms_major, terms_minor = carrier_terms(n)
-        if (major != terms_units(terms_major, units)
-                or minor != terms_units(terms_minor, units)
-                or kept != units[2]):
+        if (major, minor) != carrier_major_minor(n, a, b) or kept != gamma:
             return -1.0, dict(spec, n=n)
     return 0.0, dict(spec, n=0)
 

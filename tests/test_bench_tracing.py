@@ -54,3 +54,4 @@ def test_traced_runs_match_closed_forms(tmp_path, monkeypatch):
     assert tracer.work["verifier.refine.calls"] > 0
     assert tracer.spans["engine.refine"][0] > tracer.work["verifier.refine.calls"]
     assert tracer.spans["geometry.bisect"][0] > 0
+    assert tracer.spans["exact"][0] > 0

@@ -17,12 +17,10 @@ from trirefine.exact import (
     FORM_BETA,
     FORM_GAMMA,
     carrier_angle_forms,
-    carrier_terms,
+    carrier_major_minor,
     evaluate_angle_form,
     first_major_angle_collision,
-    form_units,
     jacobsthal,
-    terms_units,
 )
 from trirefine.geometry import ProcedureKind
 from trirefine.verifier import (
@@ -302,7 +300,17 @@ def written_out(form: AngleForm, base: BaseAngles) -> Fraction:
     return reference_value(form, *base.as_tuple())
 
 
+def units_value(form: AngleForm, units) -> int:
+    """Oracle: ``form``'s value in the units of ``BaseAngles.units(shift)``,
+    each coefficient p/2**m adding p * (u >> m), exact while m <= shift."""
+    return sum(c.numerator * (u >> (c.denominator.bit_length() - 1))
+               for c, u in zip(form.coefficients(), units))
+
+
 class TestFormUnits:
+    """Values in the integer units of ``BaseAngles.units``: a form's, and the
+    carrier's by ``carrier_major_minor``."""
+
     def bases(self):
         rng = random.Random(16)
         return list(ANGLE_FIXTURES) + [random_valid_base(rng) for _ in range(50)]
@@ -318,50 +326,55 @@ class TestFormUnits:
         forms += [AngleForm(coefficient(), coefficient(), coefficient())
                   for _ in range(40)]
         for base in self.bases():
+            expected = [written_out(form, base) for form in forms]
+            assert [evaluate_angle_form(form, base)
+                    for form in forms] == expected, base
             for shift in (40, 41, 57):
                 units, scale = base.units(shift)
-                for form in forms:
-                    expected = written_out(form, base)
-                    assert Fraction(form_units(form, units, shift),
-                                    scale) == expected, (base, form, shift)
-        for base in self.bases()[:8]:
-            for form in forms:
-                assert evaluate_angle_form(form, base) == written_out(form, base)
+                assert [Fraction(units_value(form, units), scale)
+                        for form in forms] == expected, (base, shift)
 
     def test_exact_at_the_coefficients_own_shift(self):
-        # major(n) has denominators up to 2**n: shift n is the least exact.
+        # major(n) and minor(n) have denominators up to 2**n: shift n is
+        # the least exact.
         for base in self.bases():
-            for n in range(1, 41):
-                units, scale = base.units(n)
-                for form in carrier_angle_forms(n):
-                    assert Fraction(form_units(form, units, n),
-                                    scale) == written_out(form, base)
-
-    def test_carrier_terms_match_form_units(self):
-        # The carrier terms are decoded once per n; evaluated, they give
-        # what decoding each form again gives, at the least exact shift n
-        # and at shift 64, for the fixtures, random bases and the raw
-        # collision pairs.
-        angles = [base.as_tuple() for base in self.bases()]
-        angles += [(alpha, beta, Fraction(0)) for alpha, beta in COLLISION_PAIRS]
-        for values in angles:
-            q = math.lcm(*(v.denominator for v in values))
             for n in range(1, 65):
                 for shift in (n, 64):
-                    units = tuple(int(v * q) << shift for v in values)
-                    for terms, form in zip(carrier_terms(n),
-                                           carrier_angle_forms(n)):
-                        assert terms_units(terms, units) == \
-                            form_units(form, units, shift), (values, n, shift)
+                    (a, b, _), scale = base.units(shift)
+                    assert carrier_major_minor(n, a, b) == tuple(
+                        evaluate_angle_form(form, base) * scale
+                        for form in carrier_angle_forms(n)), (base, n, shift)
+
+    def test_carrier_terms_match_form_units(self):
+        # Raw (alpha, beta) pairs in both orders, which need not be a valid
+        # base: the bases' and the collision pairs, against the forms'
+        # written-out sums, at the least exact shift n and at shift 64.
+        pairs = [base.as_tuple()[:2] for base in self.bases()]
+        pairs += COLLISION_PAIRS
+        for alpha, beta in pairs:
+            for values in ((alpha, beta), (beta, alpha)):
+                q = math.lcm(*(v.denominator for v in values))
+                for n in range(1, 65):
+                    for shift in (n, 64):
+                        a, b = (int(v * q) << shift for v in values)
+                        assert carrier_major_minor(n, a, b) == tuple(
+                            reference_value(form, *values) * (q << shift)
+                            for form in carrier_angle_forms(n)), \
+                            (values, n, shift)
 
     def test_shift_too_small_rejected(self):
-        units, _ = EQUILATERAL.units(3)
-        with pytest.raises(ValueError, match="denominator above 2\\*\\*3"):
-            form_units(carrier_angle_forms(4)[1], units, 3)
-        with pytest.raises(ValueError):
-            form_units(AngleForm(0, 0, Fraction(1, 16)), units, 3)
-        assert form_units(carrier_angle_forms(3)[0], units, 3) == \
-            written_out(carrier_angle_forms(3)[0], EQUILATERAL) * 8
+        # 89 is odd, so alpha in the units of shift 3 is no multiple of 2**4;
+        # beta, 46, is.
+        odd = BaseAngles(89, 46, 45)
+        (a, b, _), _ = odd.units(3)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="not multiples of 2\\*\\*4"):
+                carrier_major_minor(4, *pair)
+        for base in (odd, EQUILATERAL):
+            (a, b, _), scale = base.units(3)
+            assert carrier_major_minor(3, a, b) == tuple(
+                written_out(form, base) * scale
+                for form in carrier_angle_forms(3))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +407,18 @@ class TestCarrierForms:
             forms = carrier_angle_forms(n)
             assert carrier_angle_forms(n) is forms
             assert forms == carrier_angle_forms.__wrapped__(n)
+
+    def test_jacobsthal_forms_equal_the_closed_form(self):
+        # major(n) = 2(alpha+beta)/3 + d_n and minor(n) = (alpha+beta)/3 - d_n
+        # with d_n = (-1)**n (alpha - 2*beta) / (3 * 2**n), coefficient by
+        # coefficient: carrier_major_minor evaluates this closed form.
+        for n in range(1, 65):
+            d = Fraction((-1) ** n, 3 << n)
+            major, minor = carrier_angle_forms(n)
+            assert major.coefficients() == (Fraction(2, 3) + d,
+                                            Fraction(2, 3) - 2 * d, 0)
+            assert minor.coefficients() == (Fraction(1, 3) - d,
+                                            Fraction(1, 3) + 2 * d, 0)
 
     def test_coefficient_sum_is_unity(self):
         for n in range(1, 41):

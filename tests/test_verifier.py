@@ -15,7 +15,7 @@ from exact_reference import (
     reference_major_collision,
     reference_value,
 )
-from trirefine import exact, verifier
+from trirefine import verifier
 from trirefine.engine import ProcedureKind, RefinementRun, refine
 from trirefine.exact import BaseAngles, carrier_angle_forms
 from trirefine.geometry import (
@@ -371,26 +371,6 @@ def test_carrier_checks_match_fraction_reference():
     assert seen == {"carrier-major-dominates": 34,
                     "carrier-track-matches-closed-form": 34,
                     "major-angles-distinct": 33}
-
-
-def test_carrier_terms_decoded_once_per_generation(monkeypatch):
-    """Two suites in a row decode each carrier generation's coefficients
-    at most once: ``carrier_terms`` caches them by n, and no check decodes
-    a form per evaluation."""
-    decoded = []
-    real_terms = exact._terms
-
-    def counting_terms(form):
-        decoded.append(form)
-        return real_terms(form)
-
-    monkeypatch.setattr(exact, "_terms", counting_terms)
-    exact.carrier_terms.cache_clear()
-    run_suite(depth=4, sweep_size=3, seed=0)
-    run_suite(depth=4, sweep_size=3, seed=0)
-    misses = exact.carrier_terms.cache_info().misses
-    assert 0 < misses <= verifier.CARRIER_N_MAX
-    assert len(decoded) == 2 * misses
 
 
 def fraction_min_angle_pairs(stats, base):
