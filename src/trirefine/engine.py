@@ -17,8 +17,8 @@ One depth-first loop in ``refine`` walks the tree for every procedure and
 both modes, carrying each node's generation and three angles beside it on
 the stack (a node carries geometry only).  In exact-base mode
 (largest-angle procedure from rational angles) the angles are integers at
-the run's scale q * 2**(depth+1) from ``BaseAngles.units``, as in
-``track_carrier``, so angle statistics and similarity keys are exact;
+the run's scale q * 2**(depth+1) from ``BaseAngles.units``, split by
+``split_units``, so angle statistics and similarity keys are exact;
 numeric mode carries floats and quantizes them to 1e-9 degrees for class
 counting, and splits every node at the vertex opposite its first longest
 side, which carries its largest angle.  An exact key is one int packed at
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import BaseAngles, check_int
+from .exact import BaseAngles, carrier_major_minor, check_int
 from .geometry import (
     ProcedureKind,
     TriangleNode,
@@ -355,42 +355,16 @@ def split_units(units: tuple[int, int, int]
     return ia, (half, vb, half + vc), (half, half + vb, vc)
 
 
-def carrier_units(base: BaseAngles, depth: int
-                  ) -> tuple[list[tuple[int, int, int]], int]:
-    """The carrier's angles for generations 1 .. depth as integers, and
-    their scale: ``base.units(depth + 1)``'s, a refine's of that depth.
-
-    The carrier is the child that keeps the vertex labeled gamma at every
-    split; a triangle's largest angle is never the kept gamma corner, so
-    the lineage is well defined.  Each row is (major, minor, kept) in units
-    of 1/scale degrees, where major >= minor are the two mutable angles and
-    kept is the angle the walk holds at the gamma corner.  The walk builds
-    no triangles, so a collinear float root is no obstacle: it splits
-    integers by ``split_units`` and follows gamma by index.
-    """
-    check_int(depth, "depth", 0)
-    units, scale = base.units(depth + 1)
-    rows: list[tuple[int, int, int]] = []
-    i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
-    for n in range(1, depth + 1):
-        ia, left, right = split_units(units)
-        # Left is (A, B, foot) and right is (A, foot, C).
-        if i_gamma == (ia + 1) % 3:
-            units, i_gamma = left, 1
-        elif i_gamma == (ia + 2) % 3:
-            units, i_gamma = right, 2
-        else:
-            raise RuntimeError(f"carrier lineage lost at generation {n}")
-        major, minor = sorted((units[0], units[3 - i_gamma]), reverse=True)
-        rows.append((major, minor, units[i_gamma]))
-    return rows, scale
-
-
 def track_carrier(run: RefinementRun) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """``carrier_units`` of an exact-base run, in degrees: per generation
-    1 .. depth, (major, minor, kept) exactly.  They match
-    ``carrier_angle_forms(n)`` evaluated at the base, and kept is gamma."""
+    """The carrier of an exact-base run, in degrees: per generation
+    1 .. depth, (major, minor, kept) exactly.  The carrier is the child
+    that keeps the vertex labeled gamma at every split, so kept is gamma,
+    and major >= minor are ``carrier_major_minor`` of alpha and beta in
+    the units of ``base.units(depth)``.  No triangle is built, so a base
+    whose float root is collinear is tracked too."""
     if run.mode != RunMode.EXACT_BASE:
         raise ValueError("carrier tracking requires exact-base mode")
-    rows, scale = carrier_units(run.base, run.depth)
-    return [tuple(Fraction(x, scale) for x in row) for row in rows]
+    (a, b, _), scale = run.base.units(run.depth)
+    rows = [carrier_major_minor(n, a, b) for n in range(1, run.depth + 1)]
+    return [(Fraction(major, scale), Fraction(minor, scale), run.base.gamma)
+            for major, minor in rows]

@@ -13,8 +13,12 @@ Three splitting procedures are provided:
 * ``longest-edge``     -- split along the median to the longest side.
 * ``shortest-altitude``-- split along the altitude to the longest side.
 
-One number rule, ``is_real``, decides what counts as a number for every
-coordinate, angle, side and scale: a real number that is not a ``bool``.
+Two number rules.  ``is_real`` decides what counts as a number for every
+coordinate, numeric angle, side and scale: a real number that is not a
+``bool``, so ``triangle_from_angles_deg("60", 60, 60)`` is refused.  Exact
+angles are read by ``exact._fraction``: anything ``Fraction`` reads as a
+finite rational, a string included, and not a ``bool``, so
+``BaseAngles("60", "60", "60")`` is accepted.
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ from .engine import (
     RefinementResult,
     RefinementRun,
     SQRT3_2,
-    carrier_units,
     refine,
     split_units,
 )
@@ -81,7 +80,7 @@ FLAT_START_ASPECT_BOUND = math.sin(math.radians(54.0)) / math.cos(math.radians(7
 
 CARRIER_N_MAX = 20
 # The carrier checks work in the units of ``base.units(CARRIER_SHIFT)``, the
-# scale of ``carrier_units`` at depth CARRIER_N_MAX.
+# scale of a refine of depth CARRIER_N_MAX.
 CARRIER_SHIFT = CARRIER_N_MAX + 1
 
 EQUILATERAL = BaseAngles(60, 60, 60)
@@ -634,11 +633,20 @@ def _m_max_aspect_observed(spec, runs):
 @_check("carrier-track-matches-closed-form", TOL_EXACT,
         lambda ctx: [{"base": base} for base, _ in ctx.walks])
 def _m_carrier_closed_form(spec, runs):
-    base = spec["base"]
-    track, _ = carrier_units(base, CARRIER_N_MAX)
-    (a, b, gamma), _ = base.units(CARRIER_SHIFT)
-    for n, (major, minor, kept) in enumerate(track, start=1):
-        if (major, minor) != carrier_major_minor(n, a, b) or kept != gamma:
+    # The oracle walks the carrier: split by split_units and follow the
+    # gamma corner by index; left is (A, B, foot) and right (A, foot, C).
+    # A split at the kept corner loses the lineage.
+    units, _ = spec["base"].units(CARRIER_SHIFT)
+    a, b, gamma = units
+    i_gamma = 2  # the root's vertex order is (alpha, beta, gamma)
+    for n in range(1, CARRIER_N_MAX + 1):
+        ia, left, right = split_units(units)
+        if i_gamma == ia:
+            return -1.0, dict(spec, n=n)
+        units, i_gamma = (left, 1) if i_gamma == (ia + 1) % 3 else (right, 2)
+        major, minor = sorted((units[0], units[3 - i_gamma]), reverse=True)
+        if ((major, minor) != carrier_major_minor(n, a, b)
+                or units[i_gamma] != gamma):
             return -1.0, dict(spec, n=n)
     return 0.0, dict(spec, n=0)
 

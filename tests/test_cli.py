@@ -481,6 +481,10 @@ BAD_INPUTS = {
                       "given\n"),
     "negative-depth": (["--angles", "60,60,60"], "-1", 2,
                        "error: depth must be non-negative\n"),
+    # upsilon's closed form needs no limit, but every front end keeps it.
+    "depth-over-limit": (["--angles", "60,60,60"], "41", 2,
+                         "error: depth 41 exceeds the streaming limit of "
+                         "40\n"),
     "malformed-side": (["--sides", "1,x,2"], "1", 2,
                        "error: cannot parse sides '1,x,2': could not convert "
                        "string to float: 'x'\n"),

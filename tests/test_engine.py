@@ -15,12 +15,12 @@ from exact_reference import ROOT_FORMS, exact_walk, reference_children
 from trirefine import engine, verifier
 from trirefine.exact import BaseAngles, carrier_angle_forms, evaluate_angle_form
 from trirefine.engine import (
+    MAX_DEPTH_STREAMING,
     MAX_RENDER_GENERATION,
     ProcedureKind,
     RefinementRun,
     RunMode,
     SQRT3_2,
-    carrier_units,
     refine,
     split_units,
     track_carrier,
@@ -781,7 +781,7 @@ class TestCarrierTrack:
                                 Fraction(73129, 2782))):
             forms, values, i_gamma = ROOT_FORMS, base.as_tuple(), 2
             expected = []
-            for _ in range(20):
+            for _ in range(MAX_DEPTH_STREAMING):
                 ia = values.index(max(values))
                 left, right = reference_children(forms, values, ia)
                 if i_gamma == (ia + 1) % 3:
@@ -794,7 +794,7 @@ class TestCarrierTrack:
                                       reverse=True)
                 expected.append((major, minor, base.gamma))
             assert track_carrier(RefinementRun(
-                kind=ProcedureKind.LARGEST_ANGLE, depth=20,
+                kind=ProcedureKind.LARGEST_ANGLE, depth=MAX_DEPTH_STREAMING,
                 base=base)) == expected
 
     def test_builds_no_triangles(self, monkeypatch):
@@ -810,18 +810,6 @@ class TestCarrierTrack:
         assert track_carrier(run) == expected
         assert len(expected) == 20
 
-    @pytest.mark.parametrize("depth, message", [
-        (-1, "depth must be >= 0"),
-        (True, "depth must be an int, got True"),
-        (2.0, "depth must be an int, got 2.0"),
-        ("3", "depth must be an int, got '3'"),
-    ])
-    def test_carrier_units_rejects_bad_depth(self, depth, message):
-        # Without the check, -1 would return ([], 1) and True one row.
-        with pytest.raises(ValueError) as info:
-            carrier_units(BaseAngles(80, 60, 40), depth)
-        assert str(info.value) == message
-
     def test_requires_exact_mode(self):
         with pytest.raises(ValueError):
             track_carrier(RefinementRun(kind=ProcedureKind.LARGEST_ANGLE,
@@ -830,23 +818,15 @@ class TestCarrierTrack:
     def test_kept_is_the_walked_angle(self, monkeypatch):
         # A split that adds one unit to each child's kept corner (the one
         # it shares with its parent) leaves major and minor alone; only
-        # the walked kept angle shows it, in the track and in the check.
+        # the walked kept angle shows it, in the check's split walk.
         base = BaseAngles(80, 60, 40)
-        run = RefinementRun(kind=ProcedureKind.LARGEST_ANGLE, depth=20,
-                            base=base)
-        exact_track = track_carrier(run)
-        split = engine.split_units
+        split = verifier.split_units
 
         def leaky_split(units):
             ia, (l0, l1, l2), (r0, r1, r2) = split(units)
             return ia, (l0, l1 + 1, l2), (r0, r1, r2 + 1)
 
-        monkeypatch.setattr(engine, "split_units", leaky_split)
-        track = track_carrier(run)
-        assert [row[:2] for row in track] == [row[:2] for row in exact_track]
-        _, scale = base.units(run.depth + 1)
-        assert [kept for _, _, kept in track] == [
-            base.gamma + Fraction(n, scale) for n in range(1, 21)]
+        monkeypatch.setattr(verifier, "split_units", leaky_split)
         check = verifier._CHECKS["carrier-track-matches-closed-form"]
         assert check.margin({"base": base}, {}) == (-1.0, {"base": base,
                                                            "n": 1})

@@ -109,13 +109,23 @@ def test_verify_report(verify_report, depth, sweep, seed, expected):
 CARRIER_AND_CLASS_GOLDEN = {
     ("upsilon", "--angles", "80,60,40", "--iterations", "20"): (
         "557bb1a858a84e24", "ccecb31127934fc5"),
+    # The thin base at the streaming limit, taken while upsilon still
+    # walked the carrier split by split.
+    ("upsilon", "--angles", "178,1,1", "--iterations", "40"): (
+        "4243c08ca8e6e6b0", "daf8be85c110da90"),
     ("classes", "--angles", "80,60,40", "--iterations", "12"): (
         "e2c807a1938d9655", "db47e801333e2524"),
 }
 
 
+def carrier_and_class_id(argv):
+    """The command, and ``-thin`` for the thin base."""
+    return f"{argv[0]}-thin" if argv[2] == "178,1,1" else argv[0]
+
+
 @pytest.mark.parametrize("argv", list(CARRIER_AND_CLASS_GOLDEN),
-                         ids=[argv[0] for argv in CARRIER_AND_CLASS_GOLDEN])
+                         ids=[carrier_and_class_id(argv)
+                              for argv in CARRIER_AND_CLASS_GOLDEN])
 def test_carrier_and_class_outputs(tmp_path, capsys, argv):
     output = tmp_path / "out.json"
     assert main([*argv, "--json", str(output)]) == 0
